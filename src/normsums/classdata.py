@@ -14,6 +14,13 @@ congruence_for produces.  The full two-constraint form is kept even
 when one constraint implies the other; a single-constraint shortcut is
 only used after an explicit equivalence check over a full residue
 period (see simplify_condition).
+
+That single constraint k | (a + beta*b) makes the admissible set the
+lattice (a, b) = (k*x - beta*y, y), on which N(gamma)/k is the binary
+quadratic form A*x^2 + B*x*y + C*y^2 of class_form, with the field's
+discriminant: the ideal class <-> form class correspondence.  The
+search runs on that form; the congruences are only needed at the edges
+(display, (a, b) coordinates of certificates, recheck).
 """
 
 from __future__ import annotations
@@ -160,7 +167,7 @@ def simplify_condition(c: CongruenceCondition) -> tuple[int, int] | None:
     the full residue period [0, k)^2, that the single constraint is
     equivalent to the original pair.  Returns (alpha, beta) with
     0 <= alpha, beta < k, or None when no equivalent single constraint of
-    that shape exists.  Safe to use in enumeration hot loops.
+    that shape exists.  class_form builds each class's lattice from it.
     """
     k = c.k
     if k == 1:
@@ -181,6 +188,28 @@ def simplify_condition(c: CongruenceCondition) -> tuple[int, int] | None:
         if ok:
             return (alpha, beta)
     return None
+
+
+def class_form(f: FieldParams, rep: IdealClassRep) -> tuple[int, int, int, int]:
+    """The class's admissible norms divided by k, as a binary form.
+
+    With the constraint reduced to k | (a + beta*b), every admissible
+    gamma is (a, b) = (k*x - beta*y, y) for integers x, y, and
+    N(gamma)/k = A*x^2 + B*x*y + C*y^2.  Returns (A, B, C, beta); the
+    principal class gives the norm form itself, (1, q, c, 0).  Raises
+    ValueError when the class does not reduce to one constraint or k
+    does not divide N(-beta + omega).
+    """
+    simple = simplify_condition(congruence_for(f, rep))
+    if simple is None:
+        raise ValueError(f"d={f.d} class {rep.class_index}: congruence does not reduce to one constraint")
+    beta = simple[1]
+    _, q, c = f.form_coefficients()
+    k = rep.k
+    big_c, rem = divmod(beta * beta - q * beta + c, k)
+    if rem:
+        raise ValueError(f"d={f.d} class {rep.class_index}: k={k} does not divide N({-beta}+omega)")
+    return (k, q - 2 * beta, big_c, beta)
 
 
 def condition_display(c: CongruenceCondition) -> str:
@@ -229,8 +258,10 @@ def validate_tables() -> list[str]:
     Checks, for each non-principal representative: k divides N(s + t*omega)
     (necessary for U*conj(U) = k*O).  For class-number-3 fields also checks
     the paired-row pattern s2 + s3 = -1, t2 = t3 = 1, and that n = 2*s2 + 1
-    is the smallest positive odd solution of n^2 = -d (mod k).  Returns a
-    list of violation strings, expected empty.
+    is the smallest positive odd solution of n^2 = -d (mod k).  Every
+    class must reduce to one constraint and give, through class_form, an
+    integral form of the field's discriminant (-d if d = 3 mod 4, else
+    -4d).  Returns a list of violation strings, expected empty.
     """
     violations: list[str] = []
     for d in SUPPORTED_FIELDS:
@@ -238,10 +269,19 @@ def validate_tables() -> list[str]:
         reps = class_reps(f)
         if len(reps) != f.class_number:
             violations.append(f"d={d}: {len(reps)} reps for class number {f.class_number}")
-        for rep in reps[1:]:
+        disc = -d if d % 4 == 3 else -4 * d
+        for rep in reps:
             n = norm(f, RingElement(rep.s, rep.t))
             if n % rep.k != 0:
                 violations.append(f"d={d} class {rep.class_index}: k={rep.k} does not divide N(s+t*omega)={n}")
+            try:
+                a, b, c, _ = class_form(f, rep)
+            except ValueError as exc:
+                violations.append(str(exc))
+                continue
+            got = b * b - 4 * a * c
+            if got != disc:
+                violations.append(f"d={d} class {rep.class_index}: form ({a},{b},{c}) has discriminant {got}, not {disc}")
         if f.class_number == 3:
             r2, r3 = reps[1], reps[2]
             if r2.t != 1 or r3.t != 1:

@@ -3,46 +3,43 @@ exceptional sets, and the uniform invariant g.
 
 Everything runs on integers.  A lattice with h(v^r) = r/k is a sum of m
 scaled norms N(gamma/k) exactly when r*k is a sum of m congruence-
-admissible norm values N(gamma), so the whole problem is unbounded
-subset-sum over the target T = r*k.
+admissible norm values N(gamma).  Each admissible norm is k times a value
+of the class's binary form A*x^2 + B*x*y + C*y^2 (classdata.class_form),
+so the search asks instead whether r is a sum of m form values, in
+r-space, with no congruence test in the loop.
 
 Minimum counts come from a layered reachability table: layer j is the
-bitmask of all T reachable as a sum of at most j admissible values.  The
+bitmask of all r reachable as a sum of at most j form values.  The
 layers grow monotonically and the first repeated layer is a fixpoint, at
 which point every bit still unset is unreachable by any number of
 summands; that makes Unrepresentable an exact verdict, not a timeout.
-Layer tables are cached per (field, class, target bound), so sweeping a
-whole exceptional set costs one table, not one table per r.
+Each layer's new bits are decoded once into a per-r min-count table, one
+byte per r.  One table is kept per (field, class), rebuilt only when a
+larger r_max is asked for; smaller windows read a prefix of it.
+
+Congruences stay at the edges: certificates come in (a, b) coordinates,
+mapped back from the form's (x, y) by a = k*x - beta*y, b = y.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .classdata import (
-    IdealClassRep,
-    class_reps,
-    congruence_for,
-    predicate_holds,
-    rep_for,
-    simplify_condition,
-)
+from .classdata import IdealClassRep, class_form, class_reps, rep_for
 from .quadfield import (
     FieldParams,
     Overflow,
     RingElement,
     conjugate,
     isqrt_floor,
-    make_field,
     norm,
 )
 
 DEFAULT_DP_CAP = 10**7
 
-# witness preference: small |b|, then small |a|, then nonnegative signs
-def _witness_key(a: int, b: int) -> tuple:
-    return (abs(b), abs(a), a < 0, b < 0)
+# (d, class_index) -> min-count table: byte r is the least number of form
+# values summing to r, 0 when no number does
+_TABLES: dict[tuple[int, int], bytes] = {}
 
 
 @dataclass(frozen=True)
@@ -117,86 +114,96 @@ class MinTermsResult:
         return MinTermsResult("unrepresentable")
 
 
+def _form_rows(a: int, b: int, c: int, bound: int):
+    """Rows (y, x_lo, x_hi) covering the points of the half plane y > 0 or
+    (y = 0, x > 0) where the positive definite form a*x^2 + b*x*y + c*y^2
+    is at most bound.  Every value there is positive, and the other half
+    plane repeats them.  The ranges come from 4a*Q = (2a*x + b*y)^2 + D*y^2
+    with D = 4ac - b^2."""
+    disc = 4 * a * c - b * b
+    two_a = 2 * a
+    for y in range(isqrt_floor(4 * a * bound // disc) + 1):
+        u = isqrt_floor(4 * a * bound - disc * y * y)
+        yield y, (1 if y == 0 else -((u + b * y) // two_a)), (u - b * y) // two_a
+
+
+def form_values(a: int, b: int, c: int, bound: int) -> list[int]:
+    """Distinct values in [1, bound] of the form a*x^2 + b*x*y + c*y^2,
+    ascending."""
+    vals: set[int] = set()
+    for y, lo, hi in _form_rows(a, b, c, bound):
+        by, cyy = b * y, c * y * y
+        vals.update([(a * x + by) * x + cyy for x in range(lo, hi + 1)])
+    return sorted(vals)
+
+
 def enumerate_norm_values(f: FieldParams, rep: IdealClassRep, bound: int) -> NormValueSet:
     """All positive admissible norm values up to bound, with one canonical
     coordinate witness each (preferred: small |b|, then small |a|, then
     nonnegative a, then nonnegative b).
 
-    Enumeration ranges follow from the norm form: |a| <= sqrt(bound) and
-    |b| <= sqrt(bound/d) on the sqrt(-d) branch; |2a+b| <= 2*sqrt(bound)
-    and |b| <= sqrt(4*bound/d) on the half-integer branch.
+    Runs over the class form's half plane: gamma and -gamma share a norm,
+    and of the two the canonical one has a >= 0.
     """
     if bound < 1:
         raise ValueError(f"bound must be positive, got {bound}")
-    cond = congruence_for(f, rep)
-    simple = simplify_condition(cond)
+    fa, fb, fc, beta = class_form(f, rep)
+    k = rep.k
     best: dict[int, tuple] = {}
-
-    def consider(a: int, b: int, n: int) -> None:
-        if n <= 0 or n > bound:
-            return
-        if simple is not None:
-            alpha, beta = simple
-            if (alpha * a + beta * b) % cond.k != 0:
-                return
-        elif not predicate_holds(cond, a, b):
-            return
-        key = _witness_key(a, b)
-        cur = best.get(n)
-        if cur is None or key < cur[0]:
-            best[n] = (key, a, b)
-
-    if f.is_half_branch:
-        d = f.d
-        c = (1 + d) // 4
-        bmax = isqrt_floor(4 * bound // d)
-        for b in range(-bmax, bmax + 1):
-            umax = isqrt_floor(4 * bound - d * b * b)
-            # a runs over (u - b)/2 for u = 2a+b in [-umax, umax]
-            lo = -((umax + b) // 2)
-            hi = (umax - b) // 2
-            for a in range(lo, hi + 1):
-                consider(a, b, a * a + a * b + c * b * b)
-    else:
-        d = f.d
-        amax = isqrt_floor(bound)
-        bmax = isqrt_floor(bound // d)
-        for b in range(-bmax, bmax + 1):
-            for a in range(-amax, amax + 1):
-                consider(a, b, a * a + d * b * b)
-
+    for y, lo, hi in _form_rows(fa, fb, fc, bound // k):
+        for x in range(lo, hi + 1):
+            n = k * ((fa * x + fb * y) * x + fc * y * y)
+            a = k * x - beta * y
+            key = (y, abs(a), a < 0)
+            cur = best.get(n)
+            if cur is None or key < cur[0]:
+                best[n] = (key, a, y) if a >= 0 else (key, -a, -y)
     values = tuple(sorted(best))
     witnesses = tuple(RingElement(best[v][1], best[v][2]) for v in values)
-    return NormValueSet(k=rep.k, bound=bound, values=values, witnesses=witnesses)
+    return NormValueSet(k=k, bound=bound, values=values, witnesses=witnesses)
 
 
-@lru_cache(maxsize=None)
-def _layer_masks(d: int, class_index: int, t_max: int) -> tuple[int, ...]:
-    """Cumulative reachability bitmasks: masks[j] has bit T set iff T <= t_max
-    is a sum of at most j admissible norm values.  The last entry is the
+def reach_layers(values: list[int], width: int, cap: int | None = None) -> list[int]:
+    """Cumulative reachability bitmasks over [0, width]: masks[j] has bit n
+    set iff n is a sum of at most j of the values.  Stops after cap layers,
+    or at the first repeated layer, which is left as the last entry: a
     fixpoint, so a bit unset there is unreachable outright."""
-    f = make_field(d)
-    rep = rep_for(f, class_index)
-    values = enumerate_norm_values(f, rep, t_max).values if t_max >= 1 else ()
-    window = (1 << (t_max + 1)) - 1
+    window = (1 << (width + 1)) - 1
     masks = [1]
-    while True:
+    while cap is None or len(masks) <= cap:
         cur = masks[-1]
         nxt = cur
         for v in values:
             nxt |= (cur << v) & window
         if nxt == cur:
-            return tuple(masks)
+            break
         masks.append(nxt)
+    return masks
 
 
-def _min_count(masks: tuple[int, ...], t: int) -> int | None:
-    if not (masks[-1] >> t) & 1:
-        return None
-    for j, mask in enumerate(masks):
-        if (mask >> t) & 1:
-            return j
-    return None  # unreachable; masks[-1] check already answered
+def _decode(masks: list[int], width: int) -> bytes:
+    """Byte n is the least j with bit n set in masks[j], 0 if there is
+    none (and for n = 0).  Layer j's new bits become bytes of value j in one
+    pass over a binary string."""
+    acc = 0
+    for j in range(1, len(masks)):
+        bits = format(masks[j] ^ masks[j - 1], "b").encode()
+        acc |= int.from_bytes(bits.translate(bytes.maketrans(b"01", bytes((0, j)))), "big")
+    return acc.to_bytes(width + 1, "little")
+
+
+def _count_table(f: FieldParams, class_index: int, r_max: int, dp_cap: int) -> bytes:
+    """The class's min-count table, covering at least [0, r_max]."""
+    if r_max < 1:
+        raise ValueError(f"r_max must be positive, got {r_max}")
+    rep = rep_for(f, class_index)
+    _require_cap(r_max * rep.k, dp_cap)
+    table = _TABLES.get((f.d, class_index))
+    if table is None or len(table) <= r_max:
+        fa, fb, fc, _ = class_form(f, rep)
+        table = _decode(reach_layers(form_values(fa, fb, fc, r_max), r_max), r_max)
+        _TABLES[(f.d, class_index)] = table
+    return table
 
 
 def _require_cap(t: int, dp_cap: int) -> None:
@@ -207,10 +214,8 @@ def _require_cap(t: int, dp_cap: int) -> None:
 def min_terms(q: LatticeQuery, dp_cap: int = DEFAULT_DP_CAP) -> MinTermsResult:
     """Exact minimum number of admissible norms summing to r*k, or the
     exact verdict that no number of norms works."""
-    _require_cap(q.target, dp_cap)
-    masks = _layer_masks(q.field.d, q.class_index, q.target)
-    m = _min_count(masks, q.target)
-    if m is None:
+    m = _count_table(q.field, q.class_index, q.r, dp_cap)[q.r]
+    if not m:
         return MinTermsResult.unrepresentable()
     return MinTermsResult.representable(m)
 
@@ -269,23 +274,13 @@ def find_certificate(q: LatticeQuery, m: int, dp_cap: int = DEFAULT_DP_CAP) -> R
 def min_count_table(f: FieldParams, class_index: int, r_max: int, dp_cap: int = DEFAULT_DP_CAP) -> tuple[int | None, ...]:
     """min_terms for every r in [1, r_max] from one shared layer table;
     entry r-1 is the minimum count or None for unrepresentable."""
-    if r_max < 1:
-        raise ValueError(f"r_max must be positive, got {r_max}")
-    k = rep_for(f, class_index).k
-    _require_cap(r_max * k, dp_cap)
-    masks = _layer_masks(f.d, class_index, r_max * k)
-    return tuple(_min_count(masks, r * k) for r in range(1, r_max + 1))
+    return tuple(m or None for m in _count_table(f, class_index, r_max, dp_cap)[1 : r_max + 1])
 
 
 def exceptional_set(f: FieldParams, class_index: int, r_max: int, dp_cap: int = DEFAULT_DP_CAP) -> list[int]:
     """All r in [1, r_max] whose lattice is a sum of norms for no m at all."""
-    if r_max < 1:
-        raise ValueError(f"r_max must be positive, got {r_max}")
-    k = rep_for(f, class_index).k
-    _require_cap(r_max * k, dp_cap)
-    masks = _layer_masks(f.d, class_index, r_max * k)
-    final = masks[-1]
-    return [r for r in range(1, r_max + 1) if not (final >> (r * k)) & 1]
+    table = _count_table(f, class_index, r_max, dp_cap)
+    return [r for r in range(1, r_max + 1) if not table[r]]
 
 
 @dataclass(frozen=True)
@@ -303,32 +298,21 @@ def g_invariant(f: FieldParams, r_max: int, dp_cap: int = DEFAULT_DP_CAP) -> GIn
     r <= r_max/2, i.e. the upper half changed nothing.  That is a
     stabilization heuristic for the finite window, not a proof.
 
-    Requires r_max >= 2*k + 1 (in target space T = r*k that is
-    T_max >= 2*k^2 + k) so padding by the always-admissible value k^2 has
-    room to act within the window.
+    Requires r_max >= 2*k + 1 so padding by the always-admissible
+    gamma = k (form value k, norm k^2) has room to act within the window.
     """
     reps = class_reps(f)
     kmax = max(rep.k for rep in reps)
     if r_max < 2 * kmax + 1:
         raise ValueError(f"r_max={r_max} too small: need at least 2*k+1 = {2 * kmax + 1} for k={kmax}")
-    g = 0
-    witness: LatticeQuery | None = None
-    half_max = 0
-    half = r_max // 2
-    for rep in reps:
-        _require_cap(r_max * rep.k, dp_cap)
-        masks = _layer_masks(f.d, rep.class_index, r_max * rep.k)
-        for r in range(1, r_max + 1):
-            mc = _min_count(masks, r * rep.k)
-            if mc is None:
-                continue
-            if r <= half and mc > half_max:
-                half_max = mc
-            if mc > g:
-                g = mc
-                witness = LatticeQuery(field=f, class_index=rep.class_index, r=r)
-    if witness is None:
+    windows = [(rep.class_index, _count_table(f, rep.class_index, r_max, dp_cap)[1 : r_max + 1])
+               for rep in reps]
+    g = max(max(window) for _, window in windows)
+    if not g:
         raise RuntimeError(f"no representable r <= {r_max} for d={f.d}; window too small")
+    class_index, window = next((ci, window) for ci, window in windows if g in window)
+    half_max = max(max(window[: r_max // 2]) for _, window in windows)
+    witness = LatticeQuery(field=f, class_index=class_index, r=window.index(g) + 1)
     return GInvariantResult(g=g, witness=witness, stable=half_max == g)
 
 

@@ -16,7 +16,8 @@ import enum
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .quadfield import FieldParams, isqrt_floor, make_field
+from .quadfield import FieldParams, make_field
+from .repsearch import form_values, reach_layers
 
 
 class TermKind(enum.Enum):
@@ -148,15 +149,18 @@ def is_sum_of_three_squares(n: int) -> bool:
     return n % 8 != 7
 
 
+def _first_gap(mask: int, limit: int) -> int | None:
+    """Least n in [1, limit] whose bit is unset in mask, else None."""
+    missing = ~mask & ((1 << (limit + 1)) - 2)
+    return (missing & -missing).bit_length() - 1 if missing else None
+
+
 def universal_up_to(form: DiagonalForm | MixedSum, limit: int) -> tuple[bool, int | None]:
     """Whether the form represents every n in [1, limit]; first gap if not."""
     if limit < 1:
         raise ValueError(f"limit must be positive, got {limit}")
-    mask = _coverage_mask(_form_term_values(form, limit), limit)
-    for n in range(1, limit + 1):
-        if not (mask >> n) & 1:
-            return (False, n)
-    return (True, None)
+    gap = _first_gap(_coverage_mask(_form_term_values(form, limit), limit), limit)
+    return (gap is None, gap)
 
 
 def sun_polynomial_universal(limit: int) -> tuple[bool, int | None]:
@@ -176,64 +180,23 @@ def sun_polynomial_universal(limit: int) -> tuple[bool, int | None]:
             x += 1
         return sorted(vals)
 
-    mask = _coverage_mask([poly_values(2), poly_values(3), poly_values(3)], limit)
-    for n in range(1, limit + 1):
-        if not (mask >> n) & 1:
-            return (False, n)
-    return (True, None)
+    gap = _first_gap(_coverage_mask([poly_values(2), poly_values(3), poly_values(3)], limit), limit)
+    return (gap is None, gap)
 
 
 class CrossCheckFailed(RuntimeError):
     """The closed-form m_d value failed its bounded brute-force check."""
 
 
-def _norm_values_unconstrained(f: FieldParams, bound: int) -> list[int]:
-    """All positive norm values of the ring up to bound, no congruence."""
-    vals = set()
-    p, q, r = f.form_coefficients()
-    if f.is_half_branch:
-        bmax = isqrt_floor(4 * bound // f.d)
-        for b in range(0, bmax + 1):
-            # 4N = (2a+b)^2 + d*b^2
-            umax = isqrt_floor(4 * bound - f.d * b * b)
-            for u in range(-umax, umax + 1):
-                if (u - b) % 2:
-                    continue
-                a = (u - b) // 2
-                n = p * a * a + q * a * b + r * b * b
-                if 0 < n <= bound:
-                    vals.add(n)
-    else:
-        bmax = isqrt_floor(bound // f.d)
-        amax = isqrt_floor(bound)
-        for b in range(0, bmax + 1):
-            for a in range(0, amax + 1):
-                n = a * a + f.d * b * b
-                if 0 < n <= bound:
-                    vals.add(n)
-    return sorted(vals)
-
-
 def norm_sum_first_gap(f: FieldParams, copies: int, limit: int) -> int | None:
     """First n in [1, limit] not a sum of `copies` norms of the ring, else None.
 
     Summands may be zero (fewer norms always allowed), matching the reading
-    of m_d as 'sums of at most m_d norms'.
+    of m_d as 'sums of at most m_d norms'.  The norms are the values of the
+    principal class form, layered by the same kernel as the class searches.
     """
-    values = _norm_values_unconstrained(f, limit)
-    window = (1 << (limit + 1)) - 1
-    mask = 1
-    for _ in range(copies):
-        acc = mask
-        for v in values:
-            acc |= (mask << v) & window
-        if acc == mask:
-            break
-        mask = acc
-    for n in range(1, limit + 1):
-        if not (mask >> n) & 1:
-            return n
-    return None
+    values = form_values(*f.form_coefficients(), limit)
+    return _first_gap(reach_layers(values, limit, copies)[-1], limit)
 
 
 _MD_COVER_LIMIT = 10**4

@@ -19,7 +19,6 @@ from scratch so a bug in the search cannot vouch for itself.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
 from .classdata import class_number_fields, class_reps, reps_as_rows
@@ -240,11 +239,14 @@ def _verify_field_star(args: tuple[int, int]) -> FieldReport:
 
 def verify_all(class_number: int, r_max: int = 300, jobs: int = 1) -> DiffReport:
     """verify_field over every field of the class number; jobs > 1 fans the
-    fields out over a process pool, results stay in d order either way."""
+    fields out over a process pool of at most one worker per field, results
+    stay in d order either way."""
     fields = class_number_fields(class_number)
     t0 = time.perf_counter()
     if jobs and jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=min(jobs, len(fields))) as pool:
             reports = list(pool.map(_verify_field_star, [(d, r_max) for d in fields]))
     else:
         reports = [verify_field(d, r_max) for d in fields]

@@ -1,4 +1,15 @@
+import os
+from pathlib import Path
+
 from hypothesis import HealthCheck, settings
+
+import normsums
 
 settings.register_profile("default", deadline=None, suppress_health_check=[HealthCheck.too_slow])
 settings.load_profile("default")
+
+# the CLI tests start `python -m normsums.cli` in a child process; point it
+# at the package this session imported, whether installed or from src/
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(normsums.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")])
+)

@@ -9,8 +9,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from _oracle import oracle_min_terms, oracle_values
-from normsums.classdata import rep_for
-from normsums.quadfield import Overflow, RingElement, make_field, norm
+from normsums import repsearch
+from normsums.classdata import class_reps, rep_for
+from normsums.quadfield import SUPPORTED_FIELDS, Overflow, RingElement, make_field, norm
 from normsums.repsearch import (
     LatticeQuery,
     MinTermsResult,
@@ -105,15 +106,19 @@ def test_enumerate_norm_values_canonical_witnesses():
     assert vs3.witness_for(299) == RingElement(9, -1)
 
 
-@given(
-    st.sampled_from([(5, 2), (15, 2), (35, 2), (23, 2), (23, 3), (91, 2), (907, 2), (1, 1)]),
-    st.integers(min_value=1, max_value=400),
-)
+ALL_CLASSES = [(d, rep.class_index) for d in SUPPORTED_FIELDS for rep in class_reps(make_field(d))]
+
+
+@given(st.sampled_from(ALL_CLASSES), st.integers(min_value=1, max_value=400))
 def test_enumerate_matches_oracle_box_scan(field_class, bound):
     d, class_index = field_class
     f = make_field(d)
-    vs = enumerate_norm_values(f, rep_for(f, class_index), bound)
-    assert list(vs.values) == oracle_values(d, class_index, bound)
+    rep = rep_for(f, class_index)
+    expected = oracle_values(d, class_index, bound)
+    # every admissible norm is k times a value of the class form
+    assert all(v % rep.k == 0 for v in expected)
+    vs = enumerate_norm_values(f, rep, bound)
+    assert list(vs.values) == expected
 
 
 @given(
@@ -157,6 +162,19 @@ def test_min_count_table_matches_min_terms():
     for r in range(1, 41):
         res = min_terms(_query(35, 2, r))
         assert table[r - 1] == (res.m if res.is_representable else None)
+
+
+def test_table_grows_and_serves_smaller_windows():
+    # one table per (d, class): a smaller window after a larger one reads a
+    # prefix of it, a larger one rebuilds it; each answer must equal a cold build
+    f = make_field(907)
+    windows = (300, 50, 600)
+    repsearch._TABLES.clear()
+    warm = [(min_count_table(f, 2, n), exceptional_set(f, 2, n)) for n in windows]
+    assert len(repsearch._TABLES[(907, 2)]) == 601
+    for n, got in zip(windows, warm):
+        repsearch._TABLES.clear()
+        assert got == (min_count_table(f, 2, n), exceptional_set(f, 2, n)), n
 
 
 def test_find_certificate_goldens():

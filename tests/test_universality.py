@@ -171,7 +171,8 @@ def test_gap_agrees_with_direct_search():
 def test_cross_check_failure_detected(monkeypatch):
     u._m_d_checked.cache_clear()
     try:
-        monkeypatch.setattr(u, "_norm_values_unconstrained", lambda f, bound: [1])
+        # the norm values now come from the shared form enumerator
+        monkeypatch.setattr(u, "form_values", lambda a, b, c, bound: [1])
         with pytest.raises(CrossCheckFailed):
             m_d(make_field(5))
     finally:

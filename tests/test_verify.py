@@ -149,6 +149,34 @@ def test_verify_all_class3_parallel():
     assert report.all_match and report.all_stable
 
 
+def test_verify_all_pool_clamped_to_field_count(monkeypatch):
+    # a large --jobs must not start more workers than there are fields;
+    # the stand-in executor records the size and maps in this process
+    import concurrent.futures
+
+    sizes = []
+
+    class SerialExecutor:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialExecutor)
+    report = verify_all(3, r_max=300, jobs=10_000)
+    assert sizes == [16]
+    assert report.matches == report.total == 16
+    verify_all(2, r_max=300, jobs=3)
+    assert sizes == [16, 3]
+
+
 def test_report_serialization():
     report = verify_all(2, r_max=300)
     doc = report_to_json(report)

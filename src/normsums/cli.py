@@ -1,9 +1,8 @@
 """Command-line surface.
 
-Subcommands map one-to-one onto library operations; every output is
-machine-readable (json by default, csv and table variants where they
-make sense).  Exit codes are part of the contract so CI can gate on
-them:
+Subcommands map one-to-one onto library operations, and every one of
+them prints each of the three formats: json (the default), csv and
+table.  Exit codes are part of the contract so CI can gate on them:
 
     0   success (for verify: zero mismatches)
     2   bad input (including non-squarefree d and window/cap violations)
@@ -39,22 +38,30 @@ from .universality import m_d
 from .verify import report_table, report_to_json, verify_all
 
 
-def _emit_json(doc: dict) -> None:
-    print(json.dumps(doc, separators=(",", ":")))
+def _emit(fmt: str, doc: dict, rows: list[dict] | None = None, columns: list[str] | None = None,
+          table: list[tuple[str, object]] | str | None = None) -> None:
+    """Print one result in the format asked for.
 
-
-def _emit_csv(rows: list[dict], columns: list[str]) -> None:
-    out = io.StringIO()
-    writer = csv.DictWriter(out, fieldnames=columns, lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
-    sys.stdout.write(out.getvalue())
-
-
-def _emit_kv_table(pairs: list[tuple[str, object]]) -> None:
-    width = max(len(key) for key, _ in pairs)
-    for key, value in pairs:
-        print(f"{key:<{width}}  {value}")
+    json prints doc compactly.  csv prints rows under a header of columns,
+    by default doc as the one row under doc's keys.  table prints (key,
+    value) pairs with the keys padded to one width, by default doc's
+    items; a str table is the finished text of a hand-laid table.
+    """
+    if fmt == "json":
+        print(json.dumps(doc, separators=(",", ":")))
+    elif fmt == "csv":
+        out = io.StringIO()
+        writer = csv.DictWriter(out, fieldnames=columns or list(doc), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows([doc] if rows is None else rows)
+        sys.stdout.write(out.getvalue())
+    elif isinstance(table, str):
+        print(table)
+    else:
+        pairs = table or list(doc.items())
+        width = max(len(key) for key, _ in pairs)
+        for key, value in pairs:
+            print(f"{key:<{width}}  {value}")
 
 
 def _norm_form_text(f) -> str:
@@ -72,64 +79,47 @@ def _omega_text(f) -> str:
 
 def cmd_field_info(args) -> int:
     f = make_field(args.d)
-    classes = []
-    for rep in class_reps(f):
-        cond = congruence_for(f, rep)
-        classes.append(
-            {
-                "class_index": rep.class_index,
-                "k": rep.k,
-                "s": rep.s,
-                "t": rep.t,
-                "h_scale": str(rep.h_scale),
-                "condition": condition_display(cond),
-            }
-        )
-    if args.format == "csv":
-        rows = [{"d": f.d, "class_index": c["class_index"], "k": c["k"], "s": c["s"], "t": c["t"]} for c in classes]
-        _emit_csv(rows, ["d", "class_index", "k", "s", "t"])
-    elif args.format == "table":
-        pairs = [
-            ("d", f.d),
-            ("omega", _omega_text(f)),
-            ("class_number", f.class_number),
-            ("norm_form", _norm_form_text(f)),
-        ]
-        for c in classes:
-            pairs.append(
-                (f"class {c['class_index']}", f"k={c['k']} s={c['s']} t={c['t']} h={c['h_scale']} condition: {c['condition']}")
-            )
-        _emit_kv_table(pairs)
-    else:
-        _emit_json(
-            {
-                "d": f.d,
-                "omega_branch": f.omega_branch.value,
-                "class_number": f.class_number,
-                "norm_form": _norm_form_text(f),
-                "classes": classes,
-            }
-        )
+    classes = [
+        {
+            "class_index": rep.class_index,
+            "k": rep.k,
+            "s": rep.s,
+            "t": rep.t,
+            "h_scale": str(rep.h_scale),
+            "condition": condition_display(congruence_for(f, rep)),
+        }
+        for rep in class_reps(f)
+    ]
+    doc = {
+        "d": f.d,
+        "omega_branch": f.omega_branch.value,
+        "class_number": f.class_number,
+        "norm_form": _norm_form_text(f),
+        "classes": classes,
+    }
+    table = [("d", f.d), ("omega", _omega_text(f)), ("class_number", f.class_number), ("norm_form", doc["norm_form"])]
+    table += [
+        (f"class {c['class_index']}", f"k={c['k']} s={c['s']} t={c['t']} h={c['h_scale']} condition: {c['condition']}")
+        for c in classes
+    ]
+    columns = ["d", "class_index", "k", "s", "t"]
+    rows = [{"d": f.d, **{key: c[key] for key in columns[1:]}} for c in classes]
+    _emit(args.format, doc, rows, columns, table)
     return 0
 
 
 def cmd_min_terms(args) -> int:
-    f = make_field(args.d)
-    q = LatticeQuery(field=f, class_index=args.class_index, r=args.r)
+    q = LatticeQuery(field=make_field(args.d), class_index=args.class_index, r=args.r)
     result = min_terms(q, dp_cap=args.dp_cap)
     doc: dict = {"outcome": result.outcome}
     if result.m is not None:
         doc["m"] = result.m
-    if args.format == "table":
-        _emit_kv_table(list(doc.items()))
-    else:
-        _emit_json(doc)
+    _emit(args.format, doc, columns=["outcome", "m"])
     return 0
 
 
 def cmd_certificate(args) -> int:
-    f = make_field(args.d)
-    q = LatticeQuery(field=f, class_index=args.class_index, r=args.r)
+    q = LatticeQuery(field=make_field(args.d), class_index=args.class_index, r=args.r)
     cert = find_certificate(q, args.m, dp_cap=args.dp_cap)
     if cert is None:
         result = min_terms(q, dp_cap=args.dp_cap)
@@ -137,103 +127,62 @@ def cmd_certificate(args) -> int:
             doc = {"outcome": "not_found", "min_m": result.m}
         else:
             doc = {"outcome": "unrepresentable"}
-        _emit_json(doc)
+        _emit(args.format, doc, columns=["outcome", "min_m"])
         return 0
     doc = cert.to_json_dict()
-    if args.format == "table":
-        pairs = [(key, doc[key]) for key in ("d", "class_index", "k", "r", "m", "check")]
-        pairs.append(("gammas", " ".join(f"({a},{b})" for a, b in doc["gammas"])))
-        _emit_kv_table(pairs)
-    elif args.format == "csv":
-        rows = [{"a": a, "b": b} for a, b in doc["gammas"]]
-        _emit_csv(rows, ["a", "b"])
-    else:
-        _emit_json(doc)
+    table = [(key, doc[key]) for key in ("d", "class_index", "k", "r", "m", "check")]
+    table.append(("gammas", " ".join(f"({a},{b})" for a, b in doc["gammas"])))
+    _emit(args.format, doc, [{"a": a, "b": b} for a, b in doc["gammas"]], ["a", "b"], table)
     return 0
 
 
 def cmd_exceptional(args) -> int:
-    f = make_field(args.d)
-    exceptional = exceptional_set(f, args.class_index, args.r_max, dp_cap=args.dp_cap)
-    if args.format == "csv":
-        _emit_csv([{"r": r} for r in exceptional], ["r"])
-    elif args.format == "table":
-        _emit_kv_table(
-            [
-                ("d", args.d),
-                ("class_index", args.class_index),
-                ("r_max", args.r_max),
-                ("exceptional", " ".join(map(str, exceptional)) or "(none)"),
-            ]
-        )
-    else:
-        _emit_json(
-            {"d": args.d, "class_index": args.class_index, "r_max": args.r_max, "exceptional": exceptional}
-        )
+    exceptional = exceptional_set(make_field(args.d), args.class_index, args.r_max, dp_cap=args.dp_cap)
+    doc = {"d": args.d, "class_index": args.class_index, "r_max": args.r_max, "exceptional": exceptional}
+    table = list({**doc, "exceptional": " ".join(map(str, exceptional)) or "(none)"}.items())
+    _emit(args.format, doc, [{"r": r} for r in exceptional], ["r"], table)
     return 0
 
 
 def cmd_g(args) -> int:
-    f = make_field(args.d)
-    result = g_invariant(f, args.r_max, dp_cap=args.dp_cap)
-    doc = {
-        "d": args.d,
-        "r_max": args.r_max,
-        "g": result.g,
-        "witness": {"class_index": result.witness.class_index, "r": result.witness.r},
-        "stable": result.stable,
-    }
-    if args.format == "table":
-        flat = dict(doc)
-        flat["witness"] = f"class {result.witness.class_index}, r={result.witness.r}"
-        _emit_kv_table(list(flat.items()))
-    else:
-        _emit_json(doc)
+    result = g_invariant(make_field(args.d), args.r_max, dp_cap=args.dp_cap)
+    ci, r = result.witness.class_index, result.witness.r
+    doc = {"d": args.d, "r_max": args.r_max, "g": result.g, "witness": {"class_index": ci, "r": r},
+           "stable": result.stable}
+    row = {"d": args.d, "r_max": args.r_max, "g": result.g, "witness_class_index": ci, "witness_r": r,
+           "stable": result.stable}
+    table = list({**doc, "witness": f"class {ci}, r={r}"}.items())
+    _emit(args.format, doc, [row], list(row), table)
     return 0
 
 
 def cmd_m_d(args) -> int:
-    f = make_field(args.d)
-    doc = {"d": args.d, "m_d": m_d(f)}
-    if args.format == "table":
-        _emit_kv_table(list(doc.items()))
-    else:
-        _emit_json(doc)
+    _emit(args.format, {"d": args.d, "m_d": m_d(make_field(args.d))})
     return 0
 
 
 def cmd_verify(args) -> int:
     report = verify_all(args.class_number, r_max=args.r_max, jobs=args.jobs)
-    if args.format == "table":
-        print(report_table(report))
-    elif args.format == "csv":
-        rows = [
-            {
-                "d": fr.d,
-                "class": fr.class_number,
-                "g_expected": fr.g_expected,
-                "g_computed": fr.g_computed,
-                "exceptions_match": fr.exceptions_match,
-                "stable": fr.stable,
-            }
-            for fr in report.fields
-        ]
-        _emit_csv(rows, ["d", "class", "g_expected", "g_computed", "exceptions_match", "stable"])
-    else:
-        _emit_json(report_to_json(report))
+    rows = [
+        {
+            "d": fr.d,
+            "class": fr.class_number,
+            "g_expected": fr.g_expected,
+            "g_computed": fr.g_computed,
+            "exceptions_match": fr.exceptions_match,
+            "stable": fr.stable,
+        }
+        for fr in report.fields
+    ]
+    _emit(args.format, report_to_json(report), rows, list(rows[0]), report_table(report))
     return 0 if report.all_match else 4
 
 
 def cmd_class_table(args) -> int:
     rows = reps_as_rows()
-    if args.format == "csv":
-        _emit_csv(rows, ["d", "class_index", "k", "s", "t"])
-    elif args.format == "table":
-        print(f"{'d':>5} {'class_index':>11} {'k':>3} {'s':>4} {'t':>2}")
-        for row in rows:
-            print(f"{row['d']:>5} {row['class_index']:>11} {row['k']:>3} {row['s']:>4} {row['t']:>2}")
-    else:
-        _emit_json({"rows": rows})
+    lines = [f"{'d':>5} {'class_index':>11} {'k':>3} {'s':>4} {'t':>2}"]
+    lines += [f"{row['d']:>5} {row['class_index']:>11} {row['k']:>3} {row['s']:>4} {row['t']:>2}" for row in rows]
+    _emit(args.format, {"rows": rows}, rows, list(rows[0]), "\n".join(lines))
     return 0
 
 

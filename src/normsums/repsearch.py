@@ -17,8 +17,10 @@ Each layer's new bits are decoded once into a per-r min-count table, one
 byte per r.  One table is kept per (field, class), rebuilt only when a
 larger r_max is asked for; smaller windows read a prefix of it.
 
-Congruences stay at the edges: certificates come in (a, b) coordinates,
-mapped back from the form's (x, y) by a = k*x - beta*y, b = y.
+Certificates search the same form values, with an exact-m depth-first
+search in place of the table.  Congruences stay at the edges: only the
+summands a certificate picks get (a, b) coordinates, solved from the
+form's (x, y) by a = k*x - beta*y, b = y.
 """
 
 from __future__ import annotations
@@ -137,30 +139,37 @@ def form_values(a: int, b: int, c: int, bound: int) -> list[int]:
     return sorted(vals)
 
 
+def _witness(form: tuple[int, int, int, int], k: int, v: int) -> RingElement:
+    """The canonical gamma of norm k*v, for a value v of the class form
+    (A, B, C, beta).  A point of value v solves (2A*x + B*y)^2 =
+    4A*v - D*y^2 with D = 4AC - B^2, so it sits at an end of its row of
+    the half plane up to v.  The first row holding one gives the least |b|; of its points the
+    one with the least |a|, a = k*x - beta*y, wins (a >= 0 on a tie), and
+    the pair's sign is flipped so that a >= 0."""
+    fa, fb, fc, beta = form
+    for y, lo, hi in _form_rows(fa, fb, fc, v):
+        xs = [x for x in (lo, hi) if (fa * x + fb * y) * x + fc * y * y == v]
+        if xs:
+            a = min((k * x - beta * y for x in xs), key=lambda a: (abs(a), a < 0))
+            return RingElement(a, y) if a >= 0 else RingElement(-a, -y)
+    raise ValueError(f"{v} is not a value of the form {form[:3]}")
+
+
 def enumerate_norm_values(f: FieldParams, rep: IdealClassRep, bound: int) -> NormValueSet:
     """All positive admissible norm values up to bound, with one canonical
-    coordinate witness each (preferred: small |b|, then small |a|, then
-    nonnegative a, then nonnegative b).
+    coordinate witness each.
 
-    Runs over the class form's half plane: gamma and -gamma share a norm,
-    and of the two the canonical one has a >= 0.
+    The values are k times the class form's values.  A value's witness is
+    the admissible gamma = a + b*omega of that norm with the least key
+    (|b|, |a|, a < 0, b < 0): small |b|, then small |a|, then nonnegative
+    a, then nonnegative b.
     """
     if bound < 1:
         raise ValueError(f"bound must be positive, got {bound}")
-    fa, fb, fc, beta = class_form(f, rep)
-    k = rep.k
-    best: dict[int, tuple] = {}
-    for y, lo, hi in _form_rows(fa, fb, fc, bound // k):
-        for x in range(lo, hi + 1):
-            n = k * ((fa * x + fb * y) * x + fc * y * y)
-            a = k * x - beta * y
-            key = (y, abs(a), a < 0)
-            cur = best.get(n)
-            if cur is None or key < cur[0]:
-                best[n] = (key, a, y) if a >= 0 else (key, -a, -y)
-    values = tuple(sorted(best))
-    witnesses = tuple(RingElement(best[v][1], best[v][2]) for v in values)
-    return NormValueSet(k=k, bound=bound, values=values, witnesses=witnesses)
+    form = class_form(f, rep)
+    values = form_values(*form[:3], bound // rep.k)
+    witnesses = tuple(_witness(form, rep.k, v) for v in values)
+    return NormValueSet(k=rep.k, bound=bound, values=tuple(rep.k * v for v in values), witnesses=witnesses)
 
 
 def reach_layers(values: list[int], width: int, cap: int | None = None) -> list[int]:
@@ -225,20 +234,21 @@ def find_certificate(q: LatticeQuery, m: int, dp_cap: int = DEFAULT_DP_CAP) -> R
 
     Exactly m is a sharper contract than m >= minimum: padding is not
     always possible, so each m is decided on its own.  The certificate is
-    canonical: the multiset of norm values is the lexicographically least
-    nondecreasing sequence summing to r*k, each value is realized by its
-    preferred witness (small |b|, then |a|, then nonnegative), and the
-    summands are sorted by (norm, a, b).
+    canonical: the multiset of form values is the lexicographically least
+    nondecreasing sequence summing to r (so the norms, k times those
+    values, are the least summing to r*k), each value is realized by its
+    enumerate_norm_values witness, and the summands are sorted by
+    (norm, a, b).
     """
     if m < 1:
         raise ValueError(f"m must be positive, got {m}")
     _require_cap(q.target, dp_cap)
     f = q.field
-    vset = enumerate_norm_values(f, rep_for(f, q.class_index), q.target)
-    values = vset.values
+    rep = rep_for(f, q.class_index)
+    form = class_form(f, rep)
+    values = form_values(*form[:3], q.r)
     if not values:
         return None
-    target = q.target
     vmax = values[-1]
     dead: set[tuple[int, int, int]] = set()
 
@@ -262,10 +272,10 @@ def find_certificate(q: LatticeQuery, m: int, dp_cap: int = DEFAULT_DP_CAP) -> R
         return False
 
     seq: list[int] = []
-    if not search(0, target, m, seq):
+    if not search(0, q.r, m, seq):
         return None
     gammas = sorted(
-        (vset.witness_for(v) for v in seq),
+        (_witness(form, rep.k, v) for v in seq),
         key=lambda g: (norm(f, g), g.a, g.b),
     )
     return RepCertificate(query=q, m=m, gammas=tuple(gammas))

@@ -18,6 +18,7 @@ from scratch so a bug in the search cannot vouch for itself.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import asdict, dataclass
 
@@ -283,6 +284,12 @@ def report_table(report: DiffReport) -> str:
     return "\n".join(lines)
 
 
+@functools.cache
+def _rep_rows() -> dict[tuple[int, int], tuple[int, int, int]]:
+    """(d, class_index) -> (k, s, t) of every representative data row."""
+    return {(row["d"], row["class_index"]): (row["k"], row["s"], row["t"]) for row in reps_as_rows()}
+
+
 def recheck_certificate(doc: dict) -> list[str]:
     """Independent validation of a serialized certificate.
 
@@ -304,16 +311,15 @@ def recheck_certificate(doc: dict) -> list[str]:
     except (KeyError, TypeError) as exc:
         return [f"malformed certificate document: {exc!r}"]
 
-    row = next(
-        (row for row in reps_as_rows() if row["d"] == d and row["class_index"] == class_index),
-        None,
-    )
+    try:
+        row = _rep_rows().get((d, class_index))
+    except TypeError:  # an unhashable d or class_index names no row
+        row = None
     if row is None:
         return [f"no class representative for d={d} class {class_index}"]
-    if row["k"] != k:
-        problems.append(f"certificate k={k} but table has k={row['k']}")
-    s, t = row["s"], row["t"]
-    kk = row["k"]
+    kk, s, t = row
+    if kk != k:
+        problems.append(f"certificate k={k} but table has k={kk}")
 
     if m != len(gammas):
         problems.append(f"m={m} but {len(gammas)} summands")

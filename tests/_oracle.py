@@ -3,9 +3,10 @@
 Deliberately separate from the library's search code: the admissible
 coordinate pairs come from a plain box scan with its own loop bounds, the
 congruences are evaluated in raw two-constraint form straight off the
-representative constants, and the minimum count comes from a top-down
-exact-m depth-first search instead of the library's bottom-up layered
-reachability.  Agreement between the two routes is what the equivalence
+representative constants, the canonical witness of a norm is the least
+(|b|, |a|, a < 0, b < 0) over that scan, and the minimum count comes from
+a top-down exact-m depth-first search instead of the library's bottom-up
+layered reachability.  Agreement between the two routes is what the equivalence
 tests assert; sharing the algorithms would make that assertion circular.
 """
 
@@ -17,12 +18,20 @@ from normsums.classdata import class_reps
 from normsums.quadfield import make_field
 
 
-def oracle_values(d: int, class_index: int, bound: int) -> list[int]:
-    """Admissible norm values up to bound, by box scan."""
+def oracle_witnesses(d: int, class_index: int, bound: int) -> dict[int, tuple[int, int]]:
+    """Every admissible norm value up to bound, by box scan, mapped to the
+    canonical coordinates (a, b) of that norm: the least key
+    (|b|, |a|, a < 0, b < 0) over the scan."""
     f = make_field(d)
     rep = class_reps(f)[class_index - 1]
     k, s, t = rep.k, rep.s, rep.t
-    vals: set[int] = set()
+    best: dict[int, tuple] = {}
+
+    def consider(a: int, b: int, n: int) -> None:
+        key = (abs(b), abs(a), a < 0, b < 0)
+        if n not in best or key < best[n][0]:
+            best[n] = (key, (a, b))
+
     if d % 4 == 3:
         c = (1 + d) // 4
         # N(a,b) = (a + b/2)^2 + d*b^2/4, so |b| <= 2*sqrt(bound/d)
@@ -34,7 +43,7 @@ def oracle_values(d: int, class_index: int, bound: int) -> list[int]:
                 if not 0 < n <= bound:
                     continue
                 if (s * a - c * t * b) % k == 0 and (t * a + (s + t) * b) % k == 0:
-                    vals.add(n)
+                    consider(a, b, n)
     else:
         amax = math.isqrt(bound)
         bmax = math.isqrt(bound // d)
@@ -44,8 +53,19 @@ def oracle_values(d: int, class_index: int, bound: int) -> list[int]:
                 if not 0 < n <= bound:
                     continue
                 if (s * a - d * t * b) % k == 0 and (t * a + s * b) % k == 0:
-                    vals.add(n)
-    return sorted(vals)
+                    consider(a, b, n)
+    return {n: best[n][1] for n in sorted(best)}
+
+
+def oracle_values(d: int, class_index: int, bound: int) -> list[int]:
+    """Admissible norm values up to bound, by box scan."""
+    return list(oracle_witnesses(d, class_index, bound))
+
+
+def oracle_witness(d: int, class_index: int, n: int) -> tuple[int, int] | None:
+    """Canonical coordinates (a, b) of an admissible gamma of norm n, or
+    None when there is none."""
+    return oracle_witnesses(d, class_index, n).get(n)
 
 
 def oracle_min_terms(d: int, class_index: int, r: int, m_max: int = 6) -> int | None:

@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from normsums import cli
 from normsums import verify as verify_mod
 
@@ -71,6 +73,64 @@ def test_certificate_not_found_outcomes(capsys):
     code, out, _ = run_cli(capsys, "certificate", "-d", "5", "--class", "2", "-r", "1", "-m", "1")
     assert code == 0
     assert json.loads(out) == {"outcome": "unrepresentable"}
+
+
+def test_min_terms_csv_header_for_both_outcomes(capsys):
+    _, out, _ = run_cli(capsys, "min-terms", "-d", "51", "--class", "2", "-r", "6", "--format", "csv")
+    assert out == "outcome,m\nrepresentable,2\n"
+    _, out, _ = run_cli(capsys, "min-terms", "-d", "5", "--class", "2", "-r", "1", "--format", "csv")
+    assert out == "outcome,m\nunrepresentable,\n"
+
+
+def test_certificate_not_found_csv_and_table(capsys):
+    not_found = ("certificate", "-d", "5", "--class", "2", "-r", "4", "-m", "1")
+    unrepresentable = ("certificate", "-d", "5", "--class", "2", "-r", "1", "-m", "1")
+    _, out, _ = run_cli(capsys, *not_found, "--format", "csv")
+    assert out == "outcome,min_m\nnot_found,2\n"
+    _, out, _ = run_cli(capsys, *unrepresentable, "--format", "csv")
+    assert out == "outcome,min_m\nunrepresentable,\n"
+    _, out, _ = run_cli(capsys, *not_found, "--format", "table")
+    assert out == "outcome  not_found\nmin_m    2\n"
+    _, out, _ = run_cli(capsys, *unrepresentable, "--format", "table")
+    assert out == "outcome  unrepresentable\n"
+
+
+def test_g_csv(capsys):
+    _, out, _ = run_cli(capsys, "g", "-d", "907", "--format", "csv")
+    assert out == "d,r_max,g,witness_class_index,witness_r,stable\n907,300,5,2,81,True\n"
+
+
+def test_m_d_csv(capsys):
+    _, out, _ = run_cli(capsys, "m-d", "-d", "31", "--format", "csv")
+    assert out == "d,m_d\n31,4\n"
+
+
+SUBCOMMANDS = [
+    ("field-info", "-d", "35"),
+    ("min-terms", "-d", "51", "--class", "2", "-r", "6"),
+    ("min-terms", "-d", "5", "--class", "2", "-r", "1"),
+    ("certificate", "-d", "907", "--class", "2", "-r", "81", "-m", "5"),
+    ("certificate", "-d", "5", "--class", "2", "-r", "4", "-m", "1"),
+    ("certificate", "-d", "5", "--class", "2", "-r", "1", "-m", "1"),
+    ("exceptional", "-d", "35", "--class", "2", "--r-max", "20"),
+    ("g", "-d", "907"),
+    ("m-d", "-d", "31"),
+    ("verify", "--class-number", "2", "--jobs", "1"),
+    ("class-table",),
+]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+@pytest.mark.parametrize("args", SUBCOMMANDS, ids=" ".join)
+def test_every_subcommand_prints_the_format_asked_for(capsys, args, fmt):
+    # json must parse and csv/table must not, so no command falls back to json
+    code, out, _ = run_cli(capsys, *args, "--format", fmt)
+    assert code == 0
+    if fmt == "json":
+        json.loads(out)
+    else:
+        with pytest.raises(json.JSONDecodeError):
+            json.loads(out)
 
 
 def test_exceptional_golden(capsys):

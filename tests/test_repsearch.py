@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from _oracle import oracle_min_terms, oracle_values
+from _oracle import oracle_min_terms, oracle_witness, oracle_witnesses
 from normsums import repsearch
 from normsums.classdata import class_reps, rep_for
 from normsums.quadfield import SUPPORTED_FIELDS, Overflow, RingElement, make_field, norm
@@ -114,11 +114,13 @@ def test_enumerate_matches_oracle_box_scan(field_class, bound):
     d, class_index = field_class
     f = make_field(d)
     rep = rep_for(f, class_index)
-    expected = oracle_values(d, class_index, bound)
+    expected = oracle_witnesses(d, class_index, bound)
     # every admissible norm is k times a value of the class form
     assert all(v % rep.k == 0 for v in expected)
     vs = enumerate_norm_values(f, rep, bound)
-    assert list(vs.values) == expected
+    # the same values, each with the oracle's canonical witness
+    assert {v: (w.a, w.b) for v, w in zip(vs.values, vs.witnesses)} == expected
+    assert list(vs.values) == list(expected)
 
 
 @given(
@@ -236,6 +238,9 @@ def test_certificates_recheck_cleanly(case):
     norms = [norm(f, g) for g in cert.gammas]
     assert norms == sorted(norms)
     assert sum(norms) == q.target
+    # each summand is its norm's canonical witness
+    for g, n in zip(cert.gammas, norms):
+        assert (g.a, g.b) == oracle_witness(d, class_index, n)
 
 
 @given(certificate_cases)

@@ -241,3 +241,11 @@ def test_recheck_certificate_rejects_zero_summand():
         "gammas": [[2, 0], [0, 0]], "check": 4,
     }
     assert any("zero" in p for p in recheck_certificate(doc))
+
+
+def test_recheck_certificate_unknown_class_representative():
+    doc = _valid_cert_doc()
+    # d=21 is not a supported field, d=5 has no class 3, and a list is unhashable
+    for d, class_index in ((21, 2), (5, 3), ([5], 2)):
+        problems = recheck_certificate(dict(doc, d=d, class_index=class_index))
+        assert problems == [f"no class representative for d={d} class {class_index}"]

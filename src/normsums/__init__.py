@@ -32,7 +32,6 @@ from .classdata import (
     validate_tables,
 )
 from .repsearch import (
-    DEFAULT_DP_CAP,
     GInvariantResult,
     LatticeQuery,
     MinTermsResult,

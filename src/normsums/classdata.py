@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 
 from .quadfield import (
@@ -116,10 +117,12 @@ class CongruenceCondition:
     c2b: int
 
 
-def class_reps(f: FieldParams) -> list[IdealClassRep]:
+@cache
+def class_reps(f: FieldParams) -> tuple[IdealClassRep, ...]:
     """All ideal class representatives of f, class_index ascending.
 
     class_index 1 is the principal class, by convention (k, s, t) = (1, 0, 0).
+    Built once per field: the tuple is shared by every caller.
     """
     reps = [IdealClassRep(class_index=1, k=1, s=0, t=0)]
     if f.class_number == 2:
@@ -129,7 +132,7 @@ def class_reps(f: FieldParams) -> list[IdealClassRep]:
         k, s2, s3 = _CLASS3_REPS[f.d]
         reps.append(IdealClassRep(class_index=2, k=k, s=s2, t=1))
         reps.append(IdealClassRep(class_index=3, k=k, s=s3, t=1))
-    return reps
+    return tuple(reps)
 
 
 def rep_for(f: FieldParams, class_index: int) -> IdealClassRep:
@@ -190,6 +193,7 @@ def simplify_condition(c: CongruenceCondition) -> tuple[int, int] | None:
     return None
 
 
+@cache
 def class_form(f: FieldParams, rep: IdealClassRep) -> tuple[int, int, int, int]:
     """The class's admissible norms divided by k, as a binary form.
 
@@ -198,7 +202,8 @@ def class_form(f: FieldParams, rep: IdealClassRep) -> tuple[int, int, int, int]:
     N(gamma)/k = A*x^2 + B*x*y + C*y^2.  Returns (A, B, C, beta); the
     principal class gives the norm form itself, (1, q, c, 0).  Raises
     ValueError when the class does not reduce to one constraint or k
-    does not divide N(-beta + omega).
+    does not divide N(-beta + omega).  Solved once per class: the
+    reduction scans all k^2 residue pairs.
     """
     simple = simplify_condition(congruence_for(f, rep))
     if simple is None:

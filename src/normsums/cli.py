@@ -5,7 +5,7 @@ them prints each of the three formats: json (the default), csv and
 table.  Exit codes are part of the contract so CI can gate on them:
 
     0   success (for verify: zero mismatches)
-    2   bad input (including non-squarefree d and window/cap violations)
+    2   bad input (including non-squarefree d and window/work bound violations)
     3   squarefree d outside the supported class-number-1/2/3 lists
     4   verify found at least one mismatch
 """
@@ -27,7 +27,6 @@ from .classdata import (
 )
 from .quadfield import NotSquarefree, Overflow, UnsupportedField, make_field
 from .repsearch import (
-    DEFAULT_DP_CAP,
     LatticeQuery,
     find_certificate,
     exceptional_set,
@@ -110,7 +109,7 @@ def cmd_field_info(args) -> int:
 
 def cmd_min_terms(args) -> int:
     q = LatticeQuery(field=make_field(args.d), class_index=args.class_index, r=args.r)
-    result = min_terms(q, dp_cap=args.dp_cap)
+    result = min_terms(q)
     doc: dict = {"outcome": result.outcome}
     if result.m is not None:
         doc["m"] = result.m
@@ -120,9 +119,9 @@ def cmd_min_terms(args) -> int:
 
 def cmd_certificate(args) -> int:
     q = LatticeQuery(field=make_field(args.d), class_index=args.class_index, r=args.r)
-    cert = find_certificate(q, args.m, dp_cap=args.dp_cap)
+    cert = find_certificate(q, args.m)
     if cert is None:
-        result = min_terms(q, dp_cap=args.dp_cap)
+        result = min_terms(q)
         if result.is_representable:
             doc = {"outcome": "not_found", "min_m": result.m}
         else:
@@ -137,7 +136,7 @@ def cmd_certificate(args) -> int:
 
 
 def cmd_exceptional(args) -> int:
-    exceptional = exceptional_set(make_field(args.d), args.class_index, args.r_max, dp_cap=args.dp_cap)
+    exceptional = exceptional_set(make_field(args.d), args.class_index, args.r_max)
     doc = {"d": args.d, "class_index": args.class_index, "r_max": args.r_max, "exceptional": exceptional}
     table = list({**doc, "exceptional": " ".join(map(str, exceptional)) or "(none)"}.items())
     _emit(args.format, doc, [{"r": r} for r in exceptional], ["r"], table)
@@ -145,7 +144,7 @@ def cmd_exceptional(args) -> int:
 
 
 def cmd_g(args) -> int:
-    result = g_invariant(make_field(args.d), args.r_max, dp_cap=args.dp_cap)
+    result = g_invariant(make_field(args.d), args.r_max)
     ci, r = result.witness.class_index, result.witness.r
     doc = {"d": args.d, "r_max": args.r_max, "g": result.g, "witness": {"class_index": ci, "r": r},
            "stable": result.stable}
@@ -206,25 +205,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-d", type=int, required=True)
     p.add_argument("--class", dest="class_index", type=int, required=True)
     p.add_argument("-r", type=int, required=True)
-    p.add_argument("--dp-cap", type=int, default=DEFAULT_DP_CAP)
 
     p = add("certificate", cmd_certificate, help="explicit summand list with exactly m summands")
     p.add_argument("-d", type=int, required=True)
     p.add_argument("--class", dest="class_index", type=int, required=True)
     p.add_argument("-r", type=int, required=True)
     p.add_argument("-m", type=int, required=True)
-    p.add_argument("--dp-cap", type=int, default=DEFAULT_DP_CAP)
 
     p = add("exceptional", cmd_exceptional, help="all unrepresentable r up to a bound")
     p.add_argument("-d", type=int, required=True)
     p.add_argument("--class", dest="class_index", type=int, required=True)
     p.add_argument("--r-max", dest="r_max", type=int, default=300)
-    p.add_argument("--dp-cap", type=int, default=DEFAULT_DP_CAP)
 
     p = add("g", cmd_g, help="uniform bound g over all classes up to r-max")
     p.add_argument("-d", type=int, required=True)
     p.add_argument("--r-max", dest="r_max", type=int, default=300)
-    p.add_argument("--dp-cap", type=int, default=DEFAULT_DP_CAP)
 
     p = add("m-d", cmd_m_d, help="minimum unconstrained-norm count m_d")
     p.add_argument("-d", type=int, required=True)

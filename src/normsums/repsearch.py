@@ -17,10 +17,17 @@ Each layer's new bits are decoded once into a per-r min-count table, one
 byte per r.  One table is kept per (field, class), rebuilt only when a
 larger r_max is asked for; smaller windows read a prefix of it.
 
-Certificates search the same form values, with an exact-m depth-first
-search in place of the table.  Congruences stay at the edges: only the
-summands a certificate picks get (a, b) coordinates, solved from the
-form's (x, y) by a = k*x - beta*y, b = y.
+Certificates walk back through the same layers.  Exactly m form values
+sum to r exactly when at most m of the shifted values v - vmin (v > vmin,
+vmin the least value) sum to r - m*vmin; the layers of the shifted values
+are decoded into a table, and each slot in turn takes the least shifted
+value whose remainder the slots left can still reach.  Congruences stay at
+the edges: only the summands a certificate picks get (a, b) coordinates,
+solved from the form's (x, y) by a = k*x - beta*y, b = y.
+
+Work is known before it starts: check_work bounds the word-shifts of a
+layer build from the form and the width alone, and an input over budget
+raises Overflow before anything is enumerated.
 """
 
 from __future__ import annotations
@@ -37,7 +44,13 @@ from .quadfield import (
     norm,
 )
 
-DEFAULT_DP_CAP = 10**7
+# Upper bound on the passes of reach_layers over the values of any class
+# form, or over their shifted values, up to a fixpoint (measured at most
+# 10, for d=403 class 2, at widths 100 to 60000), and the most
+# word-shifts check_work admits: about 36 s at 3.6 ns per word-shift on
+# an Intel Xeon core.
+_PASS_BOUND = 10
+_WORK_BUDGET = 10**10
 
 # (d, class_index) -> min-count table: byte r is the least number of form
 # values summing to r, 0 when no number does
@@ -139,6 +152,27 @@ def form_values(a: int, b: int, c: int, bound: int) -> list[int]:
     return sorted(vals)
 
 
+def check_work(a: int, b: int, c: int, width: int) -> None:
+    """Raise Overflow unless layering the values of the form up to width
+    fits the work budget, judged before any value is enumerated.
+
+    The estimate in word-shifts is points x words x passes: the form's
+    half-plane points up to width bound its distinct values, each pass
+    shifts every value's copy of a (width + 1)-bit mask, and no build
+    takes more than _PASS_BOUND passes.  Row y of _form_rows holds at most
+    u_y/a + 1 points, with u_y = sqrt(4a*width - D*y^2) falling in y, so
+    the rows hold at most the half ellipse's area pi*width/sqrt(D), plus
+    row 0 once more, plus one point per row.  Integer arithmetic (pi <
+    355/113) keeps the bound exact for any width.
+    """
+    disc = 4 * a * c - b * b
+    area = 355 * (isqrt_floor(width * width // disc) + 1) // 113 + 1
+    points = area + isqrt_floor(4 * a * width) // a + 1 + isqrt_floor(4 * a * width // disc) + 1
+    estimate = points * (width // 64 + 1) * _PASS_BOUND
+    if estimate > _WORK_BUDGET:
+        raise Overflow(f"width {width} needs an estimated {estimate} word-shifts, over the budget of {_WORK_BUDGET}")
+
+
 def _witness(form: tuple[int, int, int, int], k: int, v: int) -> RingElement:
     """The canonical gamma of norm k*v, for a value v of the class form
     (A, B, C, beta).  A point of value v solves (2A*x + B*y)^2 =
@@ -201,35 +235,30 @@ def _decode(masks: list[int], width: int) -> bytes:
     return acc.to_bytes(width + 1, "little")
 
 
-def _count_table(f: FieldParams, class_index: int, r_max: int, dp_cap: int) -> bytes:
+def _count_table(f: FieldParams, class_index: int, r_max: int) -> bytes:
     """The class's min-count table, covering at least [0, r_max]."""
     if r_max < 1:
         raise ValueError(f"r_max must be positive, got {r_max}")
     rep = rep_for(f, class_index)
-    _require_cap(r_max * rep.k, dp_cap)
+    fa, fb, fc, _ = class_form(f, rep)
+    check_work(fa, fb, fc, r_max)
     table = _TABLES.get((f.d, class_index))
     if table is None or len(table) <= r_max:
-        fa, fb, fc, _ = class_form(f, rep)
         table = _decode(reach_layers(form_values(fa, fb, fc, r_max), r_max), r_max)
         _TABLES[(f.d, class_index)] = table
     return table
 
 
-def _require_cap(t: int, dp_cap: int) -> None:
-    if t > dp_cap:
-        raise Overflow(f"target {t} exceeds the table size cap {dp_cap}")
-
-
-def min_terms(q: LatticeQuery, dp_cap: int = DEFAULT_DP_CAP) -> MinTermsResult:
+def min_terms(q: LatticeQuery) -> MinTermsResult:
     """Exact minimum number of admissible norms summing to r*k, or the
     exact verdict that no number of norms works."""
-    m = _count_table(q.field, q.class_index, q.r, dp_cap)[q.r]
+    m = _count_table(q.field, q.class_index, q.r)[q.r]
     if not m:
         return MinTermsResult.unrepresentable()
     return MinTermsResult.representable(m)
 
 
-def find_certificate(q: LatticeQuery, m: int, dp_cap: int = DEFAULT_DP_CAP) -> RepCertificate | None:
+def find_certificate(q: LatticeQuery, m: int) -> RepCertificate | None:
     """Lexicographically least certificate with exactly m summands, or None.
 
     Exactly m is a sharper contract than m >= minimum: padding is not
@@ -239,41 +268,37 @@ def find_certificate(q: LatticeQuery, m: int, dp_cap: int = DEFAULT_DP_CAP) -> R
     values, are the least summing to r*k), each value is realized by its
     enumerate_norm_values witness, and the summands are sorted by
     (norm, a, b).
+
+    Each slot takes the least shifted value u (0 for vmin itself) whose
+    remainder the slots after it can reach; a smaller value at a later
+    slot could have served this one, so the picks never decrease.
     """
     if m < 1:
         raise ValueError(f"m must be positive, got {m}")
-    _require_cap(q.target, dp_cap)
     f = q.field
     rep = rep_for(f, q.class_index)
     form = class_form(f, rep)
+    check_work(*form[:3], q.r)
     values = form_values(*form[:3], q.r)
-    if not values:
+    if not values or m * values[0] > q.r:
         return None
-    vmax = values[-1]
-    dead: set[tuple[int, int, int]] = set()
-
-    def search(i: int, remaining: int, slots: int, acc: list[int]) -> bool:
-        if slots == 0:
-            return remaining == 0
-        state = (i, remaining, slots)
-        if state in dead:
-            return False
-        for j in range(i, len(values)):
-            v = values[j]
-            if v * slots > remaining:
-                break
-            if remaining > v + (slots - 1) * vmax:
-                continue
-            acc.append(v)
-            if search(j, remaining - v, slots - 1, acc):
-                return True
-            acc.pop()
-        dead.add(state)
-        return False
-
+    vmin = values[0]
+    rem = q.r - m * vmin
+    steps = [0] + [v - vmin for v in values[1:] if v - vmin <= rem]
+    # byte n: least count of shifted values summing to n, up to m - 1; the
+    # first slot tests rem itself against the m - 1 slots after it.  No
+    # index goes negative: every step starts <= rem, and once the first
+    # slot has a pick each later slot has one no larger than its rem.
+    table = _decode(reach_layers(steps[1:], rem, m - 1), rem)
     seq: list[int] = []
-    if not search(0, q.r, m, seq):
-        return None
+    i = 0
+    for slots in range(m - 1, -1, -1):
+        while i < len(steps) and not (steps[i] == rem or 0 < table[rem - steps[i]] <= slots):
+            i += 1
+        if i == len(steps):
+            return None
+        seq.append(vmin + steps[i])
+        rem -= steps[i]
     gammas = sorted(
         (_witness(form, rep.k, v) for v in seq),
         key=lambda g: (norm(f, g), g.a, g.b),
@@ -281,15 +306,15 @@ def find_certificate(q: LatticeQuery, m: int, dp_cap: int = DEFAULT_DP_CAP) -> R
     return RepCertificate(query=q, m=m, gammas=tuple(gammas))
 
 
-def min_count_table(f: FieldParams, class_index: int, r_max: int, dp_cap: int = DEFAULT_DP_CAP) -> tuple[int | None, ...]:
+def min_count_table(f: FieldParams, class_index: int, r_max: int) -> tuple[int | None, ...]:
     """min_terms for every r in [1, r_max] from one shared layer table;
     entry r-1 is the minimum count or None for unrepresentable."""
-    return tuple(m or None for m in _count_table(f, class_index, r_max, dp_cap)[1 : r_max + 1])
+    return tuple(m or None for m in _count_table(f, class_index, r_max)[1 : r_max + 1])
 
 
-def exceptional_set(f: FieldParams, class_index: int, r_max: int, dp_cap: int = DEFAULT_DP_CAP) -> list[int]:
+def exceptional_set(f: FieldParams, class_index: int, r_max: int) -> list[int]:
     """All r in [1, r_max] whose lattice is a sum of norms for no m at all."""
-    table = _count_table(f, class_index, r_max, dp_cap)
+    table = _count_table(f, class_index, r_max)
     return [r for r in range(1, r_max + 1) if not table[r]]
 
 
@@ -300,7 +325,7 @@ class GInvariantResult:
     stable: bool
 
 
-def g_invariant(f: FieldParams, r_max: int, dp_cap: int = DEFAULT_DP_CAP) -> GInvariantResult:
+def g_invariant(f: FieldParams, r_max: int) -> GInvariantResult:
     """Largest minimum summand count over every class and every representable
     r <= r_max; witness is the first (class, r) attaining it.
 
@@ -315,7 +340,7 @@ def g_invariant(f: FieldParams, r_max: int, dp_cap: int = DEFAULT_DP_CAP) -> GIn
     kmax = max(rep.k for rep in reps)
     if r_max < 2 * kmax + 1:
         raise ValueError(f"r_max={r_max} too small: need at least 2*k+1 = {2 * kmax + 1} for k={kmax}")
-    windows = [(rep.class_index, _count_table(f, rep.class_index, r_max, dp_cap)[1 : r_max + 1])
+    windows = [(rep.class_index, _count_table(f, rep.class_index, r_max)[1 : r_max + 1])
                for rep in reps]
     g = max(max(window) for _, window in windows)
     if not g:

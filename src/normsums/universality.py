@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .quadfield import FieldParams, make_field
-from .repsearch import form_values, reach_layers
+from .repsearch import check_work, form_values, reach_layers
 
 
 class TermKind(enum.Enum):
@@ -193,9 +193,12 @@ def norm_sum_first_gap(f: FieldParams, copies: int, limit: int) -> int | None:
 
     Summands may be zero (fewer norms always allowed), matching the reading
     of m_d as 'sums of at most m_d norms'.  The norms are the values of the
-    principal class form, layered by the same kernel as the class searches.
+    principal class form, layered by the same kernel as the class searches,
+    behind the same work check (Overflow over budget).
     """
-    values = form_values(*f.form_coefficients(), limit)
+    form = f.form_coefficients()
+    check_work(*form, limit)
+    values = form_values(*form, limit)
     return _first_gap(reach_layers(values, limit, copies)[-1], limit)
 
 

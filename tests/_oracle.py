@@ -4,10 +4,13 @@ Deliberately separate from the library's search code: the admissible
 coordinate pairs come from a plain box scan with its own loop bounds, the
 congruences are evaluated in raw two-constraint form straight off the
 representative constants, the canonical witness of a norm is the least
-(|b|, |a|, a < 0, b < 0) over that scan, and the minimum count comes from
-a top-down exact-m depth-first search instead of the library's bottom-up
-layered reachability.  Agreement between the two routes is what the equivalence
-tests assert; sharing the algorithms would make that assertion circular.
+(|b|, |a|, a < 0, b < 0) over that scan, and the least split into exactly
+m norms, and with it the minimum count, comes from a top-down exact-m
+depth-first search instead of the library's bottom-up layered
+reachability, which serves its counts and certificates alike.  This is
+the only depth-first search left in the project.  Agreement between the
+two routes is what the equivalence tests assert; sharing the algorithms
+would make that assertion circular.
 """
 
 from __future__ import annotations
@@ -68,12 +71,12 @@ def oracle_witness(d: int, class_index: int, n: int) -> tuple[int, int] | None:
     return oracle_witnesses(d, class_index, n).get(n)
 
 
-def oracle_min_terms(d: int, class_index: int, r: int, m_max: int = 6) -> int | None:
-    """Smallest m <= m_max with r*k a sum of m admissible values, else None.
-
-    None means 'not with m_max or fewer summands'; callers comparing
-    against the exact search must account for that cutoff.
-    """
+def oracle_least_split(d: int, class_index: int, r: int, m: int) -> list[int] | None:
+    """The first split of r*k into exactly m admissible norms that a
+    depth-first search over the box-scan values meets, as an ascending
+    list, or None when there is none.  The search tries values in ascending
+    order and never below the previous pick, so its first hit is the
+    lexicographically least nondecreasing split."""
     f = make_field(d)
     rep = class_reps(f)[class_index - 1]
     target = r * rep.k
@@ -81,26 +84,38 @@ def oracle_min_terms(d: int, class_index: int, r: int, m_max: int = 6) -> int | 
     if not values:
         return None
     vmax = values[-1]
-    for m in range(1, m_max + 1):
-        dead: set[tuple[int, int, int]] = set()
+    dead: set[tuple[int, int, int]] = set()
+    split: list[int] = []
 
-        def search(remaining: int, slots: int, start: int) -> bool:
-            if slots == 0:
-                return remaining == 0
-            if remaining > slots * vmax:
-                return False
-            key = (remaining, slots, start)
-            if key in dead:
-                return False
-            for i in range(start, len(values)):
-                v = values[i]
-                if v * slots > remaining:
-                    break
-                if search(remaining - v, slots - 1, i):
-                    return True
-            dead.add(key)
+    def search(remaining: int, slots: int, start: int) -> bool:
+        if slots == 0:
+            return remaining == 0
+        if remaining > slots * vmax:
             return False
+        key = (remaining, slots, start)
+        if key in dead:
+            return False
+        for i in range(start, len(values)):
+            v = values[i]
+            if v * slots > remaining:
+                break
+            split.append(v)
+            if search(remaining - v, slots - 1, i):
+                return True
+            split.pop()
+        dead.add(key)
+        return False
 
-        if search(target, m, 0):
+    return split if search(target, m, 0) else None
+
+
+def oracle_min_terms(d: int, class_index: int, r: int, m_max: int = 6) -> int | None:
+    """Smallest m <= m_max with r*k a sum of m admissible values, else None.
+
+    None means 'not with m_max or fewer summands'; callers comparing
+    against the exact search must account for that cutoff.
+    """
+    for m in range(1, m_max + 1):
+        if oracle_least_split(d, class_index, r, m) is not None:
             return m
     return None

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -207,11 +208,33 @@ def test_error_exit_codes(capsys):
     code, _, err = run_cli(capsys, "min-terms", "-d", "5", "--class", "2", "-r", "0")
     assert code == 2
     assert "positive" in err
-    code, _, err = run_cli(
-        capsys, "min-terms", "-d", "5", "--class", "2", "-r", "200", "--dp-cap", "10"
-    )
+    code, _, err = run_cli(capsys, "min-terms", "-d", "5", "--class", "2", "-r", "10000000")
     assert code == 2
     assert "Overflow" in err
+
+
+def test_huge_d_rejected_without_trial_division(capsys):
+    t0 = time.perf_counter()
+    code, _, err = run_cli(capsys, "field-info", "-d", "100000000000000000000000000001")
+    assert time.perf_counter() - t0 < 1
+    assert code == 2
+    assert "exceeds" in err
+
+
+def test_over_budget_exits_2_with_the_estimate(capsys):
+    for args in (["min-terms", "-r", "10000000"], ["certificate", "-r", "10000000", "-m", "3"]):
+        t0 = time.perf_counter()
+        code, out, err = run_cli(capsys, *args, "-d", "1", "--class", "1")
+        assert time.perf_counter() - t0 < 1
+        assert code == 2 and out == ""
+        assert "Overflow" in err and "estimated" in err and "budget" in err
+
+
+def test_certificate_with_thousands_of_summands(capsys):
+    code, out, _ = run_cli(capsys, "certificate", "-d", "1", "--class", "1", "-r", "3000", "-m", "1500")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["m"] == len(doc["gammas"]) == 1500 and doc["check"] == 3000
 
 
 def test_bad_class_index(capsys):

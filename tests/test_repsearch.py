@@ -4,23 +4,28 @@ FROZEN_MIN_TERMS was produced by tests/_oracle.py (depth-first search with
 its own value enumeration) and is pinned here; min_terms must agree.
 """
 
+import time
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from _oracle import oracle_min_terms, oracle_witness, oracle_witnesses
+from _oracle import oracle_least_split, oracle_min_terms, oracle_witness, oracle_witnesses
 from normsums import repsearch
-from normsums.classdata import class_reps, rep_for
+from normsums.classdata import class_form, class_reps, rep_for
 from normsums.quadfield import SUPPORTED_FIELDS, Overflow, RingElement, make_field, norm
 from normsums.repsearch import (
     LatticeQuery,
     MinTermsResult,
+    check_work,
     enumerate_norm_values,
     exceptional_set,
     find_certificate,
+    form_values,
     g_invariant,
     min_count_table,
     min_terms,
+    reach_layers,
     transfer_certificate,
 )
 from normsums.verify import recheck_certificate
@@ -243,6 +248,25 @@ def test_certificates_recheck_cleanly(case):
         assert (g.a, g.b) == oracle_witness(d, class_index, n)
 
 
+@given(certificate_cases, st.integers(min_value=1, max_value=6))
+def test_certificate_is_the_oracles_least_split(case, m):
+    # m runs above and below the minimum: None exactly when no split exists
+    (d, class_index), r = case
+    cert = find_certificate(_query(d, class_index, r), m)
+    split = oracle_least_split(d, class_index, r, m)
+    if split is None:
+        assert cert is None
+    else:
+        f = make_field(d)
+        assert sorted(norm(f, g) for g in cert.gammas) == split
+
+
+def test_certificate_with_thousands_of_summands():
+    cert = find_certificate(_query(1, 1, 5000), 2000)
+    assert cert is not None and len(cert.gammas) == 2000
+    assert recheck_certificate(cert.to_json_dict()) == []
+
+
 @given(certificate_cases)
 def test_min_terms_agrees_with_oracle(case):
     (d, class_index), r = case
@@ -300,11 +324,39 @@ def test_g_invariant_window_guard():
     assert g_invariant(make_field(907), 27).g >= 4
 
 
-def test_dp_cap_overflow():
+def test_work_bound_overflow():
+    t0 = time.perf_counter()
+    with pytest.raises(Overflow, match="word-shifts"):
+        min_terms(_query(1, 1, 10**7))
     with pytest.raises(Overflow):
-        min_terms(_query(5, 2, 200), dp_cap=10)
+        find_certificate(_query(1, 1, 10**7), 3)
     with pytest.raises(Overflow):
-        exceptional_set(make_field(5), 2, 300, dp_cap=10)
+        exceptional_set(make_field(5), 2, 10**7)
+    assert time.perf_counter() - t0 < 1
+
+
+@pytest.mark.parametrize("width", [300, 3000])
+def test_work_bound_covers_every_class(width, monkeypatch):
+    # for the class form's values V and the certificate walk's shifted
+    # values V'' (v - vmin), a build up to a fixpoint takes no more than
+    # _PASS_BOUND passes; the estimate is at least the half-plane points
+    # x words x _PASS_BOUND and at least values x words x passes, so with
+    # the budget one below either, check_work must refuse
+    words = width // 64 + 1
+    for d, class_index in ALL_CLASSES:
+        f = make_field(d)
+        a, b, c, _ = class_form(f, rep_for(f, class_index))
+        values = form_values(a, b, c, width)
+        points = sum(hi - lo + 1 for _, lo, hi in repsearch._form_rows(a, b, c, width))
+        loads = [points * repsearch._PASS_BOUND]
+        for vs in (values, [v - values[0] for v in values[1:]]):
+            passes = len(reach_layers(vs, width))
+            assert passes <= repsearch._PASS_BOUND, (d, class_index)
+            loads.append(len(vs) * passes)
+        for load in loads:
+            monkeypatch.setattr(repsearch, "_WORK_BUDGET", load * words - 1)
+            with pytest.raises(Overflow):
+                check_work(a, b, c, width)
 
 
 def test_transfer_certificate_between_paired_classes():

@@ -26,7 +26,8 @@ the edges: only the summands a certificate picks get (a, b) coordinates,
 solved from the form's (x, y) by a = k*x - beta*y, b = y.
 
 Work is known before it starts: check_work bounds the word-shifts of a
-layer build from the form and the width alone, and an input over budget
+layer build from the form and the width alone, check_tables sums that
+bound over every table a command will build, and an input over budget
 raises Overflow before anything is enumerated.
 """
 
@@ -152,25 +153,42 @@ def form_values(a: int, b: int, c: int, bound: int) -> list[int]:
     return sorted(vals)
 
 
-def check_work(a: int, b: int, c: int, width: int) -> None:
-    """Raise Overflow unless layering the values of the form up to width
-    fits the work budget, judged before any value is enumerated.
+def _work_estimate(a: int, b: int, c: int, width: int) -> int:
+    """Word-shifts of layering the values of the form up to width, bounded
+    before any value is enumerated.
 
-    The estimate in word-shifts is points x words x passes: the form's
-    half-plane points up to width bound its distinct values, each pass
-    shifts every value's copy of a (width + 1)-bit mask, and no build
-    takes more than _PASS_BOUND passes.  Row y of _form_rows holds at most
-    u_y/a + 1 points, with u_y = sqrt(4a*width - D*y^2) falling in y, so
-    the rows hold at most the half ellipse's area pi*width/sqrt(D), plus
-    row 0 once more, plus one point per row.  Integer arithmetic (pi <
-    355/113) keeps the bound exact for any width.
+    The estimate is points x words x passes: the form's half-plane points
+    up to width bound its distinct values, each pass shifts every value's
+    copy of a (width + 1)-bit mask, and no build takes more than
+    _PASS_BOUND passes.  Row y of _form_rows holds at most u_y/a + 1
+    points, with u_y = sqrt(4a*width - D*y^2) falling in y, so the rows
+    hold at most the half ellipse's area pi*width/sqrt(D), plus row 0 once
+    more, plus one point per row.  Integer arithmetic (pi < 355/113) keeps
+    the bound exact for any width.
     """
     disc = 4 * a * c - b * b
     area = 355 * (isqrt_floor(width * width // disc) + 1) // 113 + 1
     points = area + isqrt_floor(4 * a * width) // a + 1 + isqrt_floor(4 * a * width // disc) + 1
-    estimate = points * (width // 64 + 1) * _PASS_BOUND
+    return points * (width // 64 + 1) * _PASS_BOUND
+
+
+def _check_budget(estimate: int, what: str) -> None:
     if estimate > _WORK_BUDGET:
-        raise Overflow(f"width {width} needs an estimated {estimate} word-shifts, over the budget of {_WORK_BUDGET}")
+        raise Overflow(f"{what} would take an estimated {estimate} word-shifts, over the budget of {_WORK_BUDGET}")
+
+
+def check_work(a: int, b: int, c: int, width: int) -> None:
+    """Raise Overflow unless layering the values of the form up to width
+    fits the work budget, judged before any value is enumerated."""
+    _check_budget(_work_estimate(a, b, c, width), f"width {width}")
+
+
+def check_tables(fields: list[FieldParams], r_max: int) -> None:
+    """Raise Overflow unless the tables of every class of the fields, each
+    up to r_max, fit the work budget together.  A command that builds
+    several tables checks their sum once, before its first build."""
+    forms = [class_form(f, rep)[:3] for f in fields for rep in class_reps(f)]
+    _check_budget(sum(_work_estimate(*form, r_max) for form in forms), f"{len(forms)} tables of width {r_max}")
 
 
 def _witness(form: tuple[int, int, int, int], k: int, v: int) -> RingElement:
@@ -201,6 +219,7 @@ def enumerate_norm_values(f: FieldParams, rep: IdealClassRep, bound: int) -> Nor
     if bound < 1:
         raise ValueError(f"bound must be positive, got {bound}")
     form = class_form(f, rep)
+    check_work(*form[:3], bound // rep.k)
     values = form_values(*form[:3], bound // rep.k)
     witnesses = tuple(_witness(form, rep.k, v) for v in values)
     return NormValueSet(k=rep.k, bound=bound, values=tuple(rep.k * v for v in values), witnesses=witnesses)
@@ -239,11 +258,11 @@ def _count_table(f: FieldParams, class_index: int, r_max: int) -> bytes:
     """The class's min-count table, covering at least [0, r_max]."""
     if r_max < 1:
         raise ValueError(f"r_max must be positive, got {r_max}")
-    rep = rep_for(f, class_index)
-    fa, fb, fc, _ = class_form(f, rep)
-    check_work(fa, fb, fc, r_max)
     table = _TABLES.get((f.d, class_index))
     if table is None or len(table) <= r_max:
+        # a hit reads a prefix of a table whose build was already admitted
+        fa, fb, fc, _ = class_form(f, rep_for(f, class_index))
+        check_work(fa, fb, fc, r_max)
         table = _decode(reach_layers(form_values(fa, fb, fc, r_max), r_max), r_max)
         _TABLES[(f.d, class_index)] = table
     return table
@@ -340,6 +359,7 @@ def g_invariant(f: FieldParams, r_max: int) -> GInvariantResult:
     kmax = max(rep.k for rep in reps)
     if r_max < 2 * kmax + 1:
         raise ValueError(f"r_max={r_max} too small: need at least 2*k+1 = {2 * kmax + 1} for k={kmax}")
+    check_tables([f], r_max)
     windows = [(rep.class_index, _count_table(f, rep.class_index, r_max)[1 : r_max + 1])
                for rep in reps]
     g = max(max(window) for _, window in windows)

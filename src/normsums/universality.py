@@ -6,18 +6,25 @@ The deep classification results behind the criterion sets (which finite
 set of integers certifies universality of a quadratic form) are taken as
 given; this module only applies them, and every use is backed by a
 bounded brute-force verification so an encoding slip cannot pass
-silently.  Coverage checks run on bitmasks (one Python big int per
-layer), which keeps the 10^4-scale sweeps well under a second.
+silently.  Every coverage check, represents_bounded and check_criterion
+included, reads one kind of bitmask (one Python big int per term):
+masks[i] holds the sums of terms i..n-1, so a witness is read off by a
+forward walk through them, with no search.  Their cost is bounded from
+the terms alone and checked against the work budget of repsearch before
+any value is enumerated.  The depth-first searches that cross-check them
+live only in tests/_oracle.py.
 """
 
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
+from math import isqrt
 
 from .quadfield import FieldParams, make_field
-from .repsearch import check_work, form_values, reach_layers
+from .repsearch import _check_budget, check_work, form_values, reach_layers
 
 
 class TermKind(enum.Enum):
@@ -66,7 +73,8 @@ def triangular(x: int) -> int:
 
 
 def _term_values(kind: TermKind, weight: int, bound: int) -> list[int]:
-    # all attainable values of one term, 0 included, up to bound
+    # all attainable values of one term, 0 included, up to bound; they
+    # strictly increase in x >= 0, so x is the index of its value
     vals = {0}
     x = 0
     while True:
@@ -78,22 +86,40 @@ def _term_values(kind: TermKind, weight: int, bound: int) -> list[int]:
     return sorted(vals)
 
 
-def _form_term_values(form: DiagonalForm | MixedSum, bound: int) -> list[list[int]]:
+def _terms(form: DiagonalForm | MixedSum) -> tuple[tuple[TermKind, int], ...]:
     if isinstance(form, DiagonalForm):
-        return [_term_values(TermKind.SQUARE, c, bound) for c in form.coefficients]
-    return [_term_values(kind, w, bound) for kind, w in form.terms]
+        return tuple((TermKind.SQUARE, c) for c in form.coefficients)
+    return form.terms
 
 
-def _coverage_mask(value_lists: list[list[int]], bound: int) -> int:
-    """Bitmask of all sums v_1 + ... + v_n <= bound with v_i from list i."""
+def _coverage_masks(counts: list[int], value_lists: Iterable[list[int]], bound: int) -> list[int]:
+    """masks[i] is the bitmask of all sums v_i + ... + v_{n-1} <= bound
+    with v_j from list j of the n value lists, and masks[n] = 1.
+
+    counts[j] bounds the length of list j, so the cost, at most sum(counts)
+    shifts of a mask of bound // 64 + 1 words, is judged before anything
+    is drawn from value_lists (which may be lazy): over the work budget
+    raises Overflow with the estimate.
+    """
+    _check_budget(sum(counts) * (bound // 64 + 1), f"bound {bound}")
     mask = 1
+    masks = [mask]
     window = (1 << (bound + 1)) - 1
-    for vals in value_lists:
+    for vals in reversed(list(value_lists)):
         acc = 0
         for v in vals:
             acc |= mask << v
         mask = acc & window
-    return mask
+        masks.append(mask)
+    return masks[::-1]
+
+
+def _form_masks(form: DiagonalForm | MixedSum, bound: int) -> list[int]:
+    # a square or triangular term of weight w has at most
+    # isqrt(2*bound // w) + 2 values up to bound
+    terms = _terms(form)
+    return _coverage_masks([isqrt(2 * bound // w) + 2 for _, w in terms],
+                           (_term_values(kind, w, bound) for kind, w in terms), bound)
 
 
 def represents_bounded(form: DiagonalForm | MixedSum, n: int) -> tuple[bool, tuple[int, ...] | None]:
@@ -101,34 +127,20 @@ def represents_bounded(form: DiagonalForm | MixedSum, n: int) -> tuple[bool, tup
 
     Square variables range over x >= 0 and triangular ones over x >= 0
     as well; both are exhaustive because x^2 = (-x)^2 and T_x = T_{-x-1}.
+    The witness is the lexicographically least: each term in turn takes
+    the least x whose value leaves a remainder the later terms cover.
     """
     if n < 0:
         return (False, None)
-    if isinstance(form, DiagonalForm):
-        parts = [(TermKind.SQUARE, c) for c in form.coefficients]
-    else:
-        parts = list(form.terms)
-
-    witness: list[int] = []
-
-    def search(i: int, remaining: int) -> bool:
-        if i == len(parts):
-            return remaining == 0
-        kind, w = parts[i]
-        x = 0
-        while True:
-            v = w * (x * x if kind is TermKind.SQUARE else triangular(x))
-            if v > remaining:
-                return False
-            witness.append(x)
-            if search(i + 1, remaining - v):
-                return True
-            witness.pop()
-            x += 1
-
-    if search(0, n):
-        return (True, tuple(witness))
-    return (False, None)
+    masks = _form_masks(form, n)
+    if not masks[0] >> n & 1:
+        return (False, None)
+    witness = []
+    for (kind, w), rest in zip(_terms(form), masks[1:]):
+        x, v = next((x, v) for x, v in enumerate(_term_values(kind, w, n)) if rest >> (n - v) & 1)
+        witness.append(x)
+        n -= v
+    return (True, tuple(witness))
 
 
 def check_criterion(form: DiagonalForm | MixedSum, criterion: CriterionSet) -> bool:
@@ -137,7 +149,8 @@ def check_criterion(form: DiagonalForm | MixedSum, criterion: CriterionSet) -> b
     Eligibility of the form for the criterion (diagonal integral vs
     integer-valued) is the caller's responsibility.
     """
-    return all(represents_bounded(form, n)[0] for n in criterion.numbers)
+    mask = _form_masks(form, max((0, *criterion.numbers)))[0]
+    return all(n >= 0 and mask >> n & 1 for n in criterion.numbers)
 
 
 def is_sum_of_three_squares(n: int) -> bool:
@@ -159,7 +172,7 @@ def universal_up_to(form: DiagonalForm | MixedSum, limit: int) -> tuple[bool, in
     """Whether the form represents every n in [1, limit]; first gap if not."""
     if limit < 1:
         raise ValueError(f"limit must be positive, got {limit}")
-    gap = _first_gap(_coverage_mask(_form_term_values(form, limit), limit), limit)
+    gap = _first_gap(_form_masks(form, limit)[0], limit)
     return (gap is None, gap)
 
 
@@ -180,7 +193,11 @@ def sun_polynomial_universal(limit: int) -> tuple[bool, int | None]:
             x += 1
         return sorted(vals)
 
-    gap = _first_gap(_coverage_mask([poly_values(2), poly_values(3), poly_values(3)], limit), limit)
+    # p*x^2 + x and p*x^2 - x at |x| <= isqrt(limit // p) + 1: at most
+    # 2*isqrt(limit // p) + 3 values
+    ps = (2, 3, 3)
+    masks = _coverage_masks([2 * isqrt(limit // p) + 3 for p in ps], (poly_values(p) for p in ps), limit)
+    gap = _first_gap(masks[0], limit)
     return (gap is None, gap)
 
 

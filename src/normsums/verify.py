@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass
 
 from .classdata import class_number_fields, class_reps, reps_as_rows
 from .quadfield import make_field
-from .repsearch import exceptional_set, g_invariant, min_count_table
+from .repsearch import check_tables, exceptional_set, g_invariant, min_count_table
 
 # d -> (k, threshold, exceptions beyond the threshold, g), class number 2
 _EXPECTED_CLASS2: dict[int, tuple[int, int, tuple[int, ...], int]] = {
@@ -182,6 +182,7 @@ def verify_field(d: int, r_max: int = 300) -> FieldReport:
         raise ValueError(
             f"r_max={r_max} leaves no padding headroom past exception {max_exc} (need >= {max_exc + 2 * k})"
         )
+    check_tables([f], r_max)
 
     t0 = time.perf_counter()
     details: list[str] = []
@@ -243,6 +244,7 @@ def verify_all(class_number: int, r_max: int = 300, jobs: int = 1) -> DiffReport
     fields out over a process pool of at most one worker per field, results
     stay in d order either way."""
     fields = class_number_fields(class_number)
+    check_tables([make_field(d) for d in fields], r_max)
     t0 = time.perf_counter()
     if jobs and jobs > 1:
         from concurrent.futures import ProcessPoolExecutor

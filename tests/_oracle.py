@@ -7,10 +7,14 @@ representative constants, the canonical witness of a norm is the least
 (|b|, |a|, a < 0, b < 0) over that scan, and the least split into exactly
 m norms, and with it the minimum count, comes from a top-down exact-m
 depth-first search instead of the library's bottom-up layered
-reachability, which serves its counts and certificates alike.  This is
-the only depth-first search left in the project.  Agreement between the
-two routes is what the equivalence tests assert; sharing the algorithms
-would make that assertion circular.
+reachability, which serves its counts and certificates alike.  Whether a
+diagonal square/triangular form takes a value, with its least witness,
+comes from a depth-first search over the variables in turn, where the
+library reads coverage bitmasks.  These are the only depth-first searches
+in the project, and this module imports neither the search kernel
+(normsums.repsearch) nor the coverage checks (normsums.universality).
+Agreement between the two routes is what the equivalence tests assert;
+sharing the algorithms would make that assertion circular.
 """
 
 from __future__ import annotations
@@ -119,3 +123,34 @@ def oracle_min_terms(d: int, class_index: int, r: int, m_max: int = 6) -> int | 
         if oracle_least_split(d, class_index, r, m) is not None:
             return m
     return None
+
+
+def oracle_represents(terms, n: int) -> tuple[bool, tuple[int, ...] | None]:
+    """Whether sum w_i * (x_i^2 or T_{x_i}) over the terms (kind, w_i),
+    kind "Square" or "Triangular", takes the value n with every x_i >= 0,
+    and the first witness a depth-first search over x_0, x_1, ... in
+    ascending order meets: the lexicographically least."""
+    if n < 0:
+        return (False, None)
+    parts = list(terms)
+
+    witness: list[int] = []
+
+    def search(i: int, remaining: int) -> bool:
+        if i == len(parts):
+            return remaining == 0
+        kind, w = parts[i]
+        x = 0
+        while True:
+            v = w * (x * x if kind == "Square" else x * (x + 1) // 2)
+            if v > remaining:
+                return False
+            witness.append(x)
+            if search(i + 1, remaining - v):
+                return True
+            witness.pop()
+            x += 1
+
+    if search(0, n):
+        return (True, tuple(witness))
+    return (False, None)

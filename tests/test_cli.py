@@ -230,6 +230,17 @@ def test_over_budget_exits_2_with_the_estimate(capsys):
         assert "Overflow" in err and "estimated" in err and "budget" in err
 
 
+def test_one_budget_per_command(capsys):
+    # each table here is admitted on its own; together they are not, and the
+    # command stops before its first build (and before verify's pool starts)
+    for args in (["verify", "--class-number", "2", "--r-max", "100000"], ["g", "-d", "907", "--r-max", "448314"]):
+        t0 = time.perf_counter()
+        code, out, err = run_cli(capsys, *args)
+        assert time.perf_counter() - t0 < 1
+        assert code == 2 and out == ""
+        assert "Overflow" in err and "estimated" in err and "budget" in err
+
+
 def test_certificate_with_thousands_of_summands(capsys):
     code, out, _ = run_cli(capsys, "certificate", "-d", "1", "--class", "1", "-r", "3000", "-m", "1500")
     assert code == 0

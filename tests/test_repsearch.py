@@ -332,7 +332,20 @@ def test_work_bound_overflow():
         find_certificate(_query(1, 1, 10**7), 3)
     with pytest.raises(Overflow):
         exceptional_set(make_field(5), 2, 10**7)
+    with pytest.raises(Overflow):
+        enumerate_norm_values(make_field(1), rep_for(make_field(1), 1), 10**12)
     assert time.perf_counter() - t0 < 1
+
+
+def test_work_is_checked_once_per_build(monkeypatch):
+    # a cache hit reads a prefix of a table whose build was admitted, so no
+    # budget applies to it; a command's sum over its tables is checked first
+    f = make_field(35)
+    assert exceptional_set(f, 2, 300)[:3] == [1, 2, 4]
+    monkeypatch.setattr(repsearch, "_WORK_BUDGET", 0)
+    assert exceptional_set(f, 2, 200)[:3] == [1, 2, 4]
+    with pytest.raises(Overflow, match="2 tables of width 300"):
+        g_invariant(f, 300)
 
 
 @pytest.mark.parametrize("width", [300, 3000])

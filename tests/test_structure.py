@@ -1,0 +1,55 @@
+"""Structure guards: the library holds no recursive search, and the test
+oracle stays independent of the code it checks."""
+
+import ast
+from pathlib import Path
+
+import normsums
+
+SRC = Path(normsums.__file__).resolve().parent
+ORACLE = Path(__file__).resolve().parent / "_oracle.py"
+KERNEL_MODULES = {"normsums.repsearch", "normsums.universality"}
+
+
+def self_calls(tree: ast.AST, filename: str) -> list[str]:
+    """filename:name:line of every function, nested ones included, that
+    calls itself by name anywhere in its body."""
+    found = []
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == fn.name:
+                    found.append(f"{filename}:{fn.name}:{node.lineno}")
+    return found
+
+
+def kernel_imports(tree: ast.AST) -> list[str]:
+    """Every import of normsums.repsearch or normsums.universality."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names if alias.name in KERNEL_MODULES]
+        elif isinstance(node, ast.ImportFrom):
+            if node.module in KERNEL_MODULES:
+                found.append(node.module)
+            elif node.module == "normsums":
+                found += [f"normsums.{a.name}" for a in node.names if f"normsums.{a.name}" in KERNEL_MODULES]
+    return found
+
+
+def test_library_has_no_self_calling_function():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        found += self_calls(ast.parse(path.read_text()), path.name)
+    assert found == []
+
+
+def test_guard_sees_nested_recursion():
+    tree = ast.parse("def outer():\n    def search(i):\n        return search(i + 1)\n    return search(0)\n")
+    assert self_calls(tree, "m.py") == ["m.py:search:3"]
+
+
+def test_oracle_imports_neither_kernel_module():
+    assert kernel_imports(ast.parse(ORACLE.read_text())) == []
+    tree = ast.parse("from normsums.repsearch import min_terms\nfrom normsums import universality\n")
+    assert kernel_imports(tree) == ["normsums.repsearch", "normsums.universality"]

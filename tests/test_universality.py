@@ -1,13 +1,15 @@
 """Coverage tools: criterion sets, mixed square/triangular sums, m_d."""
 
 import math
+import time
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracle import oracle_represents
 from normsums import universality as u
-from normsums.quadfield import SUPPORTED_FIELDS, make_field
+from normsums.quadfield import SUPPORTED_FIELDS, Overflow, make_field
 from normsums.universality import (
     FIFTEEN,
     TWO_NINETY,
@@ -55,6 +57,51 @@ def test_represents_bounded_examples():
     assert ok
     t, x, y = wit
     assert 2 * triangular(t) + x * x + y * y == 5
+
+
+def _oracle_terms(form):
+    if isinstance(form, DiagonalForm):
+        return [("Square", c) for c in form.coefficients]
+    return [(kind.value, w) for kind, w in form.terms]
+
+
+_forms = st.one_of(
+    st.lists(st.integers(1, 7), min_size=1, max_size=5).map(lambda cs: DiagonalForm(tuple(cs))),
+    st.lists(st.tuples(st.sampled_from(TermKind), st.integers(1, 7)), min_size=1, max_size=5).map(
+        lambda ts: MixedSum(tuple(ts))
+    ),
+)
+
+
+@settings(max_examples=300)
+@given(_forms, st.integers(min_value=-1, max_value=400))
+def test_represents_bounded_matches_oracle(form, n):
+    # coverage masks against the oracle's depth-first search: the same
+    # verdict and the same, lexicographically least, witness
+    assert represents_bounded(form, n) == oracle_represents(_oracle_terms(form), n)
+
+
+def test_represents_bounded_answers_fast_at_any_size():
+    t0 = time.perf_counter()
+    # odd n, even coefficients: a miss the depth-first search takes minutes on
+    assert represents_bounded(DiagonalForm((2,) * 5), 8001) == (False, None)
+    # 1200 terms, past the recursion limit of a search per term; the least
+    # witness leaves everything to the last two terms, 5 = 1^2 + 2^2
+    assert represents_bounded(DiagonalForm((1,) * 1200), 5) == (True, (0,) * 1198 + (1, 2))
+    assert time.perf_counter() - t0 < 1
+
+
+def test_coverage_over_budget_raises_before_work():
+    form = MixedSum(((TermKind.SQUARE, 1), (TermKind.TRIANGULAR, 1)))
+    for check in (
+        lambda: represents_bounded(form, 10**12),
+        lambda: universal_up_to(form, 10**12),
+        lambda: sun_polynomial_universal(10**12),
+    ):
+        t0 = time.perf_counter()
+        with pytest.raises(Overflow, match="estimated"):
+            check()
+        assert time.perf_counter() - t0 < 1
 
 
 @given(st.integers(min_value=0, max_value=300))
@@ -105,11 +152,12 @@ def test_universal_up_to():
 @given(st.integers(min_value=1, max_value=500))
 def test_universal_up_to_agrees_with_search(n):
     form = MixedSum(((TermKind.SQUARE, 1), (TermKind.SQUARE, 1), (TermKind.TRIANGULAR, 4)))
+    terms = _oracle_terms(form)
     ok, gap = universal_up_to(form, n)
     if ok:
-        assert represents_bounded(form, n)[0]
+        assert oracle_represents(terms, n)[0]
     else:
-        assert gap <= n and not represents_bounded(form, gap)[0]
+        assert gap <= n and not oracle_represents(terms, gap)[0]
 
 
 def test_sun_polynomial_universal():
@@ -162,10 +210,10 @@ def test_gap_agrees_with_direct_search():
     # dual route: bitset composition vs per-target diagonal-form search
     f = make_field(10)
     gap = norm_sum_first_gap(f, 3, 10**3)
-    form = DiagonalForm((1, 10, 1, 10, 1, 10))
-    assert not represents_bounded(form, gap)[0]
+    terms = [("Square", c) for c in (1, 10, 1, 10, 1, 10)]
+    assert not oracle_represents(terms, gap)[0]
     for n in range(gap):
-        assert represents_bounded(form, n)[0], n
+        assert oracle_represents(terms, n)[0], n
 
 
 def test_cross_check_failure_detected(monkeypatch):

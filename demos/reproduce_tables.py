@@ -14,12 +14,11 @@ from normsums.verify import report_table, verify_all
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--r-max", type=int, default=300)
-    ap.add_argument("--jobs", type=int, default=1)
     args = ap.parse_args()
 
     ok = True
     for class_number in (2, 3):
-        report = verify_all(class_number, r_max=args.r_max, jobs=args.jobs)
+        report = verify_all(class_number, r_max=args.r_max)
         print(f"== class number {class_number} ==")
         print(report_table(report))
         print(f"elapsed: {report.runtime_seconds:.2f}s")

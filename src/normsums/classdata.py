@@ -25,7 +25,6 @@ search runs on that form; the congruences are only needed at the edges
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
@@ -100,17 +99,11 @@ class IdealClassRep:
         return self.class_index == 1
 
 
-class ConditionKind(enum.Enum):
-    BRANCH12 = "Branch12"
-    BRANCH3 = "Branch3"
-
-
 @dataclass(frozen=True)
 class CongruenceCondition:
     """Pair of constraints k | (c1a*a + c1b*b) and k | (c2a*a + c2b*b)."""
 
     k: int
-    kind: ConditionKind
     c1a: int
     c1b: int
     c2a: int
@@ -154,8 +147,8 @@ def congruence_for(f: FieldParams, rep: IdealClassRep) -> CongruenceCondition:
     s, t, k = rep.s, rep.t, rep.k
     if f.is_half_branch:
         c = (1 + f.d) // 4
-        return CongruenceCondition(k=k, kind=ConditionKind.BRANCH3, c1a=s, c1b=-c * t, c2a=t, c2b=s + t)
-    return CongruenceCondition(k=k, kind=ConditionKind.BRANCH12, c1a=s, c1b=-f.d * t, c2a=t, c2b=s)
+        return CongruenceCondition(k=k, c1a=s, c1b=-c * t, c2a=t, c2b=s + t)
+    return CongruenceCondition(k=k, c1a=s, c1b=-f.d * t, c2a=t, c2b=s)
 
 
 def predicate_holds(c: CongruenceCondition, a: int, b: int) -> bool:

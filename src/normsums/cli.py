@@ -16,7 +16,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 
 from .classdata import (
@@ -161,7 +160,7 @@ def cmd_m_d(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    report = verify_all(args.class_number, r_max=args.r_max, jobs=args.jobs)
+    report = verify_all(args.class_number, r_max=args.r_max)
     rows = [
         {
             "d": fr.d,
@@ -227,7 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("verify", cmd_verify, help="recompute and diff the expected tables")
     p.add_argument("--class-number", dest="class_number", type=int, choices=[2, 3], required=True)
     p.add_argument("--r-max", dest="r_max", type=int, default=300)
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
 
     add("class-table", cmd_class_table, help="export every ideal class representative row")
 

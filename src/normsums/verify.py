@@ -10,15 +10,17 @@ and are diffed wholesale against recomputation.
 
 verify_field recomputes one field with the search machinery and reports
 match/mismatch with named offending values; verify_all sweeps a class
-number, optionally fanning fields out over a process pool.  The module
-also hosts the independent certificate checker: it works on the JSON
-serialization of a certificate and reimplements norms and congruences
-from scratch so a bug in the search cannot vouch for itself.
+number over a process pool of one worker per usable CPU, at most one per
+field.  The module also hosts the independent certificate checker: it
+works on the JSON serialization of a certificate and reimplements norms
+and congruences from scratch so a bug in the search cannot vouch for
+itself.
 """
 
 from __future__ import annotations
 
 import functools
+import os
 import time
 from dataclasses import asdict, dataclass
 
@@ -205,13 +207,12 @@ def verify_field(d: int, r_max: int = 300) -> FieldReport:
     if f.class_number == 3:
         counts2 = min_count_table(f, 2, r_max)
         counts3 = min_count_table(f, 3, r_max)
-        for r in range(1, r_max + 1):
-            if counts2[r - 1] != counts3[r - 1]:
-                details.append(
-                    f"d={d} r={r}: paired classes disagree, class 2 min {counts2[r - 1]} "
-                    f"vs class 3 min {counts3[r - 1]}"
-                )
-                break
+        if counts2 != counts3:
+            r = next(r for r in range(1, r_max + 1) if counts2[r - 1] != counts3[r - 1])
+            details.append(
+                f"d={d} r={r}: paired classes disagree, class 2 min {counts2[r - 1]} "
+                f"vs class 3 min {counts3[r - 1]}"
+            )
 
     ginv = g_invariant(f, r_max)
     if ginv.g != row.expected_g:
@@ -235,22 +236,30 @@ def verify_field(d: int, r_max: int = 300) -> FieldReport:
     )
 
 
-def _verify_field_star(args: tuple[int, int]) -> FieldReport:
-    return verify_field(*args)
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS reports
+    one, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
-def verify_all(class_number: int, r_max: int = 300, jobs: int = 1) -> DiffReport:
-    """verify_field over every field of the class number; jobs > 1 fans the
-    fields out over a process pool of at most one worker per field, results
-    stay in d order either way."""
+def verify_all(class_number: int, r_max: int = 300) -> DiffReport:
+    """verify_field over every field of the class number.
+
+    The fields fan out over a process pool of one worker per usable CPU,
+    at most one per field, and run in this process when that is one
+    worker.  Results stay in d order either way.
+    """
     fields = class_number_fields(class_number)
     check_tables([make_field(d) for d in fields], r_max)
     t0 = time.perf_counter()
-    if jobs and jobs > 1:
+    workers = min(_usable_cpus(), len(fields))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(jobs, len(fields))) as pool:
-            reports = list(pool.map(_verify_field_star, [(d, r_max) for d in fields]))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            reports = list(pool.map(verify_field, fields, [r_max] * len(fields)))
     else:
         reports = [verify_field(d, r_max) for d in fields]
     return DiffReport(

@@ -1,7 +1,10 @@
-"""Structure guards: the library holds no recursive search, and the test
-oracle stays independent of the code it checks."""
+"""Structure guards: the library holds no recursive search, the test
+oracle stays independent of the code it checks, and importing the CLI
+loads no process-pool module."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import normsums
@@ -53,3 +56,14 @@ def test_oracle_imports_neither_kernel_module():
     assert kernel_imports(ast.parse(ORACLE.read_text())) == []
     tree = ast.parse("from normsums.repsearch import min_terms\nfrom normsums import universality\n")
     assert kernel_imports(tree) == ["normsums.repsearch", "normsums.universality"]
+
+
+def test_cli_import_loads_no_process_pool():
+    # the pool's modules load only when verify_all fans out
+    code = (
+        "import sys, normsums, normsums.cli; "
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -142,16 +142,30 @@ def test_verify_all_class2():
     assert report.all_match and report.all_stable
 
 
-def test_verify_all_class3_parallel():
-    report = verify_all(3, r_max=300, jobs=2)
+def test_verify_all_class3_parallel(monkeypatch):
+    # two usable CPUs run a real two-worker pool on any host
+    monkeypatch.setattr(verify_mod, "_usable_cpus", lambda: 2)
+    report = verify_all(3, r_max=300)
     assert report.total == 16
     assert report.matches == 16
     assert report.all_match and report.all_stable
+    assert [fr.d for fr in report.fields] == list(class_number_fields(3))
+
+
+def test_usable_cpus_follows_affinity(monkeypatch):
+    monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(verify_mod.os, "sched_getaffinity", lambda pid: {0, 5}, raising=False)
+    assert verify_mod._usable_cpus() == 2
+    monkeypatch.delattr(verify_mod.os, "sched_getaffinity", raising=False)
+    assert verify_mod._usable_cpus() == 64
+    monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: None)
+    assert verify_mod._usable_cpus() == 1
 
 
 def test_verify_all_pool_clamped_to_field_count(monkeypatch):
-    # a large --jobs must not start more workers than there are fields;
-    # the stand-in executor records the size and maps in this process
+    # the pool is one worker per usable CPU but never more workers than
+    # fields, and one CPU builds no pool; the stand-in executor records
+    # the size and maps in this process
     import concurrent.futures
 
     sizes = []
@@ -166,15 +180,37 @@ def test_verify_all_pool_clamped_to_field_count(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            return map(fn, items)
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialExecutor)
-    report = verify_all(3, r_max=300, jobs=10_000)
+    monkeypatch.setattr(verify_mod, "_usable_cpus", lambda: 10_000)
+    report = verify_all(3, r_max=300)
     assert sizes == [16]
     assert report.matches == report.total == 16
-    verify_all(2, r_max=300, jobs=3)
+    monkeypatch.setattr(verify_mod, "_usable_cpus", lambda: 3)
+    verify_all(2, r_max=300)
     assert sizes == [16, 3]
+    monkeypatch.setattr(verify_mod, "_usable_cpus", lambda: 1)
+    report = verify_all(2, r_max=300)
+    assert sizes == [16, 3]
+    assert report.matches == report.total == 18
+
+
+def test_verify_field_detects_paired_class_disagreement(monkeypatch):
+    # class 3's min count at r=7 is changed; class 2 keeps the true value
+    real = verify_mod.min_count_table
+
+    def skewed(f, class_index, r_max):
+        counts = real(f, class_index, r_max)
+        if f.d == 23 and class_index == 3:
+            counts = counts[:6] + (counts[6] + 1,) + counts[7:]
+        return counts
+
+    monkeypatch.setattr(verify_mod, "min_count_table", skewed)
+    rep = verify_field(23)
+    assert rep.status == "mismatch"
+    assert rep.details == ("d=23 r=7: paired classes disagree, class 2 min 2 vs class 3 min 3",)
 
 
 def test_report_serialization():

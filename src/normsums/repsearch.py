@@ -13,6 +13,11 @@ bitmask of all r reachable as a sum of at most j form values.  The
 layers grow monotonically and the first repeated layer is a fixpoint, at
 which point every bit still unset is unreachable by any number of
 summands; that makes Unrepresentable an exact verdict, not a timeout.
+A pass shifts the layer by every value until fewer bits are unset than
+there are values; layer 2, the values of a quaternary form, usually gets
+there.  Each later pass tests only the unset r, one AND each against the
+reversed first layer, so it never costs more than a full pass and the
+work bound below still holds.
 Each layer's new bits are decoded once into a per-r min-count table, one
 byte per r.  One table is kept per (field, class), rebuilt only when a
 larger r_max is asked for; smaller windows read a prefix of it.
@@ -33,6 +38,7 @@ raises Overflow before anything is enumerated.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .classdata import IdealClassRep, class_form, class_reps, rep_for
@@ -90,7 +96,10 @@ class NormValueSet:
     witnesses: tuple[RingElement, ...]
 
     def witness_for(self, value: int) -> RingElement:
-        return self.witnesses[self.values.index(value)]
+        i = bisect_left(self.values, value)
+        if i == len(self.values) or self.values[i] != value:
+            raise ValueError(f"{value} is not an admissible norm value up to {self.bound}")
+        return self.witnesses[i]
 
 
 @dataclass(frozen=True)
@@ -164,7 +173,9 @@ def _work_estimate(a: int, b: int, c: int, width: int) -> int:
     points, with u_y = sqrt(4a*width - D*y^2) falling in y, so the rows
     hold at most the half ellipse's area pi*width/sqrt(D), plus row 0 once
     more, plus one point per row.  Integer arithmetic (pi < 355/113) keeps
-    the bound exact for any width.
+    the bound exact for any width.  A pass of reach_layers that tests
+    unset bits one at a time stays within it too: it does fewer ANDs, each
+    on at most width + 1 bits, than the values a full pass would shift.
     """
     disc = 4 * a * c - b * b
     area = 355 * (isqrt_floor(width * width // disc) + 1) // 113 + 1
@@ -229,14 +240,35 @@ def reach_layers(values: list[int], width: int, cap: int | None = None) -> list[
     """Cumulative reachability bitmasks over [0, width]: masks[j] has bit n
     set iff n is a sum of at most j of the values.  Stops after cap layers,
     or at the first repeated layer, which is left as the last entry: a
-    fixpoint, so a bit unset there is unreachable outright."""
+    fixpoint, so a bit unset there is unreachable outright.
+
+    The first pass, and each pass until fewer bits of [1, width] are
+    unset than there are values, ORs in the mask shifted by every value.
+    From then on a pass tests each unset r alone: r joins the layer
+    exactly when the mask meets rev >> (width - r), where rev holds bit
+    width - v for every value v up to width (layer 1 reversed, built
+    once).  Such a pass does fewer ANDs than the shifts a full pass would
+    do, so no pass costs more than a full one.
+    """
     window = (1 << (width + 1)) - 1
     masks = [1]
+    rev = 0
     while cap is None or len(masks) <= cap:
         cur = masks[-1]
         nxt = cur
-        for v in values:
-            nxt |= (cur << v) & window
+        if len(masks) > 1 and width + 1 - cur.bit_count() < len(values):
+            if not rev:
+                rev = int(format(masks[1], "b").zfill(width + 1)[::-1], 2)
+            # character r of the reversed string is bit r
+            unset = format(~cur & window, "b")[::-1]
+            r = unset.find("1")
+            while r >= 0:
+                if cur & (rev >> (width - r)):
+                    nxt |= 1 << r
+                r = unset.find("1", r + 1)
+        else:
+            for v in values:
+                nxt |= (cur << v) & window
         if nxt == cur:
             break
         masks.append(nxt)
@@ -310,11 +342,11 @@ def find_certificate(q: LatticeQuery, m: int) -> RepCertificate | None:
     # slot has a pick each later slot has one no larger than its rem.
     table = _decode(reach_layers(steps[1:], rem, m - 1), rem)
     seq: list[int] = []
-    i = 0
+    i, n = 0, len(steps)
     for slots in range(m - 1, -1, -1):
-        while i < len(steps) and not (steps[i] == rem or 0 < table[rem - steps[i]] <= slots):
+        while i < n and not (steps[i] == rem or 0 < table[rem - steps[i]] <= slots):
             i += 1
-        if i == len(steps):
+        if i == n:
             return None
         seq.append(vmin + steps[i])
         rem -= steps[i]

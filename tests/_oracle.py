@@ -11,8 +11,11 @@ reachability, which serves its counts and certificates alike.  Whether a
 diagonal square/triangular form takes a value, with its least witness,
 comes from a depth-first search over the variables in turn, where the
 library reads coverage bitmasks.  These are the only depth-first searches
-in the project, and this module imports neither the search kernel
-(normsums.repsearch) nor the coverage checks (normsums.universality).
+in the project.  The layer masks themselves come from the plain dense
+loop, which shifts by every value on every pass, where the library tests
+the unset bits one at a time once they are fewer than the values.  This
+module imports neither the search kernel (normsums.repsearch) nor the
+coverage checks (normsums.universality).
 Agreement between the two routes is what the equivalence tests assert;
 sharing the algorithms would make that assertion circular.
 """
@@ -73,6 +76,24 @@ def oracle_witness(d: int, class_index: int, n: int) -> tuple[int, int] | None:
     """Canonical coordinates (a, b) of an admissible gamma of norm n, or
     None when there is none."""
     return oracle_witnesses(d, class_index, n).get(n)
+
+
+def oracle_layers(values: list[int], width: int, cap: int | None = None) -> list[int]:
+    """Cumulative reachability bitmasks over [0, width]: entry j has bit n
+    set iff n is a sum of at most j of the values.  Every pass ORs in the
+    previous mask shifted by every value; the list ends after cap passes
+    or at the first pass that adds nothing, whose mask is the last entry."""
+    window = (1 << (width + 1)) - 1
+    masks = [1]
+    while cap is None or len(masks) <= cap:
+        prev = masks[-1]
+        grown = prev
+        for v in values:
+            grown |= (prev << v) & window
+        if grown == prev:
+            break
+        masks.append(grown)
+    return masks
 
 
 def oracle_least_split(d: int, class_index: int, r: int, m: int) -> list[int] | None:

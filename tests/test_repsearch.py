@@ -10,13 +10,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from _oracle import oracle_least_split, oracle_min_terms, oracle_witness, oracle_witnesses
+from _oracle import oracle_layers, oracle_least_split, oracle_min_terms, oracle_witness, oracle_witnesses
 from normsums import repsearch
-from normsums.classdata import class_form, class_reps, rep_for
+from normsums.classdata import class_form, class_number_fields, class_reps, rep_for
 from normsums.quadfield import SUPPORTED_FIELDS, Overflow, RingElement, make_field, norm
 from normsums.repsearch import (
     LatticeQuery,
     MinTermsResult,
+    check_tables,
     check_work,
     enumerate_norm_values,
     exceptional_set,
@@ -86,6 +87,10 @@ def test_enumerate_norm_values_examples():
     assert vs.values == (4, 6)
     assert vs.witness_for(6) == RingElement(1, 1)
     assert vs.witness_for(4) == RingElement(2, 0)
+    # below, between and above the values, and past the bound
+    for n in (1, 5, 9, 10, 12):
+        with pytest.raises(ValueError, match="not an admissible norm value"):
+            vs.witness_for(n)
 
     f51 = make_field(51)
     vs = enumerate_norm_values(f51, rep_for(f51, 2), 30)
@@ -370,6 +375,79 @@ def test_work_bound_covers_every_class(width, monkeypatch):
             monkeypatch.setattr(repsearch, "_WORK_BUDGET", load * words - 1)
             with pytest.raises(Overflow):
                 check_work(a, b, c, width)
+
+
+def test_admitted_widths_are_pinned():
+    # the estimate bounds the dense passes, so a cheaper loop leaves every
+    # admitted width where it was
+    for d, class_index, width in ((907, 2, 779903), (1, 1, 201407)):
+        f = make_field(d)
+        form = class_form(f, rep_for(f, class_index))[:3]
+        check_work(*form, width)
+        with pytest.raises(Overflow):
+            check_work(*form, width + 1)
+    for class_number, r_max in ((2, 68423), (3, 71570)):
+        fields = [make_field(d) for d in class_number_fields(class_number)]
+        check_tables(fields, r_max)
+        with pytest.raises(Overflow):
+            check_tables(fields, r_max + 1)
+
+
+def _first_sparse_layer(masks, values, width):
+    """The first layer after which reach_layers tests unset bits one at a
+    time (fewer unset in [1, width] than values), or None."""
+    return next((j for j in range(1, len(masks)) if width + 1 - masks[j].bit_count() < len(values)), None)
+
+
+caps = st.none() | st.integers(min_value=0, max_value=12)
+
+
+@given(st.lists(st.integers(min_value=0, max_value=80), max_size=60), st.integers(min_value=0, max_value=400), caps)
+def test_layers_race_oracle_on_random_values(values, width, cap):
+    assert reach_layers(values, width, cap) == oracle_layers(values, width, cap)
+
+
+@given(
+    st.sampled_from([3, 5]),
+    st.lists(st.integers(min_value=1, max_value=60), min_size=1, max_size=30),
+    st.integers(min_value=100, max_value=600),
+    caps,
+)
+def test_layers_race_oracle_on_the_dense_path(p, xs, width, cap):
+    # only multiples of p are reachable, so at least 2/3 of [1, width] stays
+    # unset, more bits than there are values: every pass shifts every value
+    values = [p * x for x in xs]
+    masks = oracle_layers(values, width, cap)
+    assert _first_sparse_layer(masks, values, width) is None
+    assert reach_layers(values, width, cap) == masks
+
+
+def _class_value_lists(d, class_index, width):
+    """The class form's values up to width and, as find_certificate layers
+    them, the shifted values v - vmin of the others."""
+    f = make_field(d)
+    values = form_values(*class_form(f, rep_for(f, class_index))[:3], width)
+    return [values, [v - values[0] for v in values[1:]]]
+
+
+@given(st.sampled_from(ALL_CLASSES), st.integers(min_value=1, max_value=3000), caps)
+def test_layers_race_oracle_on_class_forms(field_class, width, cap):
+    for values in _class_value_lists(*field_class, width):
+        assert reach_layers(values, width, cap) == oracle_layers(values, width, cap)
+
+
+def test_class_forms_switch_to_unset_bit_tests_after_layer_two_or_three():
+    # at width 3000, layer 2 leaves fewer bits unset than there are values,
+    # for both value lists of 87 of the 93 classes; layer 3 does elsewhere
+    width = 3000
+    switches = []
+    for d, class_index in ALL_CLASSES:
+        for values in _class_value_lists(d, class_index, width):
+            masks = oracle_layers(values, width)
+            assert reach_layers(values, width) == masks, (d, class_index)
+            switches.append(_first_sparse_layer(masks, values, width))
+    assert sorted(set(switches)) == [2, 3]
+    assert switches.count(2) == 2 * 87
 
 
 def test_transfer_certificate_between_paired_classes():

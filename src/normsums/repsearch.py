@@ -19,8 +19,9 @@ there.  Each later pass tests only the unset r, one AND each against the
 reversed first layer, so it never costs more than a full pass and the
 work bound below still holds.
 Each layer's new bits are decoded once into a per-r min-count table, one
-byte per r.  One table is kept per (field, class), rebuilt only when a
-larger r_max is asked for; smaller windows read a prefix of it.
+byte per r.  One table is kept per (field, class), the inverse classes 2
+and 3 of a class-number-3 field sharing one, rebuilt only when a larger
+r_max is asked for; smaller windows read a prefix of it.
 
 Certificates walk back through the same layers.  Exactly m form values
 sum to r exactly when at most m of the shifted values v - vmin (v > vmin,
@@ -60,7 +61,7 @@ _PASS_BOUND = 10
 _WORK_BUDGET = 10**10
 
 # (d, class_index) -> min-count table: byte r is the least number of form
-# values summing to r, 0 when no number does
+# values summing to r, 0 when no number does; class 3 reads (d, 2)
 _TABLES: dict[tuple[int, int], bytes] = {}
 
 
@@ -287,16 +288,20 @@ def _decode(masks: list[int], width: int) -> bytes:
 
 
 def _count_table(f: FieldParams, class_index: int, r_max: int) -> bytes:
-    """The class's min-count table, covering at least [0, r_max]."""
+    """The class's min-count table, covering at least [0, r_max].  Class 3
+    of a class-number-3 field reads class 2's table, kept under (d, 2)."""
     if r_max < 1:
         raise ValueError(f"r_max must be positive, got {r_max}")
-    table = _TABLES.get((f.d, class_index))
+    rep_for(f, class_index)  # a class the field lacks raises before any cache read
+    # class 3 is the inverse of class 2, so their forms take the same values
+    key = (f.d, 2 if class_index == 3 else class_index)
+    table = _TABLES.get(key)
     if table is None or len(table) <= r_max:
         # a hit reads a prefix of a table whose build was already admitted
-        fa, fb, fc, _ = class_form(f, rep_for(f, class_index))
+        fa, fb, fc, _ = class_form(f, rep_for(f, key[1]))
         check_work(fa, fb, fc, r_max)
         table = _decode(reach_layers(form_values(fa, fb, fc, r_max), r_max), r_max)
-        _TABLES[(f.d, class_index)] = table
+        _TABLES[key] = table
     return table
 
 

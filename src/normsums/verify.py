@@ -9,7 +9,8 @@ suite, re-serialize through a canonical renderer for golden comparison,
 and are diffed wholesale against recomputation.
 
 verify_field recomputes one field with the search machinery and reports
-match/mismatch with named offending values; verify_all sweeps a class
+match/mismatch with named offending values, per class (the inverse pair
+of a class-number-3 field reads one table); verify_all sweeps a class
 number over a process pool of one worker per usable CPU, at most one per
 field.  The module also hosts the independent certificate checker: it
 works on the JSON serialization of a certificate and reimplements norms
@@ -26,7 +27,7 @@ from dataclasses import asdict, dataclass
 
 from .classdata import class_number_fields, class_reps, reps_as_rows
 from .quadfield import make_field
-from .repsearch import check_tables, exceptional_set, g_invariant, min_count_table
+from .repsearch import check_tables, exceptional_set, g_invariant
 
 # d -> (k, threshold, exceptions beyond the threshold, g), class number 2
 _EXPECTED_CLASS2: dict[int, tuple[int, int, tuple[int, ...], int]] = {
@@ -171,8 +172,8 @@ def verify_field(d: int, r_max: int = 300) -> FieldReport:
     Mismatches are report content, not errors; but an r_max window too
     small to contain the expected exceptions plus padding headroom is a
     caller error and raises ValueError.  For class-number-3 fields both
-    non-principal classes are verified independently and their minimum
-    counts are required to agree at every r.
+    non-principal classes get a ClassCheck; they read one shared table,
+    since the inverse classes' forms take the same values.
     """
     row = expected_row(d)
     f = make_field(d)
@@ -203,16 +204,6 @@ def verify_field(d: int, r_max: int = 300) -> FieldReport:
         if rep.k != k:
             details.append(f"d={d} class {rep.class_index}: table k={rep.k} != expected k={k}")
         checks.append(ClassCheck(rep.class_index, rep.k, computed, expected, ok))
-
-    if f.class_number == 3:
-        counts2 = min_count_table(f, 2, r_max)
-        counts3 = min_count_table(f, 3, r_max)
-        if counts2 != counts3:
-            r = next(r for r in range(1, r_max + 1) if counts2[r - 1] != counts3[r - 1])
-            details.append(
-                f"d={d} r={r}: paired classes disagree, class 2 min {counts2[r - 1]} "
-                f"vs class 3 min {counts3[r - 1]}"
-            )
 
     ginv = g_invariant(f, r_max)
     if ginv.g != row.expected_g:
@@ -308,24 +299,27 @@ def recheck_certificate(doc: dict) -> list[str]:
     representative data rows, sharing no code with the search: norms on
     the half-integer branch come from the integer identity
     4N = (2a+b)^2 + d*b^2, and the congruences are evaluated in raw
-    two-constraint form.  Returns a list of problems, empty when valid.
+    two-constraint form.  Returns a list of problems, empty when valid, or
+    one "malformed" problem for a document of the wrong shape (a bool is
+    not an int there).
     """
     problems: list[str] = []
+    keys = ("d", "class_index", "k", "r", "m", "check")
     try:
-        d = doc["d"]
-        class_index = doc["class_index"]
-        k = doc["k"]
-        r = doc["r"]
-        m = doc["m"]
+        d, class_index, k, r, m, check = (doc[key] for key in keys)
         gammas = doc["gammas"]
-        check = doc["check"]
     except (KeyError, TypeError) as exc:
         return [f"malformed certificate document: {exc!r}"]
+    bad = [f"{key}={doc[key]!r} is not an int" for key in keys if type(doc[key]) is not int]
+    if not isinstance(gammas, list):
+        bad.append(f"gammas={gammas!r} is not a list")
+    else:
+        bad += [f"gammas entry {g!r} is not a pair of ints" for g in gammas
+                if not (isinstance(g, (list, tuple)) and len(g) == 2 and all(type(x) is int for x in g))][:1]
+    if bad:
+        return ["malformed certificate document: " + "; ".join(bad)]
 
-    try:
-        row = _rep_rows().get((d, class_index))
-    except TypeError:  # an unhashable d or class_index names no row
-        row = None
+    row = _rep_rows().get((d, class_index))
     if row is None:
         return [f"no class representative for d={d} class {class_index}"]
     kk, s, t = row

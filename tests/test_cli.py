@@ -1,14 +1,18 @@
 """Command-line interface: golden outputs, formats, exit codes."""
 
 import json
+import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from normsums import cli
 from normsums import verify as verify_mod
+
+GOLDENS = Path(__file__).resolve().parent / "goldens"
 
 
 def run_cli(capsys, *args):
@@ -187,6 +191,16 @@ def test_verify_subcommand_table_format(capsys):
     )
     assert code == 0
     assert "18/18" in out
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+@pytest.mark.parametrize("class_number", ["2", "3"])
+def test_verify_output_golden(capsys, class_number, fmt):
+    # stdout byte for byte, apart from the timings in the json report
+    code, out, _ = run_cli(capsys, "verify", "--class-number", class_number, "--r-max", "300", "--format", fmt)
+    assert code == 0
+    golden = GOLDENS / f"verify-{class_number}-300.{fmt}"
+    assert re.sub(r'"runtime_seconds":[-+.e0-9]+,', "", out) == golden.read_text()
 
 
 def test_verify_exit_code_on_mismatch(capsys, monkeypatch):

@@ -1,4 +1,5 @@
-"""The demo scripts run to completion."""
+"""The demo scripts run to completion and print what they printed when
+their goldens were recorded."""
 
 import subprocess
 import sys
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+GOLDENS = Path(__file__).resolve().parent / "goldens"
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
@@ -14,3 +16,6 @@ def test_demo_runs(demo):
     proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert "PROBLEMS" not in proc.stdout
+    # timings are the only lines that vary from run to run
+    out = "".join(line for line in proc.stdout.splitlines(keepends=True) if not line.startswith("elapsed: "))
+    assert out == (GOLDENS / f"{demo.stem}.txt").read_text()

@@ -189,6 +189,18 @@ def test_table_grows_and_serves_smaller_windows():
         assert got == (min_count_table(f, 2, n), exceptional_set(f, 2, n)), n
 
 
+def test_class_the_field_lacks_raises_with_its_pair_cached(monkeypatch):
+    # class 3 reads the (d, 2) table, but only where the field has a class 3
+    monkeypatch.setattr(repsearch, "_TABLES", {})
+    f = make_field(5)
+    exceptional_set(f, 2, 100)
+    assert (5, 2) in repsearch._TABLES
+    with pytest.raises(ValueError, match="class_index 3 out of range for d=5"):
+        exceptional_set(f, 3, 100)
+    with pytest.raises(ValueError):
+        min_count_table(f, 3, 50)
+
+
 def test_find_certificate_goldens():
     cert = find_certificate(_query(35, 2, 3), 1)
     assert cert.gammas == (RingElement(2, 1),)

@@ -16,6 +16,7 @@ from normsums.verify import (
     verify_all,
     verify_field,
 )
+from normsums import repsearch
 from normsums import verify as verify_mod
 
 # number of exceptional r beyond the k-1 run at the bottom, per field
@@ -197,20 +198,24 @@ def test_verify_all_pool_clamped_to_field_count(monkeypatch):
     assert report.matches == report.total == 18
 
 
-def test_verify_field_detects_paired_class_disagreement(monkeypatch):
-    # class 3's min count at r=7 is changed; class 2 keeps the true value
-    real = verify_mod.min_count_table
+def test_verify_all_class3_builds_no_class3_table(monkeypatch):
+    # the inverse classes share the (d, 2) table: 16 fields build a
+    # principal and a class 2 table each, and both classes are still reported
+    builds = []
+    real = repsearch._decode
 
-    def skewed(f, class_index, r_max):
-        counts = real(f, class_index, r_max)
-        if f.d == 23 and class_index == 3:
-            counts = counts[:6] + (counts[6] + 1,) + counts[7:]
-        return counts
+    def counting(masks, width):
+        builds.append(width)
+        return real(masks, width)
 
-    monkeypatch.setattr(verify_mod, "min_count_table", skewed)
-    rep = verify_field(23)
-    assert rep.status == "mismatch"
-    assert rep.details == ("d=23 r=7: paired classes disagree, class 2 min 2 vs class 3 min 3",)
+    monkeypatch.setattr(verify_mod, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(repsearch, "_TABLES", {})
+    monkeypatch.setattr(repsearch, "_decode", counting)
+    report = verify_all(3, r_max=300)
+    assert report.all_match
+    assert len(builds) == 32
+    assert sorted(repsearch._TABLES) == [(d, ci) for d in class_number_fields(3) for ci in (1, 2)]
+    assert all([c.class_index for c in fr.classes] == [2, 3] for fr in report.fields)
 
 
 def test_report_serialization():
@@ -281,7 +286,38 @@ def test_recheck_certificate_rejects_zero_summand():
 
 def test_recheck_certificate_unknown_class_representative():
     doc = _valid_cert_doc()
-    # d=21 is not a supported field, d=5 has no class 3, and a list is unhashable
-    for d, class_index in ((21, 2), (5, 3), ([5], 2)):
+    # d=21 is not a supported field and d=5 has no class 3
+    for d, class_index in ((21, 2), (5, 3)):
         problems = recheck_certificate(dict(doc, d=d, class_index=class_index))
         assert problems == [f"no class representative for d={d} class {class_index}"]
+
+
+@pytest.mark.parametrize(
+    "change, problem",
+    [
+        ({"gammas": [[1]]}, "gammas entry [1] is not a pair of ints"),
+        ({"gammas": [1]}, "gammas entry 1 is not a pair of ints"),
+        ({"gammas": 5}, "gammas=5 is not a list"),
+        ({"gammas": "ab"}, "gammas='ab' is not a list"),
+        ({"gammas": [["x", "y"]]}, "gammas entry ['x', 'y'] is not a pair of ints"),
+        ({"gammas": [[True, True]]}, "gammas entry [True, True] is not a pair of ints"),
+        ({"gammas": [[1, 0], [1, 2, 3]]}, "gammas entry [1, 2, 3] is not a pair of ints"),
+        ({"r": "3"}, "r='3' is not an int"),
+        ({"d": [5]}, "d=[5] is not an int"),
+        ({"d": 35.0}, "d=35.0 is not an int"),
+        ({"class_index": True}, "class_index=True is not an int"),
+        ({"k": None}, "k=None is not an int"),
+        ({"m": False}, "m=False is not an int"),
+        ({"check": 1.5}, "check=1.5 is not an int"),
+        ({"r": "3", "gammas": 5}, "r='3' is not an int; gammas=5 is not a list"),
+    ],
+)
+def test_recheck_certificate_reports_a_malformed_document(change, problem):
+    # a document of the wrong shape is one problem, never an exception
+    assert recheck_certificate(dict(_valid_cert_doc(), **change)) == [f"malformed certificate document: {problem}"]
+
+
+@pytest.mark.parametrize("doc", [None, [1], "doc", {}, {"d": 35}])
+def test_recheck_certificate_reports_a_missing_key(doc):
+    problems = recheck_certificate(doc)
+    assert len(problems) == 1 and problems[0].startswith("malformed certificate document: ")

@@ -23,13 +23,19 @@ byte per r.  One table is kept per (field, class), the inverse classes 2
 and 3 of a class-number-3 field sharing one, rebuilt only when a larger
 r_max is asked for; smaller windows read a prefix of it.
 
-Certificates walk back through the same layers.  Exactly m form values
-sum to r exactly when at most m of the shifted values v - vmin (v > vmin,
-vmin the least value) sum to r - m*vmin; the layers of the shifted values
-are decoded into a table, and each slot in turn takes the least shifted
-value whose remainder the slots left can still reach.  Congruences stay at
-the edges: only the summands a certificate picks get (a, b) coordinates,
-solved from the form's (x, y) by a = k*x - beta*y, b = y.
+Certificates walk back through a min-count table, one of two.  When the
+class's table is cached up to r, m below its byte r (or any m, if r is
+unreachable) has no certificate, and m equal to it walks that table, with
+no enumeration or layer build.  Otherwise exactly m form values sum to r
+exactly when at most m of the shifted values v - vmin (v > vmin, vmin the
+least value) sum to r - m*vmin; those are layered up to m - 1 times and
+decoded into a table, and the certificate opens with m - c copies of vmin,
+c the least count of shifted values reaching the remainder.  The walk then
+takes the rest in order, each the least value in a window whose remainder
+needs exactly the slots left, found by one bytes search over the window.
+Congruences stay at the edges: only the summands a certificate picks get
+(a, b) coordinates, solved from the form's (x, y) by a = k*x - beta*y,
+b = y.
 
 Work is known before it starts: check_work bounds the word-shifts of a
 layer build from the form and the width alone, check_tables sums that
@@ -198,8 +204,10 @@ def check_work(a: int, b: int, c: int, width: int) -> None:
 def check_tables(fields: list[FieldParams], r_max: int) -> None:
     """Raise Overflow unless the tables of every class of the fields, each
     up to r_max, fit the work budget together.  A command that builds
-    several tables checks their sum once, before its first build."""
-    forms = [class_form(f, rep)[:3] for f in fields for rep in class_reps(f)]
+    several tables checks their sum once, before its first build; a table
+    two classes share is charged once."""
+    forms = [class_form(f, rep)[:3] for f in fields for rep in class_reps(f)
+             if _table_key(f, rep.class_index) == (f.d, rep.class_index)]
     _check_budget(sum(_work_estimate(*form, r_max) for form in forms), f"{len(forms)} tables of width {r_max}")
 
 
@@ -287,14 +295,20 @@ def _decode(masks: list[int], width: int) -> bytes:
     return acc.to_bytes(width + 1, "little")
 
 
+def _table_key(f: FieldParams, class_index: int) -> tuple[int, int]:
+    """The _TABLES key of a class.  Class 3 of a class-number-3 field is
+    the inverse of class 2, so their forms take the same values and share
+    the key (d, 2)."""
+    return (f.d, 2 if class_index == 3 else class_index)
+
+
 def _count_table(f: FieldParams, class_index: int, r_max: int) -> bytes:
     """The class's min-count table, covering at least [0, r_max].  Class 3
     of a class-number-3 field reads class 2's table, kept under (d, 2)."""
     if r_max < 1:
         raise ValueError(f"r_max must be positive, got {r_max}")
     rep_for(f, class_index)  # a class the field lacks raises before any cache read
-    # class 3 is the inverse of class 2, so their forms take the same values
-    key = (f.d, 2 if class_index == 3 else class_index)
+    key = _table_key(f, class_index)
     table = _TABLES.get(key)
     if table is None or len(table) <= r_max:
         # a hit reads a prefix of a table whose build was already admitted
@@ -314,6 +328,36 @@ def min_terms(q: LatticeQuery) -> MinTermsResult:
     return MinTermsResult.representable(m)
 
 
+def _walk(table: bytes, rem: int, count: int) -> list[int] | None:
+    """The least nondecreasing count values summing to rem, or None.  Byte
+    n of table (n <= rem) is the least number of values summing to n, so
+    byte 1 marks a value; rem needs no fewer than count values, and is a
+    value if count is 1.
+
+    Each pick u is the least value in [previous pick, rem // (slots + 1)]
+    whose remainder needs exactly the slots left after it: fewer would let
+    rem take fewer than count, and none of the later picks, each at least
+    u, is smaller.  One bytes search finds it: the window translated to
+    "is a value" and the mirrored window to "needs exactly slots", ANDed
+    as ints; the lowest set byte is the pick.  The last pick is what
+    remains, a value because the pick before it left one.
+    """
+    picks: list[int] = []
+    u = 1
+    for slots in range(count - 1, 0, -1):
+        hi = rem // (slots + 1)
+        is_value = table[u : hi + 1].translate(bytes(1) + b"\1" + bytes(254))
+        # read big-endian, byte rem - u of the mirrored window lands at u's place
+        needs = table[rem - hi : rem - u + 1].translate(bytes(slots) + b"\1" + bytes(255 - slots))
+        both = int.from_bytes(is_value, "little") & int.from_bytes(needs, "big")
+        if not both:
+            return None
+        u += ((both & -both).bit_length() - 1) // 8
+        picks.append(u)
+        rem -= u
+    return picks + [rem] if count else picks
+
+
 def find_certificate(q: LatticeQuery, m: int) -> RepCertificate | None:
     """Lexicographically least certificate with exactly m summands, or None.
 
@@ -325,36 +369,42 @@ def find_certificate(q: LatticeQuery, m: int) -> RepCertificate | None:
     enumerate_norm_values witness, and the summands are sorted by
     (norm, a, b).
 
-    Each slot takes the least shifted value u (0 for vmin itself) whose
-    remainder the slots after it can reach; a smaller value at a later
-    slot could have served this one, so the picks never decrease.
+    The values come from one of two tables, both walked by _walk.  When
+    the class's min-count table is cached up to r it decides m below the
+    minimum (None) and at the minimum, where the walk reads the cached
+    table itself, with no enumeration or layer build.  Otherwise exactly
+    m values sum to r exactly when at most m of the shifted values
+    v - vmin (v > vmin, vmin the least value) sum to rem = r - m*vmin; the
+    shifted values are layered up to m - 1 times and decoded into a table.
+    If c shifted values at the least reach rem (c = m when m - 1 layers do
+    not), the least sequence is m - c copies of vmin and then the walk's c
+    picks, each plus vmin.
     """
     if m < 1:
         raise ValueError(f"m must be positive, got {m}")
     f = q.field
     rep = rep_for(f, q.class_index)
     form = class_form(f, rep)
-    check_work(*form[:3], q.r)
-    values = form_values(*form[:3], q.r)
-    if not values or m * values[0] > q.r:
-        return None
-    vmin = values[0]
-    rem = q.r - m * vmin
-    steps = [0] + [v - vmin for v in values[1:] if v - vmin <= rem]
-    # byte n: least count of shifted values summing to n, up to m - 1; the
-    # first slot tests rem itself against the m - 1 slots after it.  No
-    # index goes negative: every step starts <= rem, and once the first
-    # slot has a pick each later slot has one no larger than its rem.
-    table = _decode(reach_layers(steps[1:], rem, m - 1), rem)
-    seq: list[int] = []
-    i, n = 0, len(steps)
-    for slots in range(m - 1, -1, -1):
-        while i < n and not (steps[i] == rem or 0 < table[rem - steps[i]] <= slots):
-            i += 1
-        if i == n:
+    cached = _TABLES.get(_table_key(f, q.class_index), b"")
+    least = cached[q.r] if len(cached) > q.r else None
+    if least is not None and (not least or m <= least):
+        seq = _walk(cached, q.r, m) if m == least else None
+    else:
+        check_work(*form[:3], q.r)
+        values = form_values(*form[:3], q.r)
+        if not values or m * values[0] > q.r:
             return None
-        seq.append(vmin + steps[i])
-        rem -= steps[i]
+        if m == 1:  # no layer to read: r itself must be a value
+            seq = [q.r] if values[-1] == q.r else None
+        else:
+            vmin = values[0]
+            rem = q.r - m * vmin
+            table = _decode(reach_layers([v - vmin for v in values[1:] if v - vmin <= rem], rem, m - 1), rem)
+            c = table[rem] or (m if rem else 0)
+            picks = _walk(table, rem, c)
+            seq = None if picks is None else [vmin] * (m - c) + [vmin + u for u in picks]
+    if seq is None:
+        return None
     gammas = sorted(
         (_witness(form, rep.k, v) for v in seq),
         key=lambda g: (norm(f, g), g.a, g.b),

@@ -249,7 +249,7 @@ def test_over_budget_exits_2_with_the_estimate(capsys):
 def test_one_budget_per_command(capsys):
     # each table here is admitted on its own; together they are not, and the
     # command stops before its first build (and before verify's pool starts)
-    for args in (["verify", "--class-number", "2", "--r-max", "100000"], ["g", "-d", "907", "--r-max", "448314"]):
+    for args in (["verify", "--class-number", "2", "--r-max", "100000"], ["g", "-d", "907", "--r-max", "548782"]):
         t0 = time.perf_counter()
         code, out, err = run_cli(capsys, *args)
         assert time.perf_counter() - t0 < 1

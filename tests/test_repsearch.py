@@ -5,6 +5,7 @@ its own value enumeration) and is pinned here; min_terms must agree.
 """
 
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -238,6 +239,68 @@ def test_find_certificate_exact_count_contract():
         find_certificate(_query(5, 2, 2), 0)
 
 
+CERTIFICATE_GOLDENS = Path(__file__).resolve().parent / "goldens" / "find_certificate.txt"
+
+
+def _certificate_goldens():
+    """(query, m, summands as a,b strings or "-") for every golden line:
+    all 93 classes at ten r and up to eight m each, recorded before
+    certificates read the cached min-count table."""
+    for line in CERTIFICATE_GOLDENS.read_text().splitlines():
+        if not line.startswith("#"):
+            d, class_index, r, m, *summands = line.split()
+            yield _query(int(d), int(class_index), int(r)), int(m), summands
+
+
+def _summands(cert):
+    return ["-"] if cert is None else [f"{g.a},{g.b}" for g in cert.gammas]
+
+
+def test_certificates_match_goldens_cold_and_warm(monkeypatch):
+    # cold: no table cached, so every call layers the shifted values;
+    # warm: min_terms has cached the class's table, which decides every m
+    # up to the minimum; both give the one recorded answer
+    monkeypatch.setattr(repsearch, "_TABLES", {})
+    for q, m, want in _certificate_goldens():
+        repsearch._TABLES.clear()
+        assert _summands(find_certificate(q, m)) == want, (q, m)
+    for q, m, want in _certificate_goldens():
+        min_terms(q)
+        assert _summands(find_certificate(q, m)) == want, (q, m)
+
+
+def test_cached_table_answers_up_to_the_minimum_without_a_build(monkeypatch):
+    monkeypatch.setattr(repsearch, "_TABLES", {})
+    queries = [_query(d, class_index, r) for d, class_index in ALL_CLASSES for r in (1, 7, 88, 1201, 5000)]
+    minima = [min_terms(q).m or 0 for q in queries]
+
+    def no_build(*args):
+        raise AssertionError("a cached table was enumerated or layered again")
+
+    monkeypatch.setattr(repsearch, "form_values", no_build)
+    monkeypatch.setattr(repsearch, "reach_layers", no_build)
+    for q, least in zip(queries, minima):
+        # m below the minimum and any m for an unrepresentable r are None
+        for m in range(1, least):
+            assert find_certificate(q, m) is None, (q, m)
+        if not least:
+            assert find_certificate(q, 1) is None and find_certificate(q, 3) is None
+            continue
+        cert = find_certificate(q, least)
+        assert len(cert.gammas) == least and recheck_certificate(cert.to_json_dict()) == [], q
+
+
+def test_cold_certificate_builds_no_table(monkeypatch):
+    # a cold call layers only the shifted values up to m - 1 and keeps
+    # nothing; another class's cached table is left as it was
+    monkeypatch.setattr(repsearch, "_TABLES", {})
+    min_count_table(make_field(5), 2, 100)
+    before = dict(repsearch._TABLES)
+    for d, class_index, r, m in ((1, 1, 5000, 2), (907, 3, 1201, 3), (23, 2, 300, 7), (5, 1, 50, 1)):
+        find_certificate(_query(d, class_index, r), m)
+        assert repsearch._TABLES == before, (d, class_index)
+
+
 certificate_cases = st.tuples(
     st.sampled_from([(5, 2), (35, 2), (51, 2), (23, 2), (23, 3), (187, 2), (907, 2), (907, 3), (7, 1)]),
     st.integers(min_value=1, max_value=40),
@@ -268,8 +331,13 @@ def test_certificates_recheck_cleanly(case):
 @given(certificate_cases, st.integers(min_value=1, max_value=6))
 def test_certificate_is_the_oracles_least_split(case, m):
     # m runs above and below the minimum: None exactly when no split exists
+    # cold (shifted values layered), then warm (the cached table read)
     (d, class_index), r = case
-    cert = find_certificate(_query(d, class_index, r), m)
+    q = _query(d, class_index, r)
+    repsearch._TABLES.clear()
+    cert = find_certificate(q, m)
+    min_terms(q)
+    assert find_certificate(q, m) == cert
     split = oracle_least_split(d, class_index, r, m)
     if split is None:
         assert cert is None
@@ -398,7 +466,8 @@ def test_admitted_widths_are_pinned():
         check_work(*form, width)
         with pytest.raises(Overflow):
             check_work(*form, width + 1)
-    for class_number, r_max in ((2, 68423), (3, 71570)):
+    # a class-number-3 field builds two tables, class 3 reading class 2's
+    for class_number, r_max in ((2, 68423), (3, 87679)):
         fields = [make_field(d) for d in class_number_fields(class_number)]
         check_tables(fields, r_max)
         with pytest.raises(Overflow):

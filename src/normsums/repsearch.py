@@ -378,7 +378,8 @@ def find_certificate(q: LatticeQuery, m: int) -> RepCertificate | None:
     shifted values are layered up to m - 1 times and decoded into a table.
     If c shifted values at the least reach rem (c = m when m - 1 layers do
     not), the least sequence is m - c copies of vmin and then the walk's c
-    picks, each plus vmin.
+    picks, each plus vmin.  Layers that reach a fixpoint before m - 1
+    without reaching rem leave no certificate at all.
     """
     if m < 1:
         raise ValueError(f"m must be positive, got {m}")
@@ -399,7 +400,10 @@ def find_certificate(q: LatticeQuery, m: int) -> RepCertificate | None:
         else:
             vmin = values[0]
             rem = q.r - m * vmin
-            table = _decode(reach_layers([v - vmin for v in values[1:] if v - vmin <= rem], rem, m - 1), rem)
+            masks = reach_layers([v - vmin for v in values[1:] if v - vmin <= rem], rem, m - 1)
+            table = _decode(masks, rem)
+            if rem and not table[rem] and len(masks) < m:
+                return None  # a fixpoint before m - 1 layers: no count reaches rem
             c = table[rem] or (m if rem else 0)
             picks = _walk(table, rem, c)
             seq = None if picks is None else [vmin] * (m - c) + [vmin + u for u in picks]

@@ -290,6 +290,27 @@ def test_cached_table_answers_up_to_the_minimum_without_a_build(monkeypatch):
         assert len(cert.gammas) == least and recheck_certificate(cert.to_json_dict()) == [], q
 
 
+def test_unreachable_remainder_with_more_than_255_summands_is_none(monkeypatch):
+    # r = m*vmin + 1 leaves the remainder 1, which no shifted value reaches
+    # when vmin + 1 is not a value: the layers stop at a fixpoint long
+    # before m - 1, and the answer is None, cold and warm
+    monkeypatch.setattr(repsearch, "_TABLES", {})
+    checked = 0
+    for d, class_index in ALL_CLASSES:
+        f = make_field(d)
+        values = form_values(*class_form(f, rep_for(f, class_index))[:3], 1000)
+        if values[0] + 1 in values:
+            continue
+        for m in (256, 257, 300):
+            q = _query(d, class_index, m * values[0] + 1)
+            repsearch._TABLES.clear()
+            assert find_certificate(q, m) is None, (q, m)
+            min_terms(q)
+            assert find_certificate(q, m) is None, (q, m)
+        checked += 1
+    assert checked > 80
+
+
 def test_cold_certificate_builds_no_table(monkeypatch):
     # a cold call layers only the shifted values up to m - 1 and keeps
     # nothing; another class's cached table is left as it was

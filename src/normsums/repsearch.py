@@ -13,11 +13,13 @@ bitmask of all r reachable as a sum of at most j form values.  The
 layers grow monotonically and the first repeated layer is a fixpoint, at
 which point every bit still unset is unreachable by any number of
 summands; that makes Unrepresentable an exact verdict, not a timeout.
-A pass shifts the layer by every value until fewer bits are unset than
-there are values; layer 2, the values of a quaternary form, usually gets
-there.  Each later pass tests only the unset r, one AND each against the
-reversed first layer, so it never costs more than a full pass and the
-work bound below still holds.
+Layer 1, the values themselves, is parsed from one string of binary
+digits.  Each later pass shifts the layer by the values in order until
+fewer bits are unset than values are left, counting after 1, 2, 4, ...
+shifts; for a class form's values that takes a handful of shifts out of
+thousands.  Then the pass tests each r still unset alone, one AND against
+the reversed first layer, and ORs the hits in with one parse, so it
+never costs more than a full pass and the work bound below still holds.
 Each layer's new bits are decoded once into a per-r min-count table, one
 byte per r.  One table is kept per (field, class), the inverse classes 2
 and 3 of a class-number-3 field sharing one, rebuilt only when a larger
@@ -180,9 +182,11 @@ def _work_estimate(a: int, b: int, c: int, width: int) -> int:
     points, with u_y = sqrt(4a*width - D*y^2) falling in y, so the rows
     hold at most the half ellipse's area pi*width/sqrt(D), plus row 0 once
     more, plus one point per row.  Integer arithmetic (pi < 355/113) keeps
-    the bound exact for any width.  A pass of reach_layers that tests
-    unset bits one at a time stays within it too: it does fewer ANDs, each
-    on at most width + 1 bits, than the values a full pass would shift.
+    the bound exact for any width.  A pass of reach_layers that switches
+    to testing unset bits stays within it too: for n values it does i
+    shifts and then fewer than n - i ANDs, each on at most width + 1
+    bits, so no more operations than a full pass, plus O(width) string
+    work and about log2(n) popcounts.
     """
     disc = 4 * a * c - b * b
     area = 355 * (isqrt_floor(width * width // disc) + 1) // 113 + 1
@@ -251,33 +255,50 @@ def reach_layers(values: list[int], width: int, cap: int | None = None) -> list[
     or at the first repeated layer, which is left as the last entry: a
     fixpoint, so a bit unset there is unreachable outright.
 
-    The first pass, and each pass until fewer bits of [1, width] are
-    unset than there are values, ORs in the mask shifted by every value.
-    From then on a pass tests each unset r alone: r joins the layer
-    exactly when the mask meets rev >> (width - r), where rev holds bit
-    width - v for every value v up to width (layer 1 reversed, built
-    once).  Such a pass does fewer ANDs than the shifts a full pass would
-    do, so no pass costs more than a full one.
+    Layer 1 is parsed from one string of width + 1 binary digits, a 1 at
+    character width - v for every value v up to width and for v = 0, and
+    the same string read backwards gives rev, which holds bit width - v
+    for every such v.  Every later pass shifts the layer by the values in
+    order while at least as many bits of [0, width] stay unset in the
+    growing layer as there are values left to shift, recounting them
+    after shift 1, 2, 4, 8 and so on.  Then it tests each r still unset
+    alone: r joins the layer exactly when the old layer meets
+    rev >> (width - r).  The hits are collected in one string and ORed in
+    with one parse, so a pass does i shifts and fewer than n - i tests of
+    width + 1 bits for n values, never more than a full pass's n shifts.
     """
     window = (1 << (width + 1)) - 1
     masks = [1]
-    rev = 0
     while cap is None or len(masks) <= cap:
         cur = masks[-1]
-        nxt = cur
-        if len(masks) > 1 and width + 1 - cur.bit_count() < len(values):
-            if not rev:
-                rev = int(format(masks[1], "b").zfill(width + 1)[::-1], 2)
-            # character r of the reversed string is bit r
-            unset = format(~cur & window, "b")[::-1]
-            r = unset.find("1")
-            while r >= 0:
-                if cur & (rev >> (width - r)):
-                    nxt |= 1 << r
-                r = unset.find("1", r + 1)
-        else:
+        if len(masks) == 1:
+            digits = bytearray(b"0") * width + b"1"  # the empty sum is bit 0
             for v in values:
-                nxt |= (cur << v) & window
+                if v <= width:
+                    digits[width - v] = 49
+            nxt = int(digits, 2)
+            rev = int(digits[::-1], 2)
+        else:
+            nxt = cur
+            shifted = 0
+            if width + 1 - cur.bit_count() >= len(values):
+                # the count of values left only falls between recounts, so
+                # the switch can come only at one
+                for shifted, v in enumerate(values, 1):
+                    nxt |= (cur << v) & window
+                    if not shifted & (shifted - 1) and width + 1 - nxt.bit_count() < len(values) - shifted:
+                        break
+            if shifted < len(values):
+                # character c of unset is bit len(unset) - 1 - c
+                unset = format(~nxt & window, "b")
+                hits = bytearray(b"0") * len(unset)
+                base = rev >> (width + 1 - len(unset))
+                c = unset.find("1")
+                while c >= 0:
+                    if cur & (base >> c):
+                        hits[c] = 49
+                    c = unset.find("1", c + 1)
+                nxt |= int(hits, 2)
         if nxt == cur:
             break
         masks.append(nxt)
@@ -425,7 +446,12 @@ def min_count_table(f: FieldParams, class_index: int, r_max: int) -> tuple[int |
 def exceptional_set(f: FieldParams, class_index: int, r_max: int) -> list[int]:
     """All r in [1, r_max] whose lattice is a sum of norms for no m at all."""
     table = _count_table(f, class_index, r_max)
-    return [r for r in range(1, r_max + 1) if not table[r]]
+    gaps = []
+    r = table.find(0, 1, r_max + 1)
+    while r >= 0:
+        gaps.append(r)
+        r = table.find(0, r + 1, r_max + 1)
+    return gaps
 
 
 @dataclass(frozen=True)

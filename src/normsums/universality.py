@@ -213,6 +213,10 @@ def norm_sum_first_gap(f: FieldParams, copies: int, limit: int) -> int | None:
     principal class form, layered by the same kernel as the class searches,
     behind the same work check (Overflow over budget).
     """
+    if limit < 1:
+        raise ValueError(f"limit must be positive, got {limit}")
+    if copies < 0:
+        raise ValueError(f"copies must be nonnegative, got {copies}")
     form = f.form_coefficients()
     check_work(*form, limit)
     values = form_values(*form, limit)

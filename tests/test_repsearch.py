@@ -410,6 +410,18 @@ def test_exceptional_set_examples():
         exceptional_set(f35, 2, 0)
 
 
+def test_exceptional_set_reads_only_its_window(monkeypatch):
+    # windows ending on, just past and just before an exceptional r, read
+    # cold and then from a longer cached table
+    monkeypatch.setattr(repsearch, "_TABLES", {})
+    for d, class_index in ((35, 2), (403, 2), (907, 3), (1, 1)):
+        f = make_field(d)
+        for r_max in (1, 3, 4, 5, 82, 83, 150, 600, 150, 4, 1):
+            counts = min_count_table(f, class_index, r_max)
+            expected = [r for r, m in enumerate(counts, 1) if m is None]
+            assert exceptional_set(f, class_index, r_max) == expected, (d, class_index, r_max)
+
+
 def test_g_invariant_examples():
     g5 = g_invariant(make_field(5), 300)
     assert g5.g == 3 and g5.stable
@@ -496,17 +508,93 @@ def test_admitted_widths_are_pinned():
 
 
 def _first_sparse_layer(masks, values, width):
-    """The first layer after which reach_layers tests unset bits one at a
-    time (fewer unset in [1, width] than values), or None."""
+    """The first layer from which reach_layers tests unset bits one at a
+    time before its first shift (fewer unset in [1, width] than values),
+    or None."""
     return next((j for j in range(1, len(masks)) if width + 1 - masks[j].bit_count() < len(values)), None)
 
 
-caps = st.none() | st.integers(min_value=0, max_value=12)
+caps = st.none() | st.integers(min_value=-3, max_value=12)
 
 
 @given(st.lists(st.integers(min_value=0, max_value=80), max_size=60), st.integers(min_value=0, max_value=400), caps)
 def test_layers_race_oracle_on_random_values(values, width, cap):
     assert reach_layers(values, width, cap) == oracle_layers(values, width, cap)
+
+
+@pytest.mark.parametrize("values, width", [
+    ([], 0), ([], 50), ([0], 50), ([0, 0, 0], 50), ([51, 90], 50), ([7], 0),
+    ([3, 3, 3, 5, 5], 40), ([0, 4, 4, 60, 6, 0], 40), ([40], 40), ([41, 40, 0, 40], 40),
+])
+def test_layers_on_edge_value_lists(values, width):
+    # no values, value 0, duplicates, values above width and caps below 1
+    # leave layer 1 equal to layer 0 or never build it
+    for cap in (None, -5, -1, 0, 1, 2, 3):
+        assert reach_layers(values, width, cap) == oracle_layers(values, width, cap), cap
+
+
+def _shifts_before_tests(cur, values, width):
+    """How many values a pass from layer cur shifts by before it tests the
+    bits still unset, by the rule of reach_layers: recount the unset bits
+    of [0, width] after shift 1, 2, 4, ..., and switch once fewer are
+    unset than values are left."""
+    window = (1 << (width + 1)) - 1
+    grown, unset = cur, width + 1 - cur.bit_count()
+    for i, v in enumerate(values):
+        if unset < len(values) - i:
+            return i
+        grown |= (cur << v) & window
+        if not (i + 1) & i:
+            unset = width + 1 - grown.bit_count()
+    return len(values)
+
+
+@st.composite
+def mid_pass_lists(draw):
+    """Values 1..k and every s-th number above k + o (3 <= s <= k, o < s),
+    with a few tail values dropped and a few values in [0, width + 40]
+    added, in ascending order; width >= 80*s keeps the tail above 60
+    values.  Layer 1 leaves more bits unset than there are values, and the
+    run fills the tail's gaps within 32 shifts, so the pass to layer 2
+    switches to testing unset bits part of the way through its values."""
+    k = draw(st.integers(min_value=3, max_value=40))
+    s = draw(st.integers(min_value=3, max_value=min(k, 16)))
+    o = draw(st.integers(min_value=0, max_value=s - 1))
+    width = draw(st.integers(min_value=80 * s, max_value=3000))
+    tail = list(range(k + 1 + o, width + 1, s))
+    dropped = draw(st.sets(st.sampled_from(tail), max_size=4))
+    extra = draw(st.lists(st.integers(min_value=0, max_value=width + 40), max_size=8))
+    return sorted([*range(1, k + 1), *(t for t in tail if t not in dropped), *extra]), width
+
+
+@given(mid_pass_lists(), caps)
+def test_layers_race_oracle_when_the_switch_lands_mid_pass(case, cap):
+    values, width = case
+    layer1 = oracle_layers(values, width, 1)[1]
+    assert 0 < _shifts_before_tests(layer1, values, width) < len(values)
+    assert reach_layers(values, width, cap) == oracle_layers(values, width, cap)
+
+
+def test_mid_pass_switch_costs_a_fraction_of_a_full_pass():
+    # layer 1 leaves 96% of [0, width] unset, more bits than the 4029
+    # values, and shifting by 1..24 fills the tail's gaps: the pass to
+    # layer 2 shifts by 32 values and tests the few bits left, where a
+    # full pass shifts by all of them and testing every bit unset in layer
+    # 1 costs more still
+    width = 100000
+    values = [*range(1, 31), *range(50, width + 1, 25)]
+    masks = oracle_layers(values, width, 2)
+    assert _shifts_before_tests(masks[1], values, width) == 32
+
+    def best_of_three(layers):
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            assert layers(values, width, 2) == masks
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    assert 5 * best_of_three(reach_layers) < best_of_three(oracle_layers)
 
 
 @given(

@@ -206,6 +206,18 @@ def test_norm_sum_first_gap_examples():
     assert norm_sum_first_gap(f1, 2, 10**3) is None
 
 
+def test_norm_sum_first_gap_rejects_an_empty_window_and_negative_copies():
+    # a gap must lie in [1, limit], and no count of norms is negative
+    f = make_field(5)
+    for limit in (0, -1):
+        with pytest.raises(ValueError, match="limit must be positive"):
+            norm_sum_first_gap(f, 2, limit)
+    with pytest.raises(ValueError, match="copies must be nonnegative"):
+        norm_sum_first_gap(f, -1, 100)
+    # zero copies sum to 0 only, so 1 is the first gap
+    assert norm_sum_first_gap(f, 0, 100) == 1
+
+
 def test_gap_agrees_with_direct_search():
     # dual route: bitset composition vs per-target diagonal-form search
     f = make_field(10)

@@ -1,9 +1,11 @@
 """How many norms does it take to write every positive integer, per field?
 
-Prints the minimum count m_d for each supported field together with the
-cross-checks behind it: m_d copies of the norm form cover an initial
-segment, m_d - 1 copies provably miss something small.  Ends with the
-four three-norm witness identities and the two diagonal-form criteria.
+Prints the minimum count m_d for each supported field.  m_d rests on the
+290 theorem: it is the least layer of reach_layers over the norm form at
+width 290 that holds every TWO_NINETY number, with no cross-check at run
+time.  For three fields a coverage scan then shows the first integer
+that m_d - 1 copies of the norm form miss.  Ends with the four
+three-norm witness identities and the two diagonal-form criteria.
 """
 
 from collections import defaultdict

@@ -49,7 +49,6 @@ from .universality import (
     FIFTEEN,
     TWO_NINETY,
     CriterionSet,
-    CrossCheckFailed,
     DiagonalForm,
     MixedSum,
     TermKind,

@@ -4,14 +4,16 @@ the minimum unconstrained-norm count m_d per field.
 
 The deep classification results behind the criterion sets (which finite
 set of integers certifies universality of a quadratic form) are taken as
-given; this module only applies them, and every use is backed by a
-bounded brute-force verification so an encoding slip cannot pass
-silently.  Every coverage check, represents_bounded and check_criterion
-included, reads one kind of bitmask (one Python big int per term):
-masks[i] holds the sums of terms i..n-1, so a witness is read off by a
-forward walk through them, with no search.  Their cost is bounded from
-the terms alone and checked against the work budget of repsearch before
-any value is enumerated.  The depth-first searches that cross-check them
+given; this module only applies them.  m_d rests on the 290 theorem: it
+is the least layer of the norm form's reach_layers at width 290 that
+holds every TWO_NINETY number, with no cross-check at run time (the
+bounded coverage scans that confirm it live in the tests).  Every
+coverage check, represents_bounded and check_criterion included, reads
+one kind of bitmask (one Python big int per term): masks[i] holds the
+sums of terms i..n-1, so a witness is read off by a forward walk through
+them, with no search.  Their cost is bounded from the terms alone and
+checked against the work budget of repsearch before any value is
+enumerated.  The depth-first searches that cross-check them
 live only in tests/_oracle.py.
 """
 
@@ -20,10 +22,9 @@ from __future__ import annotations
 import enum
 from collections.abc import Iterable
 from dataclasses import dataclass
-from functools import lru_cache
 from math import isqrt
 
-from .quadfield import FieldParams, make_field
+from .quadfield import FieldParams
 from .repsearch import _check_budget, check_work, form_values, reach_layers
 
 
@@ -201,10 +202,6 @@ def sun_polynomial_universal(limit: int) -> tuple[bool, int | None]:
     return (gap is None, gap)
 
 
-class CrossCheckFailed(RuntimeError):
-    """The closed-form m_d value failed its bounded brute-force check."""
-
-
 def norm_sum_first_gap(f: FieldParams, copies: int, limit: int) -> int | None:
     """First n in [1, limit] not a sum of `copies` norms of the ring, else None.
 
@@ -223,37 +220,23 @@ def norm_sum_first_gap(f: FieldParams, copies: int, limit: int) -> int | None:
     return _first_gap(reach_layers(values, limit, copies)[-1], limit)
 
 
-_MD_COVER_LIMIT = 10**4
-_MD_MISS_LIMIT = 100
-
-
-@lru_cache(maxsize=None)
-def _m_d_checked(d: int) -> int:
-    f = make_field(d)
-    if d in (1, 2, 3, 7, 11):
-        value = 2
-    elif not f.is_half_branch:
-        # closed form says 3 on 5 <= d <= 7, but only 5 and 6 land on this
-        # branch; everything else here is d >= 8
-        value = 3 if d in (5, 6) else 4
-    else:
-        value = 3 if 15 <= d <= 27 else 4
-    gap = norm_sum_first_gap(f, value, _MD_COVER_LIMIT)
-    if gap is not None:
-        raise CrossCheckFailed(f"d={d}: {value} norms miss n={gap} <= {_MD_COVER_LIMIT}")
-    gap = norm_sum_first_gap(f, value - 1, _MD_MISS_LIMIT)
-    if gap is None:
-        raise CrossCheckFailed(f"d={d}: {value - 1} norms already cover [1, {_MD_MISS_LIMIT}]")
-    return value
-
-
 def m_d(f: FieldParams) -> int:
     """Smallest number of norms of the ring whose sums cover all positive
-    integers.  Closed-form value, cross-checked at first use by bounded
-    coverage: m_d norms must cover [1, 10^4] and m_d - 1 norms must miss
-    something in [1, 100].  CrossCheckFailed signals an encoding bug.
+    integers.
+
+    m copies of the norm form make a positive definite, integer-valued
+    form in 2m variables, so by the 290 theorem (Bhargava-Hanke) they
+    represent every positive integer exactly when they represent the 29
+    numbers of TWO_NINETY.  m_d is the least layer of reach_layers at
+    width 290 that holds all of them.  No cap is needed: 1 and every
+    square are norms, so by Lagrange layer 4 is full, and reach_layers
+    stops only at a repeated layer.
     """
-    return _m_d_checked(f.d)
+    form = f.form_coefficients()
+    width = TWO_NINETY.numbers[-1]
+    check_work(*form, width)
+    masks = reach_layers(form_values(*form, width), width)
+    return next(j for j, mask in enumerate(masks) if all(mask >> n & 1 for n in TWO_NINETY.numbers))
 
 
 # Identities showing 7, 15, 23 and 31 as sums of three norms
@@ -282,9 +265,12 @@ _THREE_NORM_WITNESSES: tuple[tuple[int, tuple[int, ...], int], ...] = (
 def three_norm_sum(d: int, coords: tuple[int, ...]) -> int:
     """Sum of three norms a_i^2 + a_i*b_i + ((1+d)/4)*b_i^2 from a flat
     (a1, b1, a2, b2, a3, b3) tuple.  Plain polynomial evaluation: d only
-    needs d = 3 (mod 4), not a supported field (d = 27 appears here)."""
-    if d % 4 != 3:
-        raise ValueError(f"d={d} is not 3 mod 4")
+    needs d > 0 with d = 3 (mod 4), not a supported field (d = 27 appears
+    here), and exactly six coordinates."""
+    if d <= 0 or d % 4 != 3:
+        raise ValueError(f"d={d} is not a positive integer = 3 mod 4")
+    if len(coords) != 6:
+        raise ValueError(f"need 6 coordinates (a1, b1, a2, b2, a3, b3), got {len(coords)}")
     c = (1 + d) // 4
     total = 0
     for i in range(0, 6, 2):

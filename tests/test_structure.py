@@ -1,8 +1,9 @@
-"""Structure guards: the library holds no recursive search, the test
-oracle stays independent of the code it checks, and importing the CLI
-loads no process-pool module."""
+"""Structure guards: the library holds no recursive search, defines no
+exception class it never raises, the test oracle stays independent of
+the code it checks, and importing the CLI loads no process-pool module."""
 
 import ast
+import builtins
 import subprocess
 import sys
 from pathlib import Path
@@ -24,6 +25,28 @@ def self_calls(tree: ast.AST, filename: str) -> list[str]:
                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == fn.name:
                     found.append(f"{filename}:{fn.name}:{node.lineno}")
     return found
+
+
+def unraised_exceptions(trees: list[ast.AST]) -> list[str]:
+    """Names of the exception classes defined in the trees, those derived
+    from a builtin exception directly or through one another, that no
+    raise statement in the trees names, sorted."""
+    bases = {node.name: {b.id for b in node.bases if isinstance(b, ast.Name)}
+             for tree in trees for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+    builtin = {name for name, obj in vars(builtins).items() if isinstance(obj, type) and issubclass(obj, BaseException)}
+    defined: set[str] = set()
+    while True:
+        grown = {name for name, bs in bases.items() if bs & (builtin | defined)}
+        if grown == defined:
+            break
+        defined = grown
+    raised = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None))
+    return sorted(defined - raised)
 
 
 def kernel_imports(tree: ast.AST) -> list[str]:
@@ -50,6 +73,23 @@ def test_library_has_no_self_calling_function():
 def test_guard_sees_nested_recursion():
     tree = ast.parse("def outer():\n    def search(i):\n        return search(i + 1)\n    return search(0)\n")
     assert self_calls(tree, "m.py") == ["m.py:search:3"]
+
+
+def test_library_raises_every_exception_class_it_defines():
+    assert unraised_exceptions([ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]) == []
+
+
+def test_guard_sees_unraised_exception_classes():
+    tree = ast.parse(
+        "class Dead(ValueError): pass\n"
+        "class Used(RuntimeError): pass\n"
+        "class Sub(Used): pass\n"
+        "class DeadSub(Used): pass\n"
+        "class Plain: pass\n"
+        "def f():\n    raise Used('x')\n"
+    )
+    other = ast.parse("import m\ndef g():\n    raise m.Sub\n")
+    assert unraised_exceptions([tree, other]) == ["Dead", "DeadSub"]
 
 
 def test_oracle_imports_neither_kernel_module():

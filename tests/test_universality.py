@@ -7,13 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracle import oracle_represents
-from normsums import universality as u
+from _oracle import oracle_layers, oracle_represents, oracle_values
 from normsums.quadfield import SUPPORTED_FIELDS, Overflow, make_field
 from normsums.universality import (
     FIFTEEN,
     TWO_NINETY,
-    CrossCheckFailed,
     DiagonalForm,
     MixedSum,
     TermKind,
@@ -170,6 +168,15 @@ def test_three_norm_sum_polynomial():
     assert three_norm_sum(27, (0, 1, 0, 0, 0, 0)) == 7
     with pytest.raises(ValueError):
         three_norm_sum(5, (1, 0, 0, 0, 0, 0))
+    # exactly six coordinates: extra entries are not dropped, short
+    # tuples do not index past the end
+    for coords in ((1,) * 8, (1,) * 3, ()):
+        with pytest.raises(ValueError, match="6 coordinates"):
+            three_norm_sum(15, coords)
+    # d = -1 is 3 mod 4 but gives no positive definite form
+    for d in (-1, -5):
+        with pytest.raises(ValueError, match="positive"):
+            three_norm_sum(d, (1,) * 6)
 
 
 def test_three_norm_witness_table():
@@ -188,9 +195,23 @@ for _d in SUPPORTED_FIELDS:
     EXPECTED_M_D.setdefault(_d, 4)
 
 
+def _least_full_layer(layers, criterion):
+    return next(j for j, mask in enumerate(layers) if all(mask >> n & 1 for n in criterion.numbers))
+
+
 def test_m_d_all_fields():
+    # m_d reads the kernel's layers at width 290; three routes confirm it
+    # on every field: the transcribed values, bounded coverage scans
+    # (m_d norms cover [1, 10^4], m_d - 1 miss something in [1, 100]),
+    # and the least oracle layer holding every TWO_NINETY number
+    width = TWO_NINETY.numbers[-1]
     for d in SUPPORTED_FIELDS:
-        assert m_d(make_field(d)) == EXPECTED_M_D[d], d
+        f = make_field(d)
+        count = m_d(f)
+        assert count == EXPECTED_M_D[d], d
+        assert norm_sum_first_gap(f, count, 10**4) is None, d
+        assert norm_sum_first_gap(f, count - 1, 100) is not None, d
+        assert _least_full_layer(oracle_layers(oracle_values(d, 1, width), width), TWO_NINETY) == count, d
 
 
 def test_norm_sum_first_gap_examples():
@@ -228,15 +249,16 @@ def test_gap_agrees_with_direct_search():
         assert oracle_represents(terms, n)[0], n
 
 
-def test_cross_check_failure_detected(monkeypatch):
-    u._m_d_checked.cache_clear()
-    try:
-        # the norm values now come from the shared form enumerator
-        monkeypatch.setattr(u, "form_values", lambda a, b, c, bound: [1])
-        with pytest.raises(CrossCheckFailed):
-            m_d(make_field(5))
-    finally:
-        u._m_d_checked.cache_clear()
+def test_fifteen_theorem_gives_m_d_on_classically_integral_norm_forms():
+    # a^2 + d*b^2 (d not 3 mod 4) is classically integral, so the 15
+    # theorem applies too; the half-integer forms are left out, as no
+    # theorem backs FIFTEEN there
+    width = FIFTEEN.numbers[-1]
+    classical = [d for d in SUPPORTED_FIELDS if d % 4 != 3]
+    assert classical
+    for d in classical:
+        layers = oracle_layers(oracle_values(d, 1, width), width)
+        assert _least_full_layer(layers, FIFTEEN) == m_d(make_field(d)), d
 
 
 def test_form_validation():

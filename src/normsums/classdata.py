@@ -9,7 +9,7 @@ the ground truth everything else is checked against.
 
 A summand gamma = a + b*omega is admissible for a class exactly when
 two divisibility conditions on (a, b) hold; those conditions, with
-their coefficients spelled out per omega branch, are what
+their coefficients read from the field's norm form, are what
 congruence_for produces.  The full two-constraint form is kept even
 when one constraint implies the other; a single-constraint shortcut is
 only used after an explicit equivalence check over a full residue
@@ -139,16 +139,15 @@ def congruence_for(f: FieldParams, rep: IdealClassRep) -> CongruenceCondition:
     """Divisibility conditions an admissible summand gamma = a + b*omega
     must satisfy for this class.
 
-    Branch sqrt(-d):        k | (s*a - d*t*b)            and k | (t*a + s*b)
-    Branch (1+sqrt(-d))/2:  k | (s*a - ((1+d)/4)*t*b)    and k | (t*a + (s+t)*b)
+    With the norm form a^2 + q*a*b + c*b^2 of the field:
+
+        k | (s*a - c*t*b)    and    k | (t*a + (s + q*t)*b)
 
     For the principal class k = 1 and both constraints hold vacuously.
     """
     s, t, k = rep.s, rep.t, rep.k
-    if f.is_half_branch:
-        c = (1 + f.d) // 4
-        return CongruenceCondition(k=k, c1a=s, c1b=-c * t, c2a=t, c2b=s + t)
-    return CongruenceCondition(k=k, c1a=s, c1b=-f.d * t, c2a=t, c2b=s)
+    _, q, c = f.form_coefficients()
+    return CongruenceCondition(k=k, c1a=s, c1b=-c * t, c2a=t, c2b=s + q * t)
 
 
 def predicate_holds(c: CongruenceCondition, a: int, b: int) -> bool:
@@ -258,8 +257,8 @@ def validate_tables() -> list[str]:
     the paired-row pattern s2 + s3 = -1, t2 = t3 = 1, and that n = 2*s2 + 1
     is the smallest positive odd solution of n^2 = -d (mod k).  Every
     class must reduce to one constraint and give, through class_form, an
-    integral form of the field's discriminant (-d if d = 3 mod 4, else
-    -4d).  Returns a list of violation strings, expected empty.
+    integral form of the field's discriminant q^2 - 4c, from the norm form
+    (1, q, c).  Returns a list of violation strings, expected empty.
     """
     violations: list[str] = []
     for d in SUPPORTED_FIELDS:
@@ -267,19 +266,20 @@ def validate_tables() -> list[str]:
         reps = class_reps(f)
         if len(reps) != f.class_number:
             violations.append(f"d={d}: {len(reps)} reps for class number {f.class_number}")
-        disc = -d if d % 4 == 3 else -4 * d
+        _, q, c = f.form_coefficients()
+        disc = q * q - 4 * c
         for rep in reps:
             n = norm(f, RingElement(rep.s, rep.t))
             if n % rep.k != 0:
                 violations.append(f"d={d} class {rep.class_index}: k={rep.k} does not divide N(s+t*omega)={n}")
             try:
-                a, b, c, _ = class_form(f, rep)
+                fa, fb, fc, _ = class_form(f, rep)
             except ValueError as exc:
                 violations.append(str(exc))
                 continue
-            got = b * b - 4 * a * c
+            got = fb * fb - 4 * fa * fc
             if got != disc:
-                violations.append(f"d={d} class {rep.class_index}: form ({a},{b},{c}) has discriminant {got}, not {disc}")
+                violations.append(f"d={d} class {rep.class_index}: form ({fa},{fb},{fc}) has discriminant {got}, not {disc}")
         if f.class_number == 3:
             r2, r3 = reps[1], reps[2]
             if r2.t != 1 or r3.t != 1:

@@ -63,7 +63,7 @@ def _emit(fmt: str, doc: dict, rows: list[dict] | None = None, columns: list[str
 
 
 def _norm_form_text(f) -> str:
-    p, q, c = f.form_coefficients()
+    _, q, c = f.form_coefficients()
     if q:
         return f"a^2+ab+{c}b^2"
     return f"a^2+{c}b^2"

@@ -6,7 +6,8 @@ The basis element omega depends on d mod 4:
     omega = (1+sqrt(-d))/2    if d = 3 (mod 4)
 
 Elements are stored as coordinate pairs (a, b) meaning a + b*omega.  The
-norm is then an integer quadratic form in (a, b):
+norm is then an integer quadratic form in (a, b), the one that
+FieldParams.form_coefficients returns:
 
     a^2 + d*b^2                     on the sqrt(-d) branch
     a^2 + a*b + ((1+d)/4)*b^2       on the half-integer branch
@@ -68,7 +69,9 @@ class FieldParams:
         return self.omega_branch is OmegaBranch.HALF_ONE_PLUS_SQRT_MINUS_D
 
     def form_coefficients(self) -> tuple[int, int, int]:
-        """Coefficients (p, q, r) with norm(a, b) = p*a^2 + q*a*b + r*b^2."""
+        """Coefficients (1, q, c) with norm(a, b) = a^2 + q*a*b + c*b^2.
+        The one place the omega branch is decided: q is the trace of omega
+        and c its norm."""
         if self.is_half_branch:
             return (1, 1, (1 + self.d) // 4)
         return (1, 0, self.d)
@@ -127,10 +130,8 @@ def make_field(d: int) -> FieldParams:
 def norm(f: FieldParams, e: RingElement) -> int:
     """N(a + b*omega) as a nonnegative integer; Overflow past 2^63 - 1."""
     a, b = e.a, e.b
-    if f.is_half_branch:
-        n = a * a + a * b + ((1 + f.d) // 4) * b * b
-    else:
-        n = a * a + f.d * b * b
+    _, q, c = f.form_coefficients()
+    n = a * a + q * a * b + c * b * b
     if n > INT64_MAX:
         raise Overflow(f"norm {n} exceeds the 64-bit contract")
     return n
@@ -146,13 +147,12 @@ def scaled_form_value(f: FieldParams, k: int, e: RingElement) -> Fraction:
 def conjugate(f: FieldParams, e: RingElement) -> RingElement:
     """Coordinates of the complex conjugate in the basis {1, omega}.
 
-    On the half-integer branch conj(a + b*omega) = (a+b) - b*omega, so
-    (a, b) -> (a+b, -b); on the sqrt(-d) branch (a, b) -> (a, -b).  An
-    involution in both cases, and it preserves the norm.
+    omega + conj(omega) is the trace q of the norm form (1, q, c), so
+    conj(a + b*omega) = (a + q*b) - b*omega.  An involution, and it
+    preserves the norm.
     """
-    if f.is_half_branch:
-        return RingElement(e.a + e.b, -e.b)
-    return RingElement(e.a, -e.b)
+    _, q, _ = f.form_coefficients()
+    return RingElement(e.a + q * e.b, -e.b)
 
 
 def isqrt_floor(n: int) -> int:

@@ -39,10 +39,11 @@ Congruences stay at the edges: only the summands a certificate picks get
 (a, b) coordinates, solved from the form's (x, y) by a = k*x - beta*y,
 b = y.
 
-Work is known before it starts: check_work bounds the word-shifts of a
-layer build from the form and the width alone, check_tables sums that
-bound over every table a command will build, and an input over budget
-raises Overflow before anything is enumerated.
+Work is known before it starts: form_values bounds the word-shifts of a
+layer build from the form and the width alone and raises Overflow over
+budget before it visits a point, so no enumeration escapes the check;
+check_tables sums that bound over every table a command will build, once,
+before its first build.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ from .quadfield import (
 # Upper bound on the passes of reach_layers over the values of any class
 # form, or over their shifted values, up to a fixpoint (measured at most
 # 10, for d=403 class 2, at widths 100 to 60000), and the most
-# word-shifts check_work admits: about 36 s at 3.6 ns per word-shift on
+# word-shifts form_values admits: about 36 s at 3.6 ns per word-shift on
 # an Intel Xeon core.
 _PASS_BOUND = 10
 _WORK_BUDGET = 10**10
@@ -80,11 +81,7 @@ class LatticeQuery:
     r: int
 
     def __post_init__(self):
-        if not 1 <= self.class_index <= self.field.class_number:
-            raise ValueError(
-                f"class_index {self.class_index} out of range for d={self.field.d} "
-                f"(class number {self.field.class_number})"
-            )
+        rep_for(self.field, self.class_index)
         if self.r < 1:
             raise ValueError(f"r must be positive, got {self.r}")
 
@@ -163,7 +160,9 @@ def _form_rows(a: int, b: int, c: int, bound: int):
 
 def form_values(a: int, b: int, c: int, bound: int) -> list[int]:
     """Distinct values in [1, bound] of the form a*x^2 + b*x*y + c*y^2,
-    ascending."""
+    ascending.  Raises Overflow before visiting a point unless layering
+    them up to bound fits the work budget (_work_estimate)."""
+    _check_budget(_work_estimate(a, b, c, bound), f"width {bound}")
     vals: set[int] = set()
     for y, lo, hi in _form_rows(a, b, c, bound):
         by, cyy = b * y, c * y * y
@@ -197,12 +196,6 @@ def _work_estimate(a: int, b: int, c: int, width: int) -> int:
 def _check_budget(estimate: int, what: str) -> None:
     if estimate > _WORK_BUDGET:
         raise Overflow(f"{what} would take an estimated {estimate} word-shifts, over the budget of {_WORK_BUDGET}")
-
-
-def check_work(a: int, b: int, c: int, width: int) -> None:
-    """Raise Overflow unless layering the values of the form up to width
-    fits the work budget, judged before any value is enumerated."""
-    _check_budget(_work_estimate(a, b, c, width), f"width {width}")
 
 
 def check_tables(fields: list[FieldParams], r_max: int) -> None:
@@ -243,7 +236,6 @@ def enumerate_norm_values(f: FieldParams, rep: IdealClassRep, bound: int) -> Nor
     if bound < 1:
         raise ValueError(f"bound must be positive, got {bound}")
     form = class_form(f, rep)
-    check_work(*form[:3], bound // rep.k)
     values = form_values(*form[:3], bound // rep.k)
     witnesses = tuple(_witness(form, rep.k, v) for v in values)
     return NormValueSet(k=rep.k, bound=bound, values=tuple(rep.k * v for v in values), witnesses=witnesses)
@@ -333,9 +325,8 @@ def _count_table(f: FieldParams, class_index: int, r_max: int) -> bytes:
     table = _TABLES.get(key)
     if table is None or len(table) <= r_max:
         # a hit reads a prefix of a table whose build was already admitted
-        fa, fb, fc, _ = class_form(f, rep_for(f, key[1]))
-        check_work(fa, fb, fc, r_max)
-        table = _decode(reach_layers(form_values(fa, fb, fc, r_max), r_max), r_max)
+        form = class_form(f, rep_for(f, key[1]))[:3]
+        table = _decode(reach_layers(form_values(*form, r_max), r_max), r_max)
         _TABLES[key] = table
     return table
 
@@ -412,7 +403,6 @@ def find_certificate(q: LatticeQuery, m: int) -> RepCertificate | None:
     if least is not None and (not least or m <= least):
         seq = _walk(cached, q.r, m) if m == least else None
     else:
-        check_work(*form[:3], q.r)
         values = form_values(*form[:3], q.r)
         if not values or m * values[0] > q.r:
             return None
@@ -463,7 +453,8 @@ class GInvariantResult:
 
 def g_invariant(f: FieldParams, r_max: int) -> GInvariantResult:
     """Largest minimum summand count over every class and every representable
-    r <= r_max; witness is the first (class, r) attaining it.
+    r <= r_max; witness is the first (class, r) attaining it.  g >= 1: the
+    principal class represents r = 1 by N(1) = 1.
 
     stable reports whether the running maximum was already attained on
     r <= r_max/2, i.e. the upper half changed nothing.  That is a
@@ -480,8 +471,6 @@ def g_invariant(f: FieldParams, r_max: int) -> GInvariantResult:
     windows = [(rep.class_index, _count_table(f, rep.class_index, r_max)[1 : r_max + 1])
                for rep in reps]
     g = max(max(window) for _, window in windows)
-    if not g:
-        raise RuntimeError(f"no representable r <= {r_max} for d={f.d}; window too small")
     class_index, window = next((ci, window) for ci, window in windows if g in window)
     half_max = max(max(window[: r_max // 2]) for _, window in windows)
     witness = LatticeQuery(field=f, class_index=class_index, r=window.index(g) + 1)

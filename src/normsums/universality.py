@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from math import isqrt
 
 from .quadfield import FieldParams
-from .repsearch import _check_budget, check_work, form_values, reach_layers
+from .repsearch import _check_budget, form_values, reach_layers
 
 
 class TermKind(enum.Enum):
@@ -76,15 +76,15 @@ def triangular(x: int) -> int:
 def _term_values(kind: TermKind, weight: int, bound: int) -> list[int]:
     # all attainable values of one term, 0 included, up to bound; they
     # strictly increase in x >= 0, so x is the index of its value
-    vals = {0}
+    vals = []
     x = 0
     while True:
         v = weight * (x * x if kind is TermKind.SQUARE else triangular(x))
         if v > bound:
             break
-        vals.add(v)
+        vals.append(v)
         x += 1
-    return sorted(vals)
+    return vals
 
 
 def _terms(form: DiagonalForm | MixedSum) -> tuple[tuple[TermKind, int], ...]:
@@ -187,7 +187,7 @@ def sun_polynomial_universal(limit: int) -> tuple[bool, int | None]:
         # p*x^2 + x over x in Z, nonnegative values up to limit
         vals = set()
         x = 0
-        while p * x * x - abs(x) <= limit:
+        while p * x * x - x <= limit:
             for v in (p * x * x + x, p * x * x - x):
                 if 0 <= v <= limit:
                     vals.add(v)
@@ -214,9 +214,7 @@ def norm_sum_first_gap(f: FieldParams, copies: int, limit: int) -> int | None:
         raise ValueError(f"limit must be positive, got {limit}")
     if copies < 0:
         raise ValueError(f"copies must be nonnegative, got {copies}")
-    form = f.form_coefficients()
-    check_work(*form, limit)
-    values = form_values(*form, limit)
+    values = form_values(*f.form_coefficients(), limit)
     return _first_gap(reach_layers(values, limit, copies)[-1], limit)
 
 
@@ -232,10 +230,8 @@ def m_d(f: FieldParams) -> int:
     square are norms, so by Lagrange layer 4 is full, and reach_layers
     stops only at a repeated layer.
     """
-    form = f.form_coefficients()
     width = TWO_NINETY.numbers[-1]
-    check_work(*form, width)
-    masks = reach_layers(form_values(*form, width), width)
+    masks = reach_layers(form_values(*f.form_coefficients(), width), width)
     return next(j for j, mask in enumerate(masks) if all(mask >> n & 1 for n in TWO_NINETY.numbers))
 
 

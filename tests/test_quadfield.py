@@ -35,6 +35,37 @@ def test_field_lists_are_disjoint_and_sorted():
     assert SUPPORTED_FIELDS == tuple(sorted(all_ds))
 
 
+def reduced_form_count(disc: int) -> int:
+    """Number of primitive reduced forms (a, b, c) of discriminant
+    disc < 0: |b| <= a <= c, b >= 0 when |b| = a or a = c.  For the
+    field discriminant of Q(sqrt(-d)) that is the class number."""
+    count = 0
+    a = 1
+    while 3 * a * a <= -disc:
+        for b in range(-a + 1, a + 1):
+            c, rem = divmod(b * b - disc, 4 * a)
+            if not rem and c >= a and not (a == c and b < 0) and math.gcd(a, b, c) == 1:
+                count += 1
+        a += 1
+    return count
+
+
+def test_field_lists_are_every_field_of_class_number_at_most_3_up_to_2000():
+    # counted from reduced forms, with no field code; past 2000 the lists
+    # rest on the theorems that close them: Heegner-Baker-Stark (h = 1),
+    # Baker and Stark (h = 2), Oesterle and Watkins (h = 3)
+    by_class_number: dict[int, list[int]] = {1: [], 2: [], 3: []}
+    for d in range(1, 2001):
+        if any(d % (p * p) == 0 for p in range(2, math.isqrt(d) + 1)):
+            continue
+        h = reduced_form_count(-d if d % 4 == 3 else -4 * d)
+        if h <= 3:
+            by_class_number[h].append(d)
+    assert by_class_number == {1: list(CLASS_NUMBER_1_FIELDS), 2: list(CLASS_NUMBER_2_FIELDS),
+                               3: list(CLASS_NUMBER_3_FIELDS)}
+    assert [reduced_form_count(disc) for disc in (-3, -4, -20, -23, -907)] == [1, 1, 2, 3, 3]
+
+
 def test_make_field_branch_selection():
     f = make_field(5)
     assert f.omega_branch is OmegaBranch.SQRT_MINUS_D and f.class_number == 2

@@ -19,7 +19,6 @@ from normsums.repsearch import (
     LatticeQuery,
     MinTermsResult,
     check_tables,
-    check_work,
     enumerate_norm_values,
     exceptional_set,
     find_certificate,
@@ -30,6 +29,7 @@ from normsums.repsearch import (
     reach_layers,
     transfer_certificate,
 )
+from normsums.universality import m_d, norm_sum_first_gap
 from normsums.verify import recheck_certificate
 
 # (d, class_index, r, minimum count or None when unrepresentable)
@@ -466,15 +466,44 @@ def test_work_is_checked_once_per_build(monkeypatch):
         g_invariant(f, 300)
 
 
+def test_every_enumeration_is_admitted_before_its_first_point(monkeypatch):
+    # the budget check lives in form_values, so no caller can enumerate
+    # without it: with no budget, each entry point must refuse before a
+    # row of the form is generated
+    monkeypatch.setattr(repsearch, "_TABLES", {})
+    monkeypatch.setattr(repsearch, "_WORK_BUDGET", 0)
+
+    def enumerated(*args):
+        raise AssertionError("a form was enumerated before the work check")
+
+    monkeypatch.setattr(repsearch, "_form_rows", enumerated)
+    f = make_field(907)
+    calls = [
+        lambda: min_terms(_query(907, 2, 50)),
+        lambda: find_certificate(_query(907, 2, 50), 3),
+        lambda: exceptional_set(f, 3, 50),
+        lambda: enumerate_norm_values(f, rep_for(f, 2), 500),
+        lambda: m_d(f),
+        lambda: norm_sum_first_gap(f, 3, 100),
+    ]
+    for call in calls:
+        with pytest.raises(Overflow, match="would take an estimated"):
+            call()
+
+
 @pytest.mark.parametrize("width", [300, 3000])
 def test_work_bound_covers_every_class(width, monkeypatch):
     # for the class form's values V and the certificate walk's shifted
     # values V'' (v - vmin), a build up to a fixpoint takes no more than
     # _PASS_BOUND passes; the estimate is at least the half-plane points
     # x words x _PASS_BOUND and at least values x words x passes, so with
-    # the budget one below either, check_work must refuse
+    # the budget one below either, form_values must refuse; a lowered
+    # budget refuses this test's own enumeration too, so each class starts
+    # from the real one
     words = width // 64 + 1
+    budget = repsearch._WORK_BUDGET
     for d, class_index in ALL_CLASSES:
+        monkeypatch.setattr(repsearch, "_WORK_BUDGET", budget)
         f = make_field(d)
         a, b, c, _ = class_form(f, rep_for(f, class_index))
         values = form_values(a, b, c, width)
@@ -486,8 +515,8 @@ def test_work_bound_covers_every_class(width, monkeypatch):
             loads.append(len(vs) * passes)
         for load in loads:
             monkeypatch.setattr(repsearch, "_WORK_BUDGET", load * words - 1)
-            with pytest.raises(Overflow):
-                check_work(a, b, c, width)
+            with pytest.raises(Overflow, match=f"width {width} would take an estimated"):
+                form_values(a, b, c, width)
 
 
 def test_admitted_widths_are_pinned():
@@ -496,9 +525,9 @@ def test_admitted_widths_are_pinned():
     for d, class_index, width in ((907, 2, 779903), (1, 1, 201407)):
         f = make_field(d)
         form = class_form(f, rep_for(f, class_index))[:3]
-        check_work(*form, width)
+        assert repsearch._work_estimate(*form, width) <= repsearch._WORK_BUDGET
         with pytest.raises(Overflow):
-            check_work(*form, width + 1)
+            form_values(*form, width + 1)
     # a class-number-3 field builds two tables, class 3 reading class 2's
     for class_number, r_max in ((2, 68423), (3, 87679)):
         fields = [make_field(d) for d in class_number_fields(class_number)]

@@ -1,6 +1,7 @@
 """Structure guards: the library holds no recursive search, defines no
-exception class it never raises, the test oracle stays independent of
-the code it checks, and importing the CLI loads no process-pool module."""
+exception class it never raises, decides the omega branch only in
+quadfield, the test oracle stays independent of the code it checks, and
+importing the CLI loads no process-pool module."""
 
 import ast
 import builtins
@@ -13,6 +14,9 @@ import normsums
 SRC = Path(normsums.__file__).resolve().parent
 ORACLE = Path(__file__).resolve().parent / "_oracle.py"
 KERNEL_MODULES = {"normsums.repsearch", "normsums.universality"}
+# outside quadfield, the functions that may read the omega branch: one
+# display, and two formulas that are independent of the norm form by design
+BRANCH_READERS = {"cli.py:_omega_text", "verify.py:recheck_certificate", "universality.py:three_norm_sum"}
 
 
 def self_calls(tree: ast.AST, filename: str) -> list[str]:
@@ -47,6 +51,23 @@ def unraised_exceptions(trees: list[ast.AST]) -> list[str]:
                 exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
                 raised.add(exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None))
     return sorted(defined - raised)
+
+
+def branch_reads(tree: ast.Module, filename: str) -> list[str]:
+    """filename:name:line of every read of is_half_branch and every
+    remainder of d mod 4 (d a name or an attribute), name being the
+    top-level def or class around it ("" at module level), sorted."""
+    found = []
+    for top in tree.body:
+        name = getattr(top, "name", "")
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Attribute) and node.attr == "is_half_branch") or (
+                isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod)
+                and isinstance(node.right, ast.Constant) and node.right.value == 4
+                and getattr(node.left, "id", getattr(node.left, "attr", None)) == "d"
+            ):
+                found.append(f"{filename}:{name}:{node.lineno}")
+    return sorted(found)
 
 
 def kernel_imports(tree: ast.AST) -> list[str]:
@@ -90,6 +111,31 @@ def test_guard_sees_unraised_exception_classes():
     )
     other = ast.parse("import m\ndef g():\n    raise m.Sub\n")
     assert unraised_exceptions([tree, other]) == ["Dead", "DeadSub"]
+
+
+def test_only_quadfield_reads_the_omega_branch():
+    # the branch is decided by FieldParams.form_coefficients; everything
+    # else reads (1, q, c) from it
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "quadfield.py":
+            found += [r for r in branch_reads(ast.parse(path.read_text()), path.name)
+                      if r.rsplit(":", 1)[0] not in BRANCH_READERS]
+    assert found == []
+
+
+def test_guard_sees_omega_branch_reads():
+    tree = ast.parse(
+        "def f(field, d, n):\n"
+        "    if field.is_half_branch:\n"
+        "        return n % 4\n"
+        "    return field.d % 4 == 3 or d % 8\n"
+        "class C:\n"
+        "    def g(self, d):\n"
+        "        return d % 4\n"
+        "X = make_field(7).is_half_branch\n"
+    )
+    assert branch_reads(tree, "m.py") == ["m.py::8", "m.py:C:7", "m.py:f:2", "m.py:f:4"]
 
 
 def test_oracle_imports_neither_kernel_module():

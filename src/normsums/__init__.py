@@ -28,7 +28,6 @@ from .classdata import (
     odd_sqrt_of_minus_d,
     predicate_holds,
     rep_for,
-    simplify_condition,
     validate_tables,
 )
 from .repsearch import (

@@ -8,18 +8,13 @@ the rest of the library never needs, and the representative tables are
 the ground truth everything else is checked against.
 
 A summand gamma = a + b*omega is admissible for a class exactly when
-two divisibility conditions on (a, b) hold; those conditions, with
-their coefficients read from the field's norm form, are what
-congruence_for produces.  The full two-constraint form is kept even
-when one constraint implies the other; a single-constraint shortcut is
-only used after an explicit equivalence check over a full residue
-period (see simplify_condition).
-
-That single constraint k | (a + beta*b) makes the admissible set the
-lattice (a, b) = (k*x - beta*y, y), on which N(gamma)/k is the binary
-quadratic form A*x^2 + B*x*y + C*y^2 of class_form, with the field's
+k | a + beta*b, with beta = s + q*t mod k read off the representative
+and the field's norm form (1, q, c) (see congruence_for for why one
+constraint is exact).  That makes the admissible set the lattice
+(a, b) = (k*x - beta*y, y), on which N(gamma)/k is the binary quadratic
+form A*x^2 + B*x*y + C*y^2 of class_form, with the field's
 discriminant: the ideal class <-> form class correspondence.  The
-search runs on that form; the congruences are only needed at the edges
+search runs on that form; the congruence is only needed at the edges
 (display, (a, b) coordinates of certificates, recheck).
 """
 
@@ -37,6 +32,7 @@ from .quadfield import (
     RingElement,
     make_field,
     norm,
+    require_int,
 )
 
 # Non-principal representative (k, s) with t = 1 for each class-number-2 field.
@@ -101,13 +97,10 @@ class IdealClassRep:
 
 @dataclass(frozen=True)
 class CongruenceCondition:
-    """Pair of constraints k | (c1a*a + c1b*b) and k | (c2a*a + c2b*b)."""
+    """The constraint k | (a + beta*b), with 0 <= beta < k."""
 
     k: int
-    c1a: int
-    c1b: int
-    c2a: int
-    c2b: int
+    beta: int
 
 
 @cache
@@ -129,6 +122,7 @@ def class_reps(f: FieldParams) -> tuple[IdealClassRep, ...]:
 
 
 def rep_for(f: FieldParams, class_index: int) -> IdealClassRep:
+    require_int("class_index", class_index)
     reps = class_reps(f)
     if not 1 <= class_index <= len(reps):
         raise ValueError(f"class_index {class_index} out of range for d={f.d} (class number {f.class_number})")
@@ -136,73 +130,42 @@ def rep_for(f: FieldParams, class_index: int) -> IdealClassRep:
 
 
 def congruence_for(f: FieldParams, rep: IdealClassRep) -> CongruenceCondition:
-    """Divisibility conditions an admissible summand gamma = a + b*omega
-    must satisfy for this class.
+    """The divisibility condition an admissible summand gamma = a + b*omega
+    satisfies for this class: k | a + beta*b.
 
-    With the norm form a^2 + q*a*b + c*b^2 of the field:
+    gamma is admissible when gamma*(s + t*omega) lies in k*O, that is when
+    gamma lies in conj(U), whose norms are those of U.  With t = 1
+    (every non-principal representative) and the norm form
+    a^2 + q*a*b + c*b^2 of the field, that is the pair
 
-        k | (s*a - c*t*b)    and    k | (t*a + (s + q*t)*b)
+        k | (s*a - c*b)    and    k | (a + (s + q)*b),
 
-    For the principal class k = 1 and both constraints hold vacuously.
+    and the first is s times the second minus N(s + omega)*b.  class_form
+    checks k | N(omega - beta), and N(omega - beta) = N(s + omega) (mod k)
+    for beta = s + q mod k, so the second constraint alone decides.  For
+    the principal class k = 1 and the condition holds vacuously.
     """
-    s, t, k = rep.s, rep.t, rep.k
-    _, q, c = f.form_coefficients()
-    return CongruenceCondition(k=k, c1a=s, c1b=-c * t, c2a=t, c2b=s + q * t)
+    return CongruenceCondition(rep.k, class_form(f, rep)[3])
 
 
 def predicate_holds(c: CongruenceCondition, a: int, b: int) -> bool:
-    return (c.c1a * a + c.c1b * b) % c.k == 0 and (c.c2a * a + c.c2b * b) % c.k == 0
-
-
-def simplify_condition(c: CongruenceCondition) -> tuple[int, int] | None:
-    """Reduce the two constraints to one of the form k | (alpha*a + beta*b).
-
-    Works by normalizing the second constraint modulo k (scaling by the
-    inverse of its a-coefficient when invertible) and then checking, over
-    the full residue period [0, k)^2, that the single constraint is
-    equivalent to the original pair.  Returns (alpha, beta) with
-    0 <= alpha, beta < k, or None when no equivalent single constraint of
-    that shape exists.  class_form builds each class's lattice from it.
-    """
-    k = c.k
-    if k == 1:
-        return (0, 0)
-    for ca, cb in ((c.c2a, c.c2b), (c.c1a, c.c1b)):
-        ca %= k
-        cb %= k
-        try:
-            inv = pow(ca, -1, k)
-        except ValueError:
-            continue
-        alpha, beta = 1, (cb * inv) % k
-        ok = all(
-            (((alpha * a + beta * b) % k == 0) == predicate_holds(c, a, b))
-            for a in range(k)
-            for b in range(k)
-        )
-        if ok:
-            return (alpha, beta)
-    return None
+    return (a + c.beta * b) % c.k == 0
 
 
 @cache
 def class_form(f: FieldParams, rep: IdealClassRep) -> tuple[int, int, int, int]:
     """The class's admissible norms divided by k, as a binary form.
 
-    With the constraint reduced to k | (a + beta*b), every admissible
-    gamma is (a, b) = (k*x - beta*y, y) for integers x, y, and
+    With beta = s + q*t mod k, every admissible gamma is
+    (a, b) = (k*x - beta*y, y) for integers x, y, and
     N(gamma)/k = A*x^2 + B*x*y + C*y^2.  Returns (A, B, C, beta); the
     principal class gives the norm form itself, (1, q, c, 0).  Raises
-    ValueError when the class does not reduce to one constraint or k
-    does not divide N(-beta + omega).  Solved once per class: the
-    reduction scans all k^2 residue pairs.
+    ValueError when k does not divide N(-beta + omega), the one runtime
+    guard against a mistyped representative.
     """
-    simple = simplify_condition(congruence_for(f, rep))
-    if simple is None:
-        raise ValueError(f"d={f.d} class {rep.class_index}: congruence does not reduce to one constraint")
-    beta = simple[1]
     _, q, c = f.form_coefficients()
     k = rep.k
+    beta = (rep.s + q * rep.t) % k
     big_c, rem = divmod(beta * beta - q * beta + c, k)
     if rem:
         raise ValueError(f"d={f.d} class {rep.class_index}: k={k} does not divide N({-beta}+omega)")
@@ -210,31 +173,12 @@ def class_form(f: FieldParams, rep: IdealClassRep) -> tuple[int, int, int, int]:
 
 
 def condition_display(c: CongruenceCondition) -> str:
-    """Human-readable form, e.g. '5|(a+3b)', preferring the one-constraint
-    reduction when it is equivalent; otherwise both constraints joined."""
-    k = c.k
-    if k == 1:
+    """Human-readable form: 'always', '2|a', '2|(a+b)' or '5|(a+3b)'."""
+    if c.k == 1:
         return "always"
-    simple = simplify_condition(c)
-    if simple is not None:
-        return _format_constraint(k, *simple)
-    return f"{_format_constraint(k, c.c1a % k, c.c1b % k)} and {_format_constraint(k, c.c2a % k, c.c2b % k)}"
-
-
-def _format_constraint(k: int, alpha: int, beta: int) -> str:
-    alpha %= k
-    beta %= k
-    terms = []
-    if alpha:
-        terms.append("a" if alpha == 1 else f"{alpha}a")
-    if beta:
-        terms.append("b" if beta == 1 else f"{beta}b")
-    if not terms:
-        return "always"
-    body = "+".join(terms)
-    if len(terms) > 1:
-        return f"{k}|({body})"
-    return f"{k}|{body}"
+    if c.beta == 0:
+        return f"{c.k}|a"
+    return f"{c.k}|(a+{'' if c.beta == 1 else c.beta}b)"
 
 
 def odd_sqrt_of_minus_d(f: FieldParams) -> int:
@@ -256,9 +200,8 @@ def validate_tables() -> list[str]:
     (necessary for U*conj(U) = k*O).  For class-number-3 fields also checks
     the paired-row pattern s2 + s3 = -1, t2 = t3 = 1, and that n = 2*s2 + 1
     is the smallest positive odd solution of n^2 = -d (mod k).  Every
-    class must reduce to one constraint and give, through class_form, an
-    integral form of the field's discriminant q^2 - 4c, from the norm form
-    (1, q, c).  Returns a list of violation strings, expected empty.
+    class must give, through class_form, an integral form of the field's
+    discriminant q^2 - 4c, from the norm form (1, q, c).  Returns a list of violation strings, expected empty.
     """
     violations: list[str] = []
     for d in SUPPORTED_FIELDS:

@@ -99,6 +99,12 @@ def _is_squarefree(n: int) -> bool:
     return True
 
 
+def require_int(name: str, value: object) -> None:
+    """Raise TypeError unless value is an int; a bool is not one here."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
+
+
 def make_field(d: int) -> FieldParams:
     """Build FieldParams for Q(sqrt(-d)), validating d.
 
@@ -107,8 +113,7 @@ def make_field(d: int) -> FieldParams:
     MAX_CHECKED_D, far past every supported field, raises ValueError
     without the trial division.
     """
-    if not isinstance(d, int) or isinstance(d, bool):
-        raise TypeError(f"d must be an integer, got {type(d).__name__}")
+    require_int("d", d)
     if d < 1:
         raise ValueError(f"d must be positive, got {d}")
     if d in CLASS_NUMBER_1_FIELDS:

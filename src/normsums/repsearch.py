@@ -59,6 +59,7 @@ from .quadfield import (
     conjugate,
     isqrt_floor,
     norm,
+    require_int,
 )
 
 # Upper bound on the passes of reach_layers over the values of any class
@@ -82,6 +83,7 @@ class LatticeQuery:
 
     def __post_init__(self):
         rep_for(self.field, self.class_index)
+        require_int("r", self.r)
         if self.r < 1:
             raise ValueError(f"r must be positive, got {self.r}")
 
@@ -393,6 +395,7 @@ def find_certificate(q: LatticeQuery, m: int) -> RepCertificate | None:
     picks, each plus vmin.  Layers that reach a fixpoint before m - 1
     without reaching rem leave no certificate at all.
     """
+    require_int("m", m)
     if m < 1:
         raise ValueError(f"m must be positive, got {m}")
     f = q.field

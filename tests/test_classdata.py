@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from normsums import classdata
 from normsums.classdata import (
+    class_form,
     class_number_fields,
     class_reps,
     condition_display,
@@ -17,7 +19,6 @@ from normsums.classdata import (
     predicate_holds,
     rep_for,
     reps_as_rows,
-    simplify_condition,
     validate_tables,
 )
 from normsums.quadfield import RingElement, make_field, norm
@@ -124,17 +125,47 @@ def test_known_single_constraint_equivalents():
                 assert predicate_holds(c, a, b) == pred(a, b), (d, a, b)
 
 
-def test_simplify_condition_equivalent_everywhere():
+def _ideal_residues(d, k, s, t):
+    """(a, b) mod k of every a + b*omega in the conjugate ideal
+    (k, s + q*t - t*omega), the gammas with gamma*(s + t*omega) in k*O:
+    its Z-span is k, k*omega, g and g*omega for g = s + q*t - t*omega,
+    with omega^2 = q*omega - c worked out here from d."""
+    q, c = (1, (1 + d) // 4) if d % 4 == 3 else (0, d)
+    g1, g2 = (s + q * t, -t), (c * t, s)
+    return {((x * g1[0] + y * g2[0]) % k, (x * g1[1] + y * g2[1]) % k) for x in range(k) for y in range(k)}
+
+
+def test_predicate_is_ideal_membership_everywhere():
+    classes = 0
     for d in sorted(CLASS2_ROWS) + sorted(CLASS3_ROWS):
         f = make_field(d)
         for rep in class_reps(f)[1:]:
+            classes += 1
             c = congruence_for(f, rep)
-            simplified = simplify_condition(c)
-            assert simplified is not None, d
-            alpha, beta = simplified
+            members = _ideal_residues(d, rep.k, rep.s, rep.t)
             for a in range(rep.k):
                 for b in range(rep.k):
-                    assert ((alpha * a + beta * b) % rep.k == 0) == predicate_holds(c, a, b)
+                    assert predicate_holds(c, a, b) == ((a, b) in members), (d, rep.class_index, a, b)
+    assert classes == 50
+
+
+def test_mistyped_representative_is_caught(monkeypatch):
+    # (5, 1) for d=35: N(1 + omega) = 11, which 5 does not divide
+    def clear():
+        class_reps.cache_clear()
+        class_form.cache_clear()
+
+    clear()
+    monkeypatch.setitem(classdata._CLASS2_REPS, 35, (5, 1))
+    try:
+        f = make_field(35)
+        with pytest.raises(ValueError):
+            class_form(f, rep_for(f, 2))
+        assert any(v.startswith("d=35 ") for v in validate_tables())
+    finally:
+        monkeypatch.undo()
+        clear()
+    assert validate_tables() == []
 
 
 def test_condition_display_strings():

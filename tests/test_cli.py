@@ -11,6 +11,7 @@ import pytest
 
 from normsums import cli
 from normsums import verify as verify_mod
+from normsums.quadfield import SUPPORTED_FIELDS
 
 GOLDENS = Path(__file__).resolve().parent / "goldens"
 
@@ -201,6 +202,17 @@ def test_verify_output_golden(capsys, class_number, fmt):
     assert code == 0
     golden = GOLDENS / f"verify-{class_number}-300.{fmt}"
     assert re.sub(r'"runtime_seconds":[-+.e0-9]+,', "", out) == golden.read_text()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+def test_field_info_and_class_table_goldens(capsys, fmt):
+    # every field's conditions, norm form and representative rows, byte for byte
+    for d in SUPPORTED_FIELDS:
+        assert cli.main(["field-info", "-d", str(d), "--format", fmt]) == 0
+    assert capsys.readouterr().out == (GOLDENS / f"field-info.{fmt}").read_text()
+    code, out, _ = run_cli(capsys, "class-table", "--format", fmt)
+    assert code == 0
+    assert out == (GOLDENS / f"class-table.{fmt}").read_text()
 
 
 def test_verify_exit_code_on_mismatch(capsys, monkeypatch):

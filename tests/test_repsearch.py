@@ -77,6 +77,10 @@ def test_query_validation():
         _query(5, 0, 1)
     with pytest.raises(ValueError):
         _query(5, 2, 0)
+    # a bool or a non-int is rejected, as make_field rejects it for d
+    for class_index, r in ((True, 3), (2, True), (2.0, 3), (2, 2.5), (2, "3")):
+        with pytest.raises(TypeError):
+            _query(35, class_index, r)
     q = _query(35, 2, 3)
     assert q.k == 5 and q.target == 15
 
@@ -237,6 +241,9 @@ def test_find_certificate_exact_count_contract():
         assert find_certificate(_query(5, 2, 1), m) is None
     with pytest.raises(ValueError):
         find_certificate(_query(5, 2, 2), 0)
+    for m in (True, 1.0, 2.5):
+        with pytest.raises(TypeError):
+            find_certificate(_query(5, 2, 2), m)
 
 
 CERTIFICATE_GOLDENS = Path(__file__).resolve().parent / "goldens" / "find_certificate.txt"

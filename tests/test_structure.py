@@ -1,7 +1,8 @@
 """Structure guards: the library holds no recursive search, defines no
 exception class it never raises, decides the omega branch only in
-quadfield, the test oracle stays independent of the code it checks, and
-importing the CLI loads no process-pool module."""
+quadfield, keeps congruence conditions out of the search kernel, the test
+oracle stays independent of the code it checks, and importing the CLI
+loads no process-pool module."""
 
 import ast
 import builtins
@@ -17,6 +18,9 @@ KERNEL_MODULES = {"normsums.repsearch", "normsums.universality"}
 # outside quadfield, the functions that may read the omega branch: one
 # display, and two formulas that are independent of the norm form by design
 BRANCH_READERS = {"cli.py:_omega_text", "verify.py:recheck_certificate", "universality.py:three_norm_sum"}
+# the congruence edge: display, certificate coordinates and recheck use it,
+# the kernel reads only the class form
+CONGRUENCE_NAMES = {"congruence_for", "predicate_holds", "condition_display", "CongruenceCondition"}
 
 
 def self_calls(tree: ast.AST, filename: str) -> list[str]:
@@ -67,6 +71,23 @@ def branch_reads(tree: ast.Module, filename: str) -> list[str]:
                 and getattr(node.left, "id", getattr(node.left, "attr", None)) == "d"
             ):
                 found.append(f"{filename}:{name}:{node.lineno}")
+    return sorted(found)
+
+
+def congruence_names(tree: ast.AST) -> list[str]:
+    """name:line of every name, attribute or imported name in the tree
+    that is one of CONGRUENCE_NAMES, sorted."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name.rsplit(".", 1)[-1] for alias in node.names]
+        else:
+            continue
+        found += [f"{name}:{node.lineno}" for name in names if name in CONGRUENCE_NAMES]
     return sorted(found)
 
 
@@ -136,6 +157,29 @@ def test_guard_sees_omega_branch_reads():
         "X = make_field(7).is_half_branch\n"
     )
     assert branch_reads(tree, "m.py") == ["m.py::8", "m.py:C:7", "m.py:f:2", "m.py:f:4"]
+
+
+def test_kernel_names_no_congruence():
+    # congruence conditions live only at the edges; the kernel reads class_form
+    found = []
+    for module in sorted(KERNEL_MODULES):
+        path = SRC / f"{module.rsplit('.', 1)[-1]}.py"
+        found += [f"{path.name}:{name}" for name in congruence_names(ast.parse(path.read_text()))]
+    assert found == []
+
+
+def test_guard_sees_congruence_names():
+    tree = ast.parse(
+        "from normsums.classdata import class_form, congruence_for\n"
+        "from normsums import classdata\n"
+        "def f(field, rep, a, b):\n"
+        "    c = classdata.congruence_for(field, rep)\n"
+        "    return classdata.predicate_holds(c, a, b) or condition_display(c)\n"
+        "X: CongruenceCondition = None\n"
+    )
+    assert congruence_names(tree) == [
+        "CongruenceCondition:6", "condition_display:5", "congruence_for:1", "congruence_for:4", "predicate_holds:5",
+    ]
 
 
 def test_oracle_imports_neither_kernel_module():

@@ -14,12 +14,14 @@ layers grow monotonically and the first repeated layer is a fixpoint, at
 which point every bit still unset is unreachable by any number of
 summands; that makes Unrepresentable an exact verdict, not a timeout.
 Layer 1, the values themselves, is parsed from one string of binary
-digits.  Each later pass shifts the layer by the values in order until
-fewer bits are unset than values are left, counting after 1, 2, 4, ...
-shifts; for a class form's values that takes a handful of shifts out of
-thousands.  Then the pass tests each r still unset alone, one AND against
-the reversed first layer, and ORs the hits in with one parse, so it
-never costs more than a full pass and the work bound below still holds.
+digits.  Each later pass shifts the layer by the values in order,
+counting the unset bits after 1, 2, 4, ... shifts, until at a count
+fewer bits are unset than values are left and the shifts since the last
+count cleared fewer bits than there were shifts; for a class form's
+values at width 30000 that takes 64 to 512 shifts out of thousands.
+Then the pass tests each r still unset alone, one AND against the
+reversed first layer, and ORs the hits in with one parse, so it never
+costs more than a full pass and the work bound below still holds.
 Each layer's new bits are decoded once into a per-r min-count table, one
 byte per r.  One table is kept per (field, class), the inverse classes 2
 and 3 of a class-number-3 field sharing one, rebuilt only when a larger
@@ -184,7 +186,8 @@ def _work_estimate(a: int, b: int, c: int, width: int) -> int:
     hold at most the half ellipse's area pi*width/sqrt(D), plus row 0 once
     more, plus one point per row.  Integer arithmetic (pi < 355/113) keeps
     the bound exact for any width.  A pass of reach_layers that switches
-    to testing unset bits stays within it too: for n values it does i
+    to testing unset bits stays within it too: it switches only when
+    fewer bits are unset than values are left, so for n values it does i
     shifts and then fewer than n - i ANDs, each on at most width + 1
     bits, so no more operations than a full pass, plus O(width) string
     work and about log2(n) popcounts.
@@ -253,13 +256,16 @@ def reach_layers(values: list[int], width: int, cap: int | None = None) -> list[
     character width - v for every value v up to width and for v = 0, and
     the same string read backwards gives rev, which holds bit width - v
     for every such v.  Every later pass shifts the layer by the values in
-    order while at least as many bits of [0, width] stay unset in the
-    growing layer as there are values left to shift, recounting them
-    after shift 1, 2, 4, 8 and so on.  Then it tests each r still unset
-    alone: r joins the layer exactly when the old layer meets
-    rev >> (width - r).  The hits are collected in one string and ORed in
-    with one parse, so a pass does i shifts and fewer than n - i tests of
-    width + 1 bits for n values, never more than a full pass's n shifts.
+    order, recounting the unset bits of [0, width] in the growing layer
+    after shift 1, 2, 4, 8 and so on, and stops shifting at the first
+    recount where fewer are unset than values are left and the batch of
+    shifts since the previous recount cleared fewer bits than it had
+    shifts; a pass that starts with fewer unset than values shifts none.
+    Then it tests each r still unset alone: r joins the layer exactly
+    when the old layer meets rev >> (width - r).  The hits are collected
+    in one string and ORed in with one parse, so a pass does i shifts and
+    fewer than n - i tests of width + 1 bits for n values, never more
+    than a full pass's n shifts.
     """
     window = (1 << (width + 1)) - 1
     masks = [1]
@@ -275,13 +281,16 @@ def reach_layers(values: list[int], width: int, cap: int | None = None) -> list[
         else:
             nxt = cur
             shifted = 0
-            if width + 1 - cur.bit_count() >= len(values):
-                # the count of values left only falls between recounts, so
-                # the switch can come only at one
+            left = width + 1 - cur.bit_count()
+            if left >= len(values):
                 for shifted, v in enumerate(values, 1):
                     nxt |= (cur << v) & window
-                    if not shifted & (shifted - 1) and width + 1 - nxt.bit_count() < len(values) - shifted:
-                        break
+                    if not shifted & (shifted - 1):
+                        # the last batch, the shifted - shifted // 2 shifts
+                        # since the previous recount, cleared before - left
+                        before, left = left, width + 1 - nxt.bit_count()
+                        if left < len(values) - shifted and before - left < shifted - shifted // 2:
+                            break
             if shifted < len(values):
                 # character c of unset is bit len(unset) - 1 - c
                 unset = format(~nxt & window, "b")

@@ -13,9 +13,10 @@ comes from a depth-first search over the variables in turn, where the
 library reads coverage bitmasks.  These are the only depth-first searches
 in the project.  The layer masks themselves come from the plain dense
 loop, which shifts by every value on every pass, where the library tests
-the unset bits one at a time once they are fewer than the values.  This
-module imports neither the search kernel (normsums.repsearch) nor the
-coverage checks (normsums.universality).
+the unset bits one at a time once they are fewer than the values left
+and a batch of shifts clears fewer bits than it has shifts.  This module
+imports neither the search kernel (normsums.repsearch) nor the coverage
+checks (normsums.universality).
 Agreement between the two routes is what the equivalence tests assert;
 sharing the algorithms would make that assertion circular.
 """

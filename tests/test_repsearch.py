@@ -569,20 +569,37 @@ def test_layers_on_edge_value_lists(values, width):
         assert reach_layers(values, width, cap) == oracle_layers(values, width, cap), cap
 
 
-def _shifts_before_tests(cur, values, width):
+def _shifts_before_tests(cur, values, width, batch_rule=True):
     """How many values a pass from layer cur shifts by before it tests the
-    bits still unset, by the rule of reach_layers: recount the unset bits
-    of [0, width] after shift 1, 2, 4, ..., and switch once fewer are
-    unset than values are left."""
+    bits still unset, by the rule of reach_layers: test at once when fewer
+    bits of [0, width] are unset than there are values; otherwise recount
+    the unset bits after shift 1, 2, 4, ..., and switch at a recount once
+    fewer are unset than values are left and the last batch of shifts,
+    those since the previous recount, cleared fewer bits than it had
+    shifts.  With batch_rule false the model drops the batch test and
+    switches at the first recount with fewer unset than values left."""
     window = (1 << (width + 1)) - 1
     grown, unset = cur, width + 1 - cur.bit_count()
-    for i, v in enumerate(values):
-        if unset < len(values) - i:
-            return i
+    if unset < len(values):
+        return 0
+    for i, v in enumerate(values, 1):
         grown |= (cur << v) & window
-        if not (i + 1) & i:
-            unset = width + 1 - grown.bit_count()
+        if not i & (i - 1):
+            before, unset = unset, width + 1 - grown.bit_count()
+            if unset < len(values) - i and (not batch_rule or before - unset < i - i // 2):
+                return i
     return len(values)
+
+
+def _best_of_three(layers, masks, *args):
+    """The least of three timings of layers(*args), each checked against
+    masks."""
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        assert layers(*args) == masks
+        times.append(time.perf_counter() - start)
+    return min(times)
 
 
 @st.composite
@@ -591,7 +608,8 @@ def mid_pass_lists(draw):
     with a few tail values dropped and a few values in [0, width + 40]
     added, in ascending order; width >= 80*s keeps the tail above 60
     values.  Layer 1 leaves more bits unset than there are values, and the
-    run fills the tail's gaps within 32 shifts, so the pass to layer 2
+    run fills the tail's gaps within 15 shifts, so by shift 64 a batch of
+    shifts clears fewer bits than it has shifts and the pass to layer 2
     switches to testing unset bits part of the way through its values."""
     k = draw(st.integers(min_value=3, max_value=40))
     s = draw(st.integers(min_value=3, max_value=min(k, 16)))
@@ -613,24 +631,49 @@ def test_layers_race_oracle_when_the_switch_lands_mid_pass(case, cap):
 
 def test_mid_pass_switch_costs_a_fraction_of_a_full_pass():
     # layer 1 leaves 96% of [0, width] unset, more bits than the 4029
-    # values, and shifting by 1..24 fills the tail's gaps: the pass to
-    # layer 2 shifts by 32 values and tests the few bits left, where a
-    # full pass shifts by all of them and testing every bit unset in layer
-    # 1 costs more still
+    # values, and shifting by 1..24 fills the tail's gaps: shifts 17-32
+    # still clear thousands of bits, shifts 33-64 fewer bits than 32, so
+    # the pass to layer 2 shifts by 64 values and tests the few bits left,
+    # where a full pass shifts by all of them and testing every bit unset
+    # in layer 1 costs more still
     width = 100000
     values = [*range(1, 31), *range(50, width + 1, 25)]
     masks = oracle_layers(values, width, 2)
-    assert _shifts_before_tests(masks[1], values, width) == 32
+    assert _shifts_before_tests(masks[1], values, width) == 64
+    fast = _best_of_three(reach_layers, masks, values, width, 2)
+    assert 5 * fast < _best_of_three(oracle_layers, masks, values, width, 2)
 
-    def best_of_three(layers):
-        times = []
-        for _ in range(3):
-            start = time.perf_counter()
-            assert layers(values, width, 2) == masks
-            times.append(time.perf_counter() - start)
-        return min(times)
 
-    assert 5 * best_of_three(reach_layers) < best_of_three(oracle_layers)
+@pytest.mark.parametrize("values, width, old, new", [
+    ([*range(1, 31), *range(50, 100001, 25)], 100000, 32, 64),
+    ([*range(1, 13), *range(20, 20001, 10)], 20000, 8, 32),
+    ([*range(1, 17), *range(20, 5001, 16)], 5000, 16, 32),
+    ([*range(1, 8), *range(10, 3001, 7)], 3000, 8, 16),
+])
+def test_layers_race_oracle_when_the_batch_test_defers_the_switch(values, width, old, new):
+    # at recount old fewer bits are unset than values are left, but the
+    # batch ending there still filled the tail's gaps, clearing more bits
+    # than it had shifts, so the pass to layer 2 shifts on to recount new
+    layer1 = oracle_layers(values, width, 1)[1]
+    assert _shifts_before_tests(layer1, values, width, batch_rule=False) == old
+    assert _shifts_before_tests(layer1, values, width) == new
+    for cap in (None, 0, 1, 2, 3):
+        assert reach_layers(values, width, cap) == oracle_layers(values, width, cap), cap
+
+
+def test_class_form_layers_cost_a_small_fraction_of_full_passes():
+    # the pass to layer 2 over the 7785 values of d=23 class 2 has fewer
+    # bits unset than values left after 4 shifts, but still 5732, each
+    # test an AND over up to width + 1 bits; the batches keep clearing
+    # more bits than they have shifts until shift 256, which leaves 33
+    width = 30000
+    f = make_field(23)
+    values = form_values(*class_form(f, rep_for(f, 2))[:3], width)
+    masks = oracle_layers(values, width)
+    assert _shifts_before_tests(masks[1], values, width, batch_rule=False) == 4
+    assert _shifts_before_tests(masks[1], values, width) == 256
+    fast = _best_of_three(reach_layers, masks, values, width)
+    assert 15 * fast < _best_of_three(oracle_layers, masks, values, width)
 
 
 @given(

@@ -99,10 +99,14 @@ def _is_squarefree(n: int) -> bool:
     return True
 
 
-def require_int(name: str, value: object) -> None:
-    """Raise TypeError unless value is an int; a bool is not one here."""
+def require_int(name: str, value: object, least: int | None = None) -> None:
+    """Raise TypeError unless value is an int; a bool is not one here.
+    With least 1 or 0, raise ValueError when value is below it: "must be
+    positive" or "must be nonnegative"."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be {'positive' if least else 'nonnegative'}, got {value}")
 
 
 def make_field(d: int) -> FieldParams:
@@ -113,9 +117,7 @@ def make_field(d: int) -> FieldParams:
     MAX_CHECKED_D, far past every supported field, raises ValueError
     without the trial division.
     """
-    require_int("d", d)
-    if d < 1:
-        raise ValueError(f"d must be positive, got {d}")
+    require_int("d", d, least=1)
     if d in CLASS_NUMBER_1_FIELDS:
         h = 1
     elif d in CLASS_NUMBER_2_FIELDS:
@@ -144,8 +146,7 @@ def norm(f: FieldParams, e: RingElement) -> int:
 
 def scaled_form_value(f: FieldParams, k: int, e: RingElement) -> Fraction:
     """N(a + b*omega) / k^2 as an exact rational (the scaled form P_d)."""
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
+    require_int("k", k, least=1)
     return Fraction(norm(f, e), k * k)
 
 

@@ -85,9 +85,7 @@ class LatticeQuery:
 
     def __post_init__(self):
         rep_for(self.field, self.class_index)
-        require_int("r", self.r)
-        if self.r < 1:
-            raise ValueError(f"r must be positive, got {self.r}")
+        require_int("r", self.r, least=1)
 
     @property
     def k(self) -> int:
@@ -208,6 +206,7 @@ def check_tables(fields: list[FieldParams], r_max: int) -> None:
     up to r_max, fit the work budget together.  A command that builds
     several tables checks their sum once, before its first build; a table
     two classes share is charged once."""
+    require_int("r_max", r_max)
     forms = [class_form(f, rep)[:3] for f in fields for rep in class_reps(f)
              if _table_key(f, rep.class_index) == (f.d, rep.class_index)]
     _check_budget(sum(_work_estimate(*form, r_max) for form in forms), f"{len(forms)} tables of width {r_max}")
@@ -238,8 +237,7 @@ def enumerate_norm_values(f: FieldParams, rep: IdealClassRep, bound: int) -> Nor
     (|b|, |a|, a < 0, b < 0): small |b|, then small |a|, then nonnegative
     a, then nonnegative b.
     """
-    if bound < 1:
-        raise ValueError(f"bound must be positive, got {bound}")
+    require_int("bound", bound, least=1)
     form = class_form(f, rep)
     values = form_values(*form[:3], bound // rep.k)
     witnesses = tuple(_witness(form, rep.k, v) for v in values)
@@ -329,8 +327,7 @@ def _table_key(f: FieldParams, class_index: int) -> tuple[int, int]:
 def _count_table(f: FieldParams, class_index: int, r_max: int) -> bytes:
     """The class's min-count table, covering at least [0, r_max].  Class 3
     of a class-number-3 field reads class 2's table, kept under (d, 2)."""
-    if r_max < 1:
-        raise ValueError(f"r_max must be positive, got {r_max}")
+    require_int("r_max", r_max, least=1)
     rep_for(f, class_index)  # a class the field lacks raises before any cache read
     key = _table_key(f, class_index)
     table = _TABLES.get(key)
@@ -389,8 +386,8 @@ def find_certificate(q: LatticeQuery, m: int) -> RepCertificate | None:
     canonical: the multiset of form values is the lexicographically least
     nondecreasing sequence summing to r (so the norms, k times those
     values, are the least summing to r*k), each value is realized by its
-    enumerate_norm_values witness, and the summands are sorted by
-    (norm, a, b).
+    enumerate_norm_values witness, and the summands follow that sequence,
+    already in (norm, a, b) order since equal values share a witness.
 
     The values come from one of two tables, both walked by _walk.  When
     the class's min-count table is cached up to r it decides m below the
@@ -404,9 +401,7 @@ def find_certificate(q: LatticeQuery, m: int) -> RepCertificate | None:
     picks, each plus vmin.  Layers that reach a fixpoint before m - 1
     without reaching rem leave no certificate at all.
     """
-    require_int("m", m)
-    if m < 1:
-        raise ValueError(f"m must be positive, got {m}")
+    require_int("m", m, least=1)
     f = q.field
     rep = rep_for(f, q.class_index)
     form = class_form(f, rep)
@@ -432,11 +427,7 @@ def find_certificate(q: LatticeQuery, m: int) -> RepCertificate | None:
             seq = None if picks is None else [vmin] * (m - c) + [vmin + u for u in picks]
     if seq is None:
         return None
-    gammas = sorted(
-        (_witness(form, rep.k, v) for v in seq),
-        key=lambda g: (norm(f, g), g.a, g.b),
-    )
-    return RepCertificate(query=q, m=m, gammas=tuple(gammas))
+    return RepCertificate(query=q, m=m, gammas=tuple(_witness(form, rep.k, v) for v in seq))
 
 
 def min_count_table(f: FieldParams, class_index: int, r_max: int) -> tuple[int | None, ...]:
@@ -475,11 +466,11 @@ def g_invariant(f: FieldParams, r_max: int) -> GInvariantResult:
     Requires r_max >= 2*k + 1 so padding by the always-admissible
     gamma = k (form value k, norm k^2) has room to act within the window.
     """
+    check_tables([f], r_max)
     reps = class_reps(f)
     kmax = max(rep.k for rep in reps)
     if r_max < 2 * kmax + 1:
         raise ValueError(f"r_max={r_max} too small: need at least 2*k+1 = {2 * kmax + 1} for k={kmax}")
-    check_tables([f], r_max)
     windows = [(rep.class_index, _count_table(f, rep.class_index, r_max)[1 : r_max + 1])
                for rep in reps]
     g = max(max(window) for _, window in windows)
@@ -494,7 +485,9 @@ def transfer_certificate(cert: RepCertificate) -> RepCertificate:
     class-number-3 field by conjugating every summand: (a, b) -> (a+b, -b).
 
     Norms are preserved, so the image certifies the same r in the other
-    class; summands are re-sorted to keep the canonical order.
+    class, re-sorted into canonical (norm, a, b) order.  It need not be
+    find_certificate's certificate there: d=907, r=274 maps class 3's
+    (39, 0), (1, -3) to (39, 0), (-2, 3), where class 2's has (2, -3).
     """
     q = cert.query
     f = q.field

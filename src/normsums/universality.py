@@ -24,7 +24,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from math import isqrt
 
-from .quadfield import FieldParams
+from .quadfield import FieldParams, require_int
 from .repsearch import _check_budget, form_values, reach_layers
 
 
@@ -40,8 +40,10 @@ class DiagonalForm:
     coefficients: tuple[int, ...]
 
     def __post_init__(self):
-        if not self.coefficients or any(c < 1 for c in self.coefficients):
-            raise ValueError("coefficients must be positive integers")
+        if not self.coefficients:
+            raise ValueError("coefficients must not be empty")
+        for c in self.coefficients:
+            require_int("coefficient", c, least=1)
 
 
 @dataclass(frozen=True)
@@ -51,8 +53,10 @@ class MixedSum:
     terms: tuple[tuple[TermKind, int], ...]
 
     def __post_init__(self):
-        if not self.terms or any(w < 1 for _, w in self.terms):
-            raise ValueError("weights must be positive integers")
+        if not self.terms:
+            raise ValueError("terms must not be empty")
+        for _, w in self.terms:
+            require_int("weight", w, least=1)
 
 
 @dataclass(frozen=True)
@@ -131,6 +135,7 @@ def represents_bounded(form: DiagonalForm | MixedSum, n: int) -> tuple[bool, tup
     The witness is the lexicographically least: each term in turn takes
     the least x whose value leaves a remainder the later terms cover.
     """
+    require_int("n", n)
     if n < 0:
         return (False, None)
     masks = _form_masks(form, n)
@@ -171,8 +176,7 @@ def _first_gap(mask: int, limit: int) -> int | None:
 
 def universal_up_to(form: DiagonalForm | MixedSum, limit: int) -> tuple[bool, int | None]:
     """Whether the form represents every n in [1, limit]; first gap if not."""
-    if limit < 1:
-        raise ValueError(f"limit must be positive, got {limit}")
+    require_int("limit", limit, least=1)
     gap = _first_gap(_form_masks(form, limit)[0], limit)
     return (gap is None, gap)
 
@@ -180,8 +184,7 @@ def universal_up_to(form: DiagonalForm | MixedSum, limit: int) -> tuple[bool, in
 def sun_polynomial_universal(limit: int) -> tuple[bool, int | None]:
     """Coverage of 2a^2+a + 3b^2+b + 3c^2+c over all integers a, b, c
     (negatives included) on [1, limit]; first gap if any."""
-    if limit < 1:
-        raise ValueError(f"limit must be positive, got {limit}")
+    require_int("limit", limit, least=1)
 
     def poly_values(p: int) -> list[int]:
         # p*x^2 + x over x in Z, nonnegative values up to limit
@@ -210,10 +213,8 @@ def norm_sum_first_gap(f: FieldParams, copies: int, limit: int) -> int | None:
     principal class form, layered by the same kernel as the class searches,
     behind the same work check (Overflow over budget).
     """
-    if limit < 1:
-        raise ValueError(f"limit must be positive, got {limit}")
-    if copies < 0:
-        raise ValueError(f"copies must be nonnegative, got {copies}")
+    require_int("limit", limit, least=1)
+    require_int("copies", copies, least=0)
     values = form_values(*f.form_coefficients(), limit)
     return _first_gap(reach_layers(values, limit, copies)[-1], limit)
 
@@ -263,6 +264,7 @@ def three_norm_sum(d: int, coords: tuple[int, ...]) -> int:
     (a1, b1, a2, b2, a3, b3) tuple.  Plain polynomial evaluation: d only
     needs d > 0 with d = 3 (mod 4), not a supported field (d = 27 appears
     here), and exactly six coordinates."""
+    require_int("d", d)
     if d <= 0 or d % 4 != 3:
         raise ValueError(f"d={d} is not a positive integer = 3 mod 4")
     if len(coords) != 6:

@@ -177,6 +177,7 @@ def verify_field(d: int, r_max: int = 300) -> FieldReport:
     """
     row = expected_row(d)
     f = make_field(d)
+    check_tables([f], r_max)
     k = row.k_per_class[0]
     max_exc = max(row.expected_exceptions) if row.expected_exceptions else 0
     if r_max < max_exc:
@@ -185,7 +186,6 @@ def verify_field(d: int, r_max: int = 300) -> FieldReport:
         raise ValueError(
             f"r_max={r_max} leaves no padding headroom past exception {max_exc} (need >= {max_exc + 2 * k})"
         )
-    check_tables([f], r_max)
 
     t0 = time.perf_counter()
     details: list[str] = []

@@ -5,7 +5,8 @@ from hypothesis import HealthCheck, settings
 
 import normsums
 
-settings.register_profile("default", deadline=None, suppress_health_check=[HealthCheck.too_slow])
+# print_blob: a failure prints the @reproduce_failure line that replays it
+settings.register_profile("default", deadline=None, suppress_health_check=[HealthCheck.too_slow], print_blob=True)
 settings.load_profile("default")
 
 # the CLI tests start `python -m normsums.cli` in a child process; point it

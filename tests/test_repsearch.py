@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from _oracle import oracle_layers, oracle_least_split, oracle_min_terms, oracle_witness, oracle_witnesses
 from normsums import repsearch
 from normsums.classdata import class_form, class_number_fields, class_reps, rep_for
-from normsums.quadfield import SUPPORTED_FIELDS, Overflow, RingElement, make_field, norm
+from normsums.quadfield import SUPPORTED_FIELDS, Overflow, RingElement, make_field, norm, scaled_form_value
 from normsums.repsearch import (
     LatticeQuery,
     MinTermsResult,
@@ -30,7 +30,7 @@ from normsums.repsearch import (
     transfer_certificate,
 )
 from normsums.universality import m_d, norm_sum_first_gap
-from normsums.verify import recheck_certificate
+from normsums.verify import recheck_certificate, verify_all, verify_field
 
 # (d, class_index, r, minimum count or None when unrepresentable)
 FROZEN_MIN_TERMS = [
@@ -83,6 +83,34 @@ def test_query_validation():
             _query(35, class_index, r)
     q = _query(35, 2, 3)
     assert q.k == 5 and q.target == 15
+    # every count, width and limit goes through require_int: a bool, a
+    # float or a str raises TypeError before any table is built, and a
+    # value out of range keeps its ValueError and message (None: no range)
+    f = make_field(35)
+    entry_points = [
+        (make_field, 0, "d must be positive, got 0"),
+        (lambda k: scaled_form_value(f, k, RingElement(1, 0)), 0, "k must be positive, got 0"),
+        (lambda r: _query(35, 2, r), -2, "r must be positive, got -2"),
+        (lambda m: find_certificate(q, m), 0, "m must be positive, got 0"),
+        (lambda bound: enumerate_norm_values(f, rep_for(f, 2), bound), 0, "bound must be positive, got 0"),
+        (lambda r_max: min_count_table(f, 2, r_max), 0, "r_max must be positive, got 0"),
+        (lambda r_max: exceptional_set(f, 2, r_max), -1, "r_max must be positive, got -1"),
+        (lambda r_max: check_tables([f], r_max), None, None),
+        (lambda r_max: g_invariant(f, r_max), 0, "r_max=0 too small: need at least"),
+        (lambda r_max: verify_field(35, r_max), 0, "r_max=0 too small: exception 4 > 0"),
+        (lambda r_max: verify_all(2, r_max), None, None),
+    ]
+    for key in ((35, 1), (35, 2)):
+        repsearch._TABLES.pop(key, None)
+    tables = dict(repsearch._TABLES)
+    for call, out_of_range, message in entry_points:
+        for value in (True, 2.0, "3"):
+            with pytest.raises(TypeError, match="must be an integer"):
+                call(value)
+        if out_of_range is not None:
+            with pytest.raises(ValueError, match=message):
+                call(out_of_range)
+    assert repsearch._TABLES == tables
 
 
 def test_enumerate_norm_values_examples():
@@ -561,10 +589,13 @@ def test_layers_race_oracle_on_random_values(values, width, cap):
 @pytest.mark.parametrize("values, width", [
     ([], 0), ([], 50), ([0], 50), ([0, 0, 0], 50), ([51, 90], 50), ([7], 0),
     ([3, 3, 3, 5, 5], 40), ([0, 4, 4, 60, 6, 0], 40), ([40], 40), ([41, 40, 0, 40], 40),
+    ([*range(1, 17), *range(92, 1277, 16)], 1280),
 ])
 def test_layers_on_edge_value_lists(values, width):
     # no values, value 0, duplicates, values above width and caps below 1
-    # leave layer 1 equal to layer 0 or never build it
+    # leave layer 1 equal to layer 0 or never build it; the last list, a
+    # run and a tail too short for the pass to layer 2 to switch before
+    # its last value, shifts by every value and never tests
     for cap in (None, -5, -1, 0, 1, 2, 3):
         assert reach_layers(values, width, cap) == oracle_layers(values, width, cap), cap
 
@@ -606,15 +637,17 @@ def _best_of_three(layers, masks, *args):
 def mid_pass_lists(draw):
     """Values 1..k and every s-th number above k + o (3 <= s <= k, o < s),
     with a few tail values dropped and a few values in [0, width + 40]
-    added, in ascending order; width >= 80*s keeps the tail above 60
+    added, in ascending order; width >= 160*s keeps the tail above 140
     values.  Layer 1 leaves more bits unset than there are values, and the
     run fills the tail's gaps within 15 shifts, so by shift 64 a batch of
-    shifts clears fewer bits than it has shifts and the pass to layer 2
-    switches to testing unset bits part of the way through its values."""
+    shifts clears fewer bits than it has shifts, and more values are left
+    than bits unset: the pass to layer 2 switches to testing unset bits
+    part of the way through its values.  At 80*s a short tail could run
+    out first (k=16, s=16, width 1280: all 91 values shifted)."""
     k = draw(st.integers(min_value=3, max_value=40))
     s = draw(st.integers(min_value=3, max_value=min(k, 16)))
     o = draw(st.integers(min_value=0, max_value=s - 1))
-    width = draw(st.integers(min_value=80 * s, max_value=3000))
+    width = draw(st.integers(min_value=160 * s, max_value=3000))
     tail = list(range(k + 1 + o, width + 1, s))
     dropped = draw(st.sets(st.sampled_from(tail), max_size=4))
     extra = draw(st.lists(st.integers(min_value=0, max_value=width + 40), max_size=8))
@@ -728,6 +761,14 @@ def test_transfer_certificate_between_paired_classes():
     assert recheck_certificate(moved.to_json_dict()) == []
     # conjugating twice restores the original
     assert transfer_certificate(moved) == cert
+    # the image is valid and in canonical order, but a conjugate need not
+    # be the canonical witness of its norm: class 2 itself gives (2, -3)
+    cert = find_certificate(_query(907, 3, 274), 2)
+    assert [(g.a, g.b) for g in cert.gammas] == [(39, 0), (1, -3)]
+    moved = transfer_certificate(cert)
+    assert [(g.a, g.b) for g in moved.gammas] == [(39, 0), (-2, 3)]
+    assert recheck_certificate(moved.to_json_dict()) == []
+    assert [(g.a, g.b) for g in find_certificate(_query(907, 2, 274), 2).gammas] == [(39, 0), (2, -3)]
     with pytest.raises(ValueError):
         transfer_certificate(find_certificate(_query(35, 2, 3), 1))
 

@@ -177,6 +177,10 @@ def test_three_norm_sum_polynomial():
     for d in (-1, -5):
         with pytest.raises(ValueError, match="positive"):
             three_norm_sum(d, (1,) * 6)
+    # True is 1 mod 4 and 27.0 is 3 mod 4, but neither is an int d
+    for d in (True, 2.0, "3", 27.0):
+        with pytest.raises(TypeError, match="d must be an integer"):
+            three_norm_sum(d, (1,) * 6)
 
 
 def test_three_norm_witness_table():
@@ -233,8 +237,19 @@ def test_norm_sum_first_gap_rejects_an_empty_window_and_negative_copies():
     for limit in (0, -1):
         with pytest.raises(ValueError, match="limit must be positive"):
             norm_sum_first_gap(f, 2, limit)
-    with pytest.raises(ValueError, match="copies must be nonnegative"):
+    with pytest.raises(ValueError, match="copies must be nonnegative, got -1"):
         norm_sum_first_gap(f, -1, 100)
+    with pytest.raises(ValueError, match="limit must be positive, got 0"):
+        sun_polynomial_universal(0)
+    # a count or a limit is an int, and a bool is not one: 2.5 copies are
+    # not two, and True is not a limit of 1
+    for value in (True, 2.0, "3", 2.5):
+        with pytest.raises(TypeError, match="copies must be an integer"):
+            norm_sum_first_gap(f, value, 100)
+        with pytest.raises(TypeError, match="limit must be an integer"):
+            norm_sum_first_gap(f, 2, value)
+        with pytest.raises(TypeError, match="limit must be an integer"):
+            sun_polynomial_universal(value)
     # zero copies sum to 0 only, so 1 is the first gap
     assert norm_sum_first_gap(f, 0, 100) == 1
 
@@ -262,9 +277,25 @@ def test_fifteen_theorem_gives_m_d_on_classically_integral_norm_forms():
 
 
 def test_form_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="coefficients must not be empty"):
         DiagonalForm(())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="terms must not be empty"):
+        MixedSum(())
+    with pytest.raises(ValueError, match="coefficient must be positive, got 0"):
         DiagonalForm((0, 1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="weight must be positive, got -1"):
         MixedSum(((TermKind.SQUARE, -1),))
+    form = DiagonalForm((1, 2))
+    with pytest.raises(ValueError, match="limit must be positive, got 0"):
+        universal_up_to(form, 0)
+    # a negative n is a value the form does not take, not an error
+    assert represents_bounded(form, -1) == (False, None)
+    for value in (True, 2.0, "3"):
+        with pytest.raises(TypeError, match="coefficient must be an integer"):
+            DiagonalForm((1, value))
+        with pytest.raises(TypeError, match="weight must be an integer"):
+            MixedSum(((TermKind.SQUARE, 1), (TermKind.TRIANGULAR, value)))
+        with pytest.raises(TypeError, match="limit must be an integer"):
+            universal_up_to(form, value)
+        with pytest.raises(TypeError, match="n must be an integer"):
+            represents_bounded(form, value)

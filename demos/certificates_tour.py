@@ -7,14 +7,8 @@ class-number-3 field.
 """
 
 from normsums.classdata import condition_display, congruence_for, rep_for
-from normsums.quadfield import make_field, norm
-from normsums.repsearch import (
-    LatticeQuery,
-    enumerate_norm_values,
-    find_certificate,
-    min_terms,
-    transfer_certificate,
-)
+from normsums.quadfield import conjugate, make_field, norm
+from normsums.repsearch import LatticeQuery, enumerate_norm_values, find_certificate, min_terms
 from normsums.verify import recheck_certificate
 
 
@@ -49,11 +43,13 @@ def show_transfer(d: int, r: int) -> None:
     q = LatticeQuery(f, 2, r)
     res = min_terms(q)
     cert = find_certificate(q, res.m)
-    moved = transfer_certificate(cert)
+    # conjugation preserves norms and swaps the paired classes' congruences
+    moved = sorted((conjugate(f, g) for g in cert.gammas), key=lambda g: (norm(f, g), g.a, g.b))
+    doc = {**cert.to_json_dict(), "class_index": 3, "gammas": [[g.a, g.b] for g in moved]}
     print(f"-- d={d}: conjugation carries class 2 to class 3")
     print(f"   class 2, r={r}: gammas {[(g.a, g.b) for g in cert.gammas]}")
-    print(f"   class 3, r={r}: gammas {[(g.a, g.b) for g in moved.gammas]}")
-    print(f"   moved certificate recheck: {recheck_certificate(moved.to_json_dict()) or 'ok'}")
+    print(f"   class 3, r={r}: gammas {[(g.a, g.b) for g in moved]}")
+    print(f"   moved certificate recheck: {recheck_certificate(doc) or 'ok'}")
     print()
 
 

@@ -11,13 +11,28 @@ three-norm witness identities and the two diagonal-form criteria.
 from collections import defaultdict
 
 from normsums.quadfield import SUPPORTED_FIELDS, make_field
-from normsums.universality import (
-    FIFTEEN,
-    DiagonalForm,
-    check_criterion,
-    m_d,
-    norm_sum_first_gap,
-    three_norm_witness_table,
+from normsums.universality import FIFTEEN, DiagonalForm, check_criterion, m_d, norm_sum_first_gap
+
+# Identities showing 7, 15, 23 and 31 as sums of three norms
+# a^2 + a*b + ((1+d)/4)*b^2 for d = 15, 19, 23, 27: the inputs
+# (a1, b1, a2, b2, a3, b3) and the value each must produce.
+THREE_NORM_IDENTITIES = (
+    (15, (1, 1, 1, 0, 0, 0), 7),
+    (15, (2, 1, 1, 0, 2, 0), 15),
+    (15, (1, 1, 1, 0, 4, 0), 23),
+    (15, (1, 1, 5, 0, 0, 0), 31),
+    (19, (1, 1, 0, 0, 0, 0), 7),
+    (19, (1, 1, 2, 0, 2, 0), 15),
+    (19, (1, 1, 4, 0, 0, 0), 23),
+    (19, (5, 0, 1, 0, 0, 1), 31),
+    (23, (1, 0, 0, 1, 0, 0), 7),
+    (23, (1, 0, 0, 1, 1, 1), 15),
+    (23, (1, 0, 0, 1, 4, 0), 23),
+    (23, (5, 0, 0, 1, 0, 0), 31),
+    (27, (0, 1, 0, 0, 0, 0), 7),
+    (27, (0, 1, 2, 0, 2, 0), 15),
+    (27, (0, 1, 4, 0, 0, 0), 23),
+    (27, (2, 1, 3, 0, 3, 0), 31),
 )
 
 
@@ -37,11 +52,13 @@ def main() -> None:
     print()
 
     print("three-norm witness identities (d = 3 mod 4, one per target):")
-    for w in sorted(three_norm_witness_table(), key=lambda w: (w.d, w.expected)):
-        a1, b1, a2, b2, a3, b3 = w.coords
-        terms = " + ".join(f"N({a}{b:+d}w)" for a, b in ((a1, b1), (a2, b2), (a3, b3)))
-        flag = "ok" if w.ok else f"MISMATCH (got {w.actual})"
-        print(f"  d={w.d:3d}: {w.expected:2d} = {terms}  [{flag}]")
+    for d, coords, expected in THREE_NORM_IDENTITIES:
+        pairs = list(zip(coords[::2], coords[1::2]))
+        # plain polynomial evaluation: d = 27 is no field
+        actual = sum(a * a + a * b + (1 + d) // 4 * b * b for a, b in pairs)
+        terms = " + ".join(f"N({a}{b:+d}w)" for a, b in pairs)
+        flag = "ok" if actual == expected else f"MISMATCH (got {actual})"
+        print(f"  d={d:3d}: {expected:2d} = {terms}  [{flag}]")
     print()
 
     for coeffs in ((1, 1, 1, 1), (1, 1, 1, 5), (1, 1, 1, 6, 6), (1, 1, 1)):

@@ -17,7 +17,6 @@ from .quadfield import (
     conjugate,
     make_field,
     norm,
-    scaled_form_value,
 )
 from .classdata import (
     CongruenceCondition,
@@ -25,8 +24,6 @@ from .classdata import (
     class_reps,
     condition_display,
     congruence_for,
-    odd_sqrt_of_minus_d,
-    predicate_holds,
     rep_for,
     validate_tables,
 )
@@ -42,30 +39,23 @@ from .repsearch import (
     g_invariant,
     min_count_table,
     min_terms,
-    transfer_certificate,
 )
 from .universality import (
     FIFTEEN,
     TWO_NINETY,
-    CriterionSet,
     DiagonalForm,
     MixedSum,
     TermKind,
     check_criterion,
-    is_sum_of_three_squares,
     m_d,
     norm_sum_first_gap,
-    represents_bounded,
     sun_polynomial_universal,
-    three_norm_sum,
-    three_norm_witness_table,
     universal_up_to,
 )
 from .verify import (
     DiffReport,
     ExpectedRow,
     FieldReport,
-    describe_expected,
     expected_row,
     recheck_certificate,
     report_table,

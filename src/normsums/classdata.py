@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from fractions import Fraction
 
 from .quadfield import (
     CLASS_NUMBER_2_FIELDS,
@@ -86,14 +85,6 @@ class IdealClassRep:
     s: int
     t: int
 
-    @property
-    def h_scale(self) -> Fraction:
-        return Fraction(1, self.k)
-
-    @property
-    def is_principal(self) -> bool:
-        return self.class_index == 1
-
 
 @dataclass(frozen=True)
 class CongruenceCondition:
@@ -148,10 +139,6 @@ def congruence_for(f: FieldParams, rep: IdealClassRep) -> CongruenceCondition:
     return CongruenceCondition(rep.k, class_form(f, rep)[3])
 
 
-def predicate_holds(c: CongruenceCondition, a: int, b: int) -> bool:
-    return (a + c.beta * b) % c.k == 0
-
-
 @cache
 def class_form(f: FieldParams, rep: IdealClassRep) -> tuple[int, int, int, int]:
     """The class's admissible norms divided by k, as a binary form.
@@ -179,18 +166,6 @@ def condition_display(c: CongruenceCondition) -> str:
     if c.beta == 0:
         return f"{c.k}|a"
     return f"{c.k}|(a+{'' if c.beta == 1 else c.beta}b)"
-
-
-def odd_sqrt_of_minus_d(f: FieldParams) -> int:
-    """Smallest positive odd n with n^2 = -d (mod k), for class-number-3 fields.
-
-    Pinned down by the representative table: n = 2*s + 1 for the
-    class_index-2 representative.  validate_tables checks minimality.
-    """
-    if f.class_number != 3:
-        raise ValueError(f"d={f.d} has class number {f.class_number}, need 3")
-    _, s2, _ = _CLASS3_REPS[f.d]
-    return 2 * s2 + 1
 
 
 def validate_tables() -> list[str]:

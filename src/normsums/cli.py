@@ -83,7 +83,7 @@ def cmd_field_info(args) -> int:
             "k": rep.k,
             "s": rep.s,
             "t": rep.t,
-            "h_scale": str(rep.h_scale),
+            "h_scale": "1" if rep.k == 1 else f"1/{rep.k}",
             "condition": condition_display(congruence_for(f, rep)),
         }
         for rep in class_reps(f)

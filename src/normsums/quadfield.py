@@ -23,7 +23,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 INT64_MAX = 2**63 - 1
 
@@ -82,9 +81,6 @@ class RingElement:
     a: int
     b: int
 
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
-
 
 def _is_squarefree(n: int) -> bool:
     if n % 4 == 0:
@@ -142,12 +138,6 @@ def norm(f: FieldParams, e: RingElement) -> int:
     if n > INT64_MAX:
         raise Overflow(f"norm {n} exceeds the 64-bit contract")
     return n
-
-
-def scaled_form_value(f: FieldParams, k: int, e: RingElement) -> Fraction:
-    """N(a + b*omega) / k^2 as an exact rational (the scaled form P_d)."""
-    require_int("k", k, least=1)
-    return Fraction(norm(f, e), k * k)
 
 
 def conjugate(f: FieldParams, e: RingElement) -> RingElement:

@@ -50,7 +50,6 @@ before its first build.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 
 from .classdata import IdealClassRep, class_form, class_reps, rep_for
@@ -58,7 +57,6 @@ from .quadfield import (
     FieldParams,
     Overflow,
     RingElement,
-    conjugate,
     isqrt_floor,
     norm,
     require_int,
@@ -91,10 +89,6 @@ class LatticeQuery:
     def k(self) -> int:
         return rep_for(self.field, self.class_index).k
 
-    @property
-    def target(self) -> int:
-        return self.r * self.k
-
 
 @dataclass(frozen=True)
 class NormValueSet:
@@ -102,12 +96,6 @@ class NormValueSet:
     bound: int
     values: tuple[int, ...]
     witnesses: tuple[RingElement, ...]
-
-    def witness_for(self, value: int) -> RingElement:
-        i = bisect_left(self.values, value)
-        if i == len(self.values) or self.values[i] != value:
-            raise ValueError(f"{value} is not an admissible norm value up to {self.bound}")
-        return self.witnesses[i]
 
 
 @dataclass(frozen=True)
@@ -478,25 +466,3 @@ def g_invariant(f: FieldParams, r_max: int) -> GInvariantResult:
     half_max = max(max(window[: r_max // 2]) for _, window in windows)
     witness = LatticeQuery(field=f, class_index=class_index, r=window.index(g) + 1)
     return GInvariantResult(g=g, witness=witness, stable=half_max == g)
-
-
-def transfer_certificate(cert: RepCertificate) -> RepCertificate:
-    """Map a certificate between the two paired non-principal classes of a
-    class-number-3 field by conjugating every summand: (a, b) -> (a+b, -b).
-
-    Norms are preserved, so the image certifies the same r in the other
-    class, re-sorted into canonical (norm, a, b) order.  It need not be
-    find_certificate's certificate there: d=907, r=274 maps class 3's
-    (39, 0), (1, -3) to (39, 0), (-2, 3), where class 2's has (2, -3).
-    """
-    q = cert.query
-    f = q.field
-    if f.class_number != 3 or q.class_index not in (2, 3):
-        raise ValueError("certificate transfer only applies to the paired classes of a class-number-3 field")
-    other = 5 - q.class_index
-    new_q = LatticeQuery(field=f, class_index=other, r=q.r)
-    gammas = sorted(
-        (conjugate(f, g) for g in cert.gammas),
-        key=lambda g: (norm(f, g), g.a, g.b),
-    )
-    return RepCertificate(query=new_q, m=cert.m, gammas=tuple(gammas))

@@ -1,6 +1,6 @@
-"""Universality toolbox: criterion sets, three-squares test, bounded
-coverage checks for diagonal forms and mixed triangular/square sums, and
-the minimum unconstrained-norm count m_d per field.
+"""Universality toolbox: bounded coverage checks for diagonal forms and
+mixed triangular/square sums against a criterion set, and the minimum
+unconstrained-norm count m_d per field.
 
 The deep classification results behind the criterion sets (which finite
 set of integers certifies universality of a quadratic form) are taken as
@@ -8,13 +8,11 @@ given; this module only applies them.  m_d rests on the 290 theorem: it
 is the least layer of the norm form's reach_layers at width 290 that
 holds every TWO_NINETY number, with no cross-check at run time (the
 bounded coverage scans that confirm it live in the tests).  Every
-coverage check, represents_bounded and check_criterion included, reads
-one kind of bitmask (one Python big int per term): masks[i] holds the
-sums of terms i..n-1, so a witness is read off by a forward walk through
-them, with no search.  Their cost is bounded from the terms alone and
+coverage check reads one bitmask, a Python big int holding every sum of
+one value per term.  Its cost is bounded from the terms alone and
 checked against the work budget of repsearch before any value is
-enumerated.  The depth-first searches that cross-check them
-live only in tests/_oracle.py.
+enumerated.  The depth-first searches that cross-check it live only in
+tests/_oracle.py.
 """
 
 from __future__ import annotations
@@ -59,18 +57,10 @@ class MixedSum:
             require_int("weight", w, least=1)
 
 
-@dataclass(frozen=True)
-class CriterionSet:
-    name: str
-    numbers: tuple[int, ...]
-
-
-FIFTEEN = CriterionSet("Fifteen", (1, 2, 3, 5, 6, 7, 10, 14, 15))
-TWO_NINETY = CriterionSet(
-    "TwoNinety",
-    (1, 2, 3, 5, 6, 7, 10, 13, 14, 15, 17, 19, 21, 22, 23, 26, 29, 30,
-     31, 34, 35, 37, 42, 58, 93, 110, 145, 203, 290),
-)
+# the criterion numbers of the 15 and 290 theorems
+FIFTEEN = (1, 2, 3, 5, 6, 7, 10, 14, 15)
+TWO_NINETY = (1, 2, 3, 5, 6, 7, 10, 13, 14, 15, 17, 19, 21, 22, 23, 26, 29, 30,
+              31, 34, 35, 37, 42, 58, 93, 110, 145, 203, 290)
 
 
 def triangular(x: int) -> int:
@@ -78,8 +68,8 @@ def triangular(x: int) -> int:
 
 
 def _term_values(kind: TermKind, weight: int, bound: int) -> list[int]:
-    # all attainable values of one term, 0 included, up to bound; they
-    # strictly increase in x >= 0, so x is the index of its value
+    # all attainable values of one term, 0 included, up to bound: x >= 0
+    # is exhaustive because x^2 = (-x)^2 and T_x = T_{-x-1}
     vals = []
     x = 0
     while True:
@@ -97,9 +87,9 @@ def _terms(form: DiagonalForm | MixedSum) -> tuple[tuple[TermKind, int], ...]:
     return form.terms
 
 
-def _coverage_masks(counts: list[int], value_lists: Iterable[list[int]], bound: int) -> list[int]:
-    """masks[i] is the bitmask of all sums v_i + ... + v_{n-1} <= bound
-    with v_j from list j of the n value lists, and masks[n] = 1.
+def _coverage_mask(counts: list[int], value_lists: Iterable[list[int]], bound: int) -> int:
+    """The bitmask of all sums v_0 + ... + v_{n-1} <= bound with v_j from
+    list j of the n value lists.
 
     counts[j] bounds the length of list j, so the cost, at most sum(counts)
     shifts of a mask of bound // 64 + 1 words, is judged before anything
@@ -108,64 +98,31 @@ def _coverage_masks(counts: list[int], value_lists: Iterable[list[int]], bound: 
     """
     _check_budget(sum(counts) * (bound // 64 + 1), f"bound {bound}")
     mask = 1
-    masks = [mask]
     window = (1 << (bound + 1)) - 1
-    for vals in reversed(list(value_lists)):
+    for vals in value_lists:
         acc = 0
         for v in vals:
             acc |= mask << v
         mask = acc & window
-        masks.append(mask)
-    return masks[::-1]
+    return mask
 
 
-def _form_masks(form: DiagonalForm | MixedSum, bound: int) -> list[int]:
+def _form_mask(form: DiagonalForm | MixedSum, bound: int) -> int:
     # a square or triangular term of weight w has at most
     # isqrt(2*bound // w) + 2 values up to bound
     terms = _terms(form)
-    return _coverage_masks([isqrt(2 * bound // w) + 2 for _, w in terms],
-                           (_term_values(kind, w, bound) for kind, w in terms), bound)
+    return _coverage_mask([isqrt(2 * bound // w) + 2 for _, w in terms],
+                          (_term_values(kind, w, bound) for kind, w in terms), bound)
 
 
-def represents_bounded(form: DiagonalForm | MixedSum, n: int) -> tuple[bool, tuple[int, ...] | None]:
-    """Whether the form takes the value n, with an explicit variable witness.
-
-    Square variables range over x >= 0 and triangular ones over x >= 0
-    as well; both are exhaustive because x^2 = (-x)^2 and T_x = T_{-x-1}.
-    The witness is the lexicographically least: each term in turn takes
-    the least x whose value leaves a remainder the later terms cover.
-    """
-    require_int("n", n)
-    if n < 0:
-        return (False, None)
-    masks = _form_masks(form, n)
-    if not masks[0] >> n & 1:
-        return (False, None)
-    witness = []
-    for (kind, w), rest in zip(_terms(form), masks[1:]):
-        x, v = next((x, v) for x, v in enumerate(_term_values(kind, w, n)) if rest >> (n - v) & 1)
-        witness.append(x)
-        n -= v
-    return (True, tuple(witness))
-
-
-def check_criterion(form: DiagonalForm | MixedSum, criterion: CriterionSet) -> bool:
+def check_criterion(form: DiagonalForm | MixedSum, criterion: tuple[int, ...]) -> bool:
     """Whether the form represents every member of the criterion set.
 
     Eligibility of the form for the criterion (diagonal integral vs
     integer-valued) is the caller's responsibility.
     """
-    mask = _form_masks(form, max((0, *criterion.numbers)))[0]
-    return all(n >= 0 and mask >> n & 1 for n in criterion.numbers)
-
-
-def is_sum_of_three_squares(n: int) -> bool:
-    """True iff n is not of the form 4^a * (8b + 7)."""
-    if n < 0:
-        return False
-    while n % 4 == 0 and n > 0:
-        n //= 4
-    return n % 8 != 7
+    mask = _form_mask(form, max((0, *criterion)))
+    return all(n >= 0 and mask >> n & 1 for n in criterion)
 
 
 def _first_gap(mask: int, limit: int) -> int | None:
@@ -177,7 +134,7 @@ def _first_gap(mask: int, limit: int) -> int | None:
 def universal_up_to(form: DiagonalForm | MixedSum, limit: int) -> tuple[bool, int | None]:
     """Whether the form represents every n in [1, limit]; first gap if not."""
     require_int("limit", limit, least=1)
-    gap = _first_gap(_form_masks(form, limit)[0], limit)
+    gap = _first_gap(_form_mask(form, limit), limit)
     return (gap is None, gap)
 
 
@@ -200,8 +157,8 @@ def sun_polynomial_universal(limit: int) -> tuple[bool, int | None]:
     # p*x^2 + x and p*x^2 - x at |x| <= isqrt(limit // p) + 1: at most
     # 2*isqrt(limit // p) + 3 values
     ps = (2, 3, 3)
-    masks = _coverage_masks([2 * isqrt(limit // p) + 3 for p in ps], (poly_values(p) for p in ps), limit)
-    gap = _first_gap(masks[0], limit)
+    mask = _coverage_mask([2 * isqrt(limit // p) + 3 for p in ps], (poly_values(p) for p in ps), limit)
+    gap = _first_gap(mask, limit)
     return (gap is None, gap)
 
 
@@ -231,68 +188,6 @@ def m_d(f: FieldParams) -> int:
     square are norms, so by Lagrange layer 4 is full, and reach_layers
     stops only at a repeated layer.
     """
-    width = TWO_NINETY.numbers[-1]
+    width = TWO_NINETY[-1]
     masks = reach_layers(form_values(*f.form_coefficients(), width), width)
-    return next(j for j, mask in enumerate(masks) if all(mask >> n & 1 for n in TWO_NINETY.numbers))
-
-
-# Identities showing 7, 15, 23 and 31 as sums of three norms
-# a^2 + a*b + ((1+d)/4)*b^2 for d = 15, 19, 23, 27: the inputs
-# (a1, b1, a2, b2, a3, b3) and the value each must produce.
-_THREE_NORM_WITNESSES: tuple[tuple[int, tuple[int, ...], int], ...] = (
-    (15, (1, 1, 1, 0, 0, 0), 7),
-    (15, (2, 1, 1, 0, 2, 0), 15),
-    (15, (1, 1, 1, 0, 4, 0), 23),
-    (15, (1, 1, 5, 0, 0, 0), 31),
-    (19, (1, 1, 0, 0, 0, 0), 7),
-    (19, (1, 1, 2, 0, 2, 0), 15),
-    (19, (1, 1, 4, 0, 0, 0), 23),
-    (19, (5, 0, 1, 0, 0, 1), 31),
-    (23, (1, 0, 0, 1, 0, 0), 7),
-    (23, (1, 0, 0, 1, 1, 1), 15),
-    (23, (1, 0, 0, 1, 4, 0), 23),
-    (23, (5, 0, 0, 1, 0, 0), 31),
-    (27, (0, 1, 0, 0, 0, 0), 7),
-    (27, (0, 1, 2, 0, 2, 0), 15),
-    (27, (0, 1, 4, 0, 0, 0), 23),
-    (27, (2, 1, 3, 0, 3, 0), 31),
-)
-
-
-def three_norm_sum(d: int, coords: tuple[int, ...]) -> int:
-    """Sum of three norms a_i^2 + a_i*b_i + ((1+d)/4)*b_i^2 from a flat
-    (a1, b1, a2, b2, a3, b3) tuple.  Plain polynomial evaluation: d only
-    needs d > 0 with d = 3 (mod 4), not a supported field (d = 27 appears
-    here), and exactly six coordinates."""
-    require_int("d", d)
-    if d <= 0 or d % 4 != 3:
-        raise ValueError(f"d={d} is not a positive integer = 3 mod 4")
-    if len(coords) != 6:
-        raise ValueError(f"need 6 coordinates (a1, b1, a2, b2, a3, b3), got {len(coords)}")
-    c = (1 + d) // 4
-    total = 0
-    for i in range(0, 6, 2):
-        a, b = coords[i], coords[i + 1]
-        total += a * a + a * b + c * b * b
-    return total
-
-
-@dataclass(frozen=True)
-class WitnessIdentity:
-    d: int
-    coords: tuple[int, ...]
-    expected: int
-    actual: int
-
-    @property
-    def ok(self) -> bool:
-        return self.expected == self.actual
-
-
-def three_norm_witness_table() -> list[WitnessIdentity]:
-    """Evaluate all 16 stored three-norm identities (d = 15, 19, 23, 27
-    producing 7, 15, 23, 31) and report each as pass/fail."""
-    return [
-        WitnessIdentity(d, coords, expected, three_norm_sum(d, coords))
-        for d, coords, expected in _THREE_NORM_WITNESSES
-    ]
+    return next(j for j, mask in enumerate(masks) if all(mask >> n & 1 for n in TWO_NINETY))

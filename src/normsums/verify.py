@@ -4,9 +4,9 @@ The published exceptional sets and uniform bounds for every class-number
 2 and 3 field are transcribed here as data: threshold (smallest
 representable r), the finite exception list past the threshold, and the
 uniform invariant g.  Transcription is the riskiest step in the whole
-pipeline, so the tables carry a dedicated count checklist in the test
-suite, re-serialize through a canonical renderer for golden comparison,
-and are diffed wholesale against recomputation.
+pipeline, so the tables carry a dedicated count checklist and a partial
+second transcription in the test suite, and are diffed wholesale against
+recomputation.
 
 verify_field recomputes one field with the search machinery and reports
 match/mismatch with named offending values, per class (the inverse pair
@@ -105,17 +105,6 @@ def expected_row(d: int) -> ExpectedRow:
     raise ValueError(f"no expected-results row for d={d} (need class number 2 or 3)")
 
 
-def describe_expected(d: int) -> str:
-    """Canonical one-line rendering of an expected row, golden-tested:
-    'r/5 for r >= 3 and r != 4, 7; g = 4'."""
-    row = expected_row(d)
-    k = row.k_per_class[0]
-    text = f"r/{k} for r >= {row.threshold}"
-    if row.beyond_threshold:
-        text += " and r != " + ", ".join(str(r) for r in row.beyond_threshold)
-    return f"{text}; g = {row.expected_g}"
-
-
 @dataclass(frozen=True)
 class ClassCheck:
     class_index: int
@@ -165,6 +154,19 @@ class DiffReport:
         return all(fr.stable for fr in self.fields)
 
 
+def _check_window(row: ExpectedRow, r_max: int) -> None:
+    """Raise ValueError unless [1, r_max] holds the row's expected
+    exceptions plus a padding headroom of 2k past the last one."""
+    k = row.k_per_class[0]
+    max_exc = max(row.expected_exceptions) if row.expected_exceptions else 0
+    if r_max < max_exc:
+        raise ValueError(f"r_max={r_max} too small: exception {max_exc} > {r_max}")
+    if r_max < max_exc + 2 * k:
+        raise ValueError(
+            f"r_max={r_max} leaves no padding headroom past exception {max_exc} (need >= {max_exc + 2 * k})"
+        )
+
+
 def verify_field(d: int, r_max: int = 300) -> FieldReport:
     """Recompute one field's exceptional sets and uniform invariant and diff
     them against the transcribed row.
@@ -178,14 +180,8 @@ def verify_field(d: int, r_max: int = 300) -> FieldReport:
     row = expected_row(d)
     f = make_field(d)
     check_tables([f], r_max)
+    _check_window(row, r_max)
     k = row.k_per_class[0]
-    max_exc = max(row.expected_exceptions) if row.expected_exceptions else 0
-    if r_max < max_exc:
-        raise ValueError(f"r_max={r_max} too small: exception {max_exc} > {r_max}")
-    if r_max < max_exc + 2 * k:
-        raise ValueError(
-            f"r_max={r_max} leaves no padding headroom past exception {max_exc} (need >= {max_exc + 2 * k})"
-        )
 
     t0 = time.perf_counter()
     details: list[str] = []
@@ -240,10 +236,13 @@ def verify_all(class_number: int, r_max: int = 300) -> DiffReport:
 
     The fields fan out over a process pool of one worker per usable CPU,
     at most one per field, and run in this process when that is one
-    worker.  Results stay in d order either way.
+    worker.  Results stay in d order either way.  The work budget and
+    every field's window are checked before any fan-out.
     """
     fields = class_number_fields(class_number)
     check_tables([make_field(d) for d in fields], r_max)
+    for d in fields:
+        _check_window(expected_row(d), r_max)
     t0 = time.perf_counter()
     workers = min(_usable_cpus(), len(fields))
     if workers > 1:

@@ -8,9 +8,9 @@ representative constants, the canonical witness of a norm is the least
 m norms, and with it the minimum count, comes from a top-down exact-m
 depth-first search instead of the library's bottom-up layered
 reachability, which serves its counts and certificates alike.  Whether a
-diagonal square/triangular form takes a value, with its least witness,
-comes from a depth-first search over the variables in turn, where the
-library reads coverage bitmasks.  These are the only depth-first searches
+diagonal square/triangular form takes a value comes from a depth-first
+search over the variables in turn, where the library reads a coverage
+bitmask.  These are the only depth-first searches
 in the project.  The layer masks themselves come from the plain dense
 loop, which shifts by every value on every pass, where the library tests
 the unset bits one at a time once they are fewer than the values left
@@ -147,16 +147,11 @@ def oracle_min_terms(d: int, class_index: int, r: int, m_max: int = 6) -> int | 
     return None
 
 
-def oracle_represents(terms, n: int) -> tuple[bool, tuple[int, ...] | None]:
+def oracle_represents(terms, n: int) -> bool:
     """Whether sum w_i * (x_i^2 or T_{x_i}) over the terms (kind, w_i),
     kind "Square" or "Triangular", takes the value n with every x_i >= 0,
-    and the first witness a depth-first search over x_0, x_1, ... in
-    ascending order meets: the lexicographically least."""
-    if n < 0:
-        return (False, None)
+    by a depth-first search over x_0, x_1, ... in ascending order."""
     parts = list(terms)
-
-    witness: list[int] = []
 
     def search(i: int, remaining: int) -> bool:
         if i == len(parts):
@@ -167,12 +162,8 @@ def oracle_represents(terms, n: int) -> tuple[bool, tuple[int, ...] | None]:
             v = w * (x * x if kind == "Square" else x * (x + 1) // 2)
             if v > remaining:
                 return False
-            witness.append(x)
             if search(i + 1, remaining - v):
                 return True
-            witness.pop()
             x += 1
 
-    if search(0, n):
-        return (True, tuple(witness))
-    return (False, None)
+    return n >= 0 and search(0, n)

@@ -15,13 +15,23 @@ from normsums.classdata import (
     class_reps,
     condition_display,
     congruence_for,
-    odd_sqrt_of_minus_d,
-    predicate_holds,
     rep_for,
     reps_as_rows,
     validate_tables,
 )
 from normsums.quadfield import RingElement, make_field, norm
+
+
+def predicate_holds(c, a, b):
+    """Whether gamma = a + b*omega meets the class constraint k | a + beta*b."""
+    return (a + c.beta * b) % c.k == 0
+
+
+def odd_sqrt_of_minus_d(f):
+    """n = 2*s + 1 off the class-2 representative of a class-number-3
+    field, an odd square root of -d mod k."""
+    return 2 * rep_for(f, 2).s + 1
+
 
 # second transcription of the nonprincipal rep data: d -> (k, s) with t = 1
 CLASS2_ROWS = {
@@ -52,7 +62,7 @@ def test_class_reps_match_second_transcription():
     for d, (k, s) in CLASS2_ROWS.items():
         reps = class_reps(make_field(d))
         assert [r.class_index for r in reps] == [1, 2]
-        assert reps[0].is_principal and reps[0].k == 1
+        assert (reps[0].k, reps[0].s, reps[0].t) == (1, 0, 0)
         assert (reps[1].k, reps[1].s, reps[1].t) == (k, s, 1)
     for d, (k, s2, s3) in CLASS3_ROWS.items():
         reps = class_reps(make_field(d))
@@ -63,7 +73,7 @@ def test_class_reps_match_second_transcription():
 
 def test_class_reps_principal_only_for_class_number_one():
     reps = class_reps(make_field(43))
-    assert len(reps) == 1 and reps[0].is_principal
+    assert len(reps) == 1 and reps[0].class_index == 1
 
 
 def test_rep_norm_divisibility():
@@ -74,12 +84,10 @@ def test_rep_norm_divisibility():
             assert norm(f, RingElement(rep.s, rep.t)) % rep.k == 0
 
 
-def test_rep_for_and_h_scale():
+def test_rep_for():
     f = make_field(35)
     rep = rep_for(f, 2)
     assert (rep.k, rep.s, rep.t) == (5, 2, 1)
-    assert str(rep.h_scale) == "1/5"
-    assert rep_for(f, 1).h_scale == 1
     with pytest.raises(ValueError):
         rep_for(f, 3)
 
@@ -212,17 +220,9 @@ def test_paired_class_predicates_swap_under_conjugation():
                 assert predicate_holds(c2, a, b) == predicate_holds(c3, a + b, -b), (d, a, b)
 
 
-def test_odd_sqrt_of_minus_d():
-    assert odd_sqrt_of_minus_d(make_field(23)) == 1
-    assert odd_sqrt_of_minus_d(make_field(211)) == 3
-    assert odd_sqrt_of_minus_d(make_field(283)) == 5
-    assert odd_sqrt_of_minus_d(make_field(547)) == 5
-    assert odd_sqrt_of_minus_d(make_field(907)) == 9
-    with pytest.raises(ValueError):
-        odd_sqrt_of_minus_d(make_field(35))
-
-
 def test_odd_sqrt_is_minimal_odd_square_root():
+    spot = {23: 1, 211: 3, 283: 5, 547: 5, 907: 9}
+    assert {d: odd_sqrt_of_minus_d(make_field(d)) for d in spot} == spot
     for d in sorted(CLASS3_ROWS):
         f = make_field(d)
         k = rep_for(f, 2).k

@@ -239,6 +239,9 @@ def test_error_exit_codes(capsys):
     code, _, err = run_cli(capsys, "min-terms", "-d", "5", "--class", "2", "-r", "10000000")
     assert code == 2
     assert "Overflow" in err
+    code, out, err = run_cli(capsys, "verify", "--class-number", "3", "--r-max", "0")
+    assert code == 2 and out == ""
+    assert "r_max=0 too small: exception 1 > 0" in err
 
 
 def test_huge_d_rejected_without_trial_division(capsys):

@@ -1,7 +1,6 @@
 """Field construction, norms, and the conjugation involution."""
 
 import math
-from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -22,7 +21,6 @@ from normsums.quadfield import (
     isqrt_floor,
     make_field,
     norm,
-    scaled_form_value,
 )
 
 supported = st.sampled_from(SUPPORTED_FIELDS)
@@ -116,15 +114,6 @@ def test_norm_overflow_guard():
     assert norm(f, RingElement(big, 0)) == big * big
     with pytest.raises(Overflow):
         norm(f, RingElement(2**32, 2**32))
-
-
-def test_scaled_form_value_examples():
-    f51 = make_field(51)
-    assert scaled_form_value(f51, 5, RingElement(2, -1)) == Fraction(3, 5)
-    assert scaled_form_value(f51, 5, RingElement(5, 0)) == 1
-    assert scaled_form_value(make_field(907), 13, RingElement(5, -1)) == Fraction(19, 13)
-    with pytest.raises(ValueError):
-        scaled_form_value(f51, 0, RingElement(1, 0))
 
 
 def test_conjugate_examples():

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from _oracle import oracle_layers, oracle_least_split, oracle_min_terms, oracle_witness, oracle_witnesses
 from normsums import repsearch
 from normsums.classdata import class_form, class_number_fields, class_reps, rep_for
-from normsums.quadfield import SUPPORTED_FIELDS, Overflow, RingElement, make_field, norm, scaled_form_value
+from normsums.quadfield import SUPPORTED_FIELDS, Overflow, RingElement, make_field, norm
 from normsums.repsearch import (
     LatticeQuery,
     MinTermsResult,
@@ -27,7 +27,6 @@ from normsums.repsearch import (
     min_count_table,
     min_terms,
     reach_layers,
-    transfer_certificate,
 )
 from normsums.universality import m_d, norm_sum_first_gap
 from normsums.verify import recheck_certificate, verify_all, verify_field
@@ -82,14 +81,13 @@ def test_query_validation():
         with pytest.raises(TypeError):
             _query(35, class_index, r)
     q = _query(35, 2, 3)
-    assert q.k == 5 and q.target == 15
+    assert q.k == 5
     # every count, width and limit goes through require_int: a bool, a
     # float or a str raises TypeError before any table is built, and a
     # value out of range keeps its ValueError and message (None: no range)
     f = make_field(35)
     entry_points = [
         (make_field, 0, "d must be positive, got 0"),
-        (lambda k: scaled_form_value(f, k, RingElement(1, 0)), 0, "k must be positive, got 0"),
         (lambda r: _query(35, 2, r), -2, "r must be positive, got -2"),
         (lambda m: find_certificate(q, m), 0, "m must be positive, got 0"),
         (lambda bound: enumerate_norm_values(f, rep_for(f, 2), bound), 0, "bound must be positive, got 0"),
@@ -118,18 +116,12 @@ def test_enumerate_norm_values_examples():
     vs = enumerate_norm_values(f5, rep_for(f5, 2), 10)
     # 9 = N(3) is excluded: 3 fails the parity condition for this class
     assert vs.values == (4, 6)
-    assert vs.witness_for(6) == RingElement(1, 1)
-    assert vs.witness_for(4) == RingElement(2, 0)
-    # below, between and above the values, and past the bound
-    for n in (1, 5, 9, 10, 12):
-        with pytest.raises(ValueError, match="not an admissible norm value"):
-            vs.witness_for(n)
+    assert vs.witnesses == (RingElement(2, 0), RingElement(1, 1))
 
     f51 = make_field(51)
     vs = enumerate_norm_values(f51, rep_for(f51, 2), 30)
-    assert 15 in vs.values and 25 in vs.values
-    assert vs.witness_for(15) == RingElement(2, -1)
-    assert vs.witness_for(25) == RingElement(5, 0)
+    assert vs.values == (15, 25)
+    assert vs.witnesses == (RingElement(2, -1), RingElement(5, 0))
 
     # below the smallest admissible norm the set is empty
     vs = enumerate_norm_values(f5, rep_for(f5, 2), 3)
@@ -142,11 +134,10 @@ def test_enumerate_norm_values_examples():
 def test_enumerate_norm_values_canonical_witnesses():
     f907 = make_field(907)
     vs = enumerate_norm_values(f907, rep_for(f907, 2), 300)
-    assert vs.witness_for(247) == RingElement(5, -1)
-    assert vs.witness_for(169) == RingElement(13, 0)
-    assert vs.witness_for(299) == RingElement(8, 1)
+    assert vs.values == (169, 247, 299)
+    assert vs.witnesses == (RingElement(13, 0), RingElement(5, -1), RingElement(8, 1))
     vs3 = enumerate_norm_values(f907, rep_for(f907, 3), 300)
-    assert vs3.witness_for(299) == RingElement(9, -1)
+    assert dict(zip(vs3.values, vs3.witnesses))[299] == RingElement(9, -1)
 
 
 ALL_CLASSES = [(d, rep.class_index) for d in SUPPORTED_FIELDS for rep in class_reps(make_field(d))]
@@ -176,7 +167,7 @@ def test_witnesses_are_valid_and_nonzero(field_class, bound):
     vs = enumerate_norm_values(f, rep_for(f, class_index), bound)
     assert len(vs.values) == len(vs.witnesses)
     for v, w in zip(vs.values, vs.witnesses):
-        assert not w.is_zero()
+        assert (w.a, w.b) != (0, 0)
         assert norm(f, w) == v
 
 
@@ -253,6 +244,12 @@ def test_find_certificate_goldens():
     cert = find_certificate(_query(907, 2, 81), 5)
     assert [(g.a, g.b) for g in cert.gammas] == [(13, 0), (13, 0), (13, 0), (5, -1), (8, 1)]
     assert cert.to_json_dict()["check"] == 1053
+
+    # the paired classes' certificates are not conjugates of each other:
+    # conjugating class 3's (1, -3) gives (-2, 3), where class 2's is (2, -3)
+    cert = find_certificate(_query(907, 3, 274), 2)
+    assert [(g.a, g.b) for g in cert.gammas] == [(39, 0), (1, -3)]
+    assert [(g.a, g.b) for g in find_certificate(_query(907, 2, 274), 2).gammas] == [(39, 0), (2, -3)]
 
 
 def test_find_certificate_exact_count_contract():
@@ -378,7 +375,7 @@ def test_certificates_recheck_cleanly(case):
     f = make_field(d)
     norms = [norm(f, g) for g in cert.gammas]
     assert norms == sorted(norms)
-    assert sum(norms) == q.target
+    assert sum(norms) == q.r * q.k
     # each summand is its norm's canonical witness
     for g, n in zip(cert.gammas, norms):
         assert (g.a, g.b) == oracle_witness(d, class_index, n)
@@ -499,6 +496,36 @@ def test_work_is_checked_once_per_build(monkeypatch):
     assert exceptional_set(f, 2, 200)[:3] == [1, 2, 4]
     with pytest.raises(Overflow, match="2 tables of width 300"):
         g_invariant(f, 300)
+
+
+def test_table_cache_is_bounded_in_bytes():
+    # a table of width w takes w + 1 bytes and is built only at a width
+    # form_values admits, so each key's widest admitted width bounds the
+    # cache in bytes with no eviction; the estimate grows with the width,
+    # so a doubling and a bisection find it
+    def admitted(form, width):
+        return repsearch._work_estimate(*form, width) <= repsearch._WORK_BUDGET
+
+    table_bytes = {}
+    for d in SUPPORTED_FIELDS:
+        f = make_field(d)
+        for rep in class_reps(f):
+            key = repsearch._table_key(f, rep.class_index)
+            if key != (d, rep.class_index):
+                continue
+            form = class_form(f, rep)[:3]
+            lo, hi = 1, 2
+            while admitted(form, hi):
+                lo, hi = hi, 2 * hi
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (mid, hi) if admitted(form, mid) else (lo, mid)
+            with pytest.raises(Overflow):
+                min_count_table(f, rep.class_index, hi)
+            table_bytes[key] = lo + 1
+    assert len(table_bytes) == 77
+    assert sum(table_bytes.values()) < 36 * 2**20
+    assert max(table_bytes.values()) == table_bytes[(907, 2)] == 779904
 
 
 def test_every_enumeration_is_admitted_before_its_first_point(monkeypatch):
@@ -750,38 +777,3 @@ def test_class_forms_switch_to_unset_bit_tests_after_layer_two_or_three():
             switches.append(_first_sparse_layer(masks, values, width))
     assert sorted(set(switches)) == [2, 3]
     assert switches.count(2) == 2 * 87
-
-
-def test_transfer_certificate_between_paired_classes():
-    cert = find_certificate(_query(23, 2, 3), 1)
-    assert [(g.a, g.b) for g in cert.gammas] == [(1, -1)]
-    moved = transfer_certificate(cert)
-    assert moved.query.class_index == 3
-    assert [(g.a, g.b) for g in moved.gammas] == [(0, 1)]
-    assert recheck_certificate(moved.to_json_dict()) == []
-    # conjugating twice restores the original
-    assert transfer_certificate(moved) == cert
-    # the image is valid and in canonical order, but a conjugate need not
-    # be the canonical witness of its norm: class 2 itself gives (2, -3)
-    cert = find_certificate(_query(907, 3, 274), 2)
-    assert [(g.a, g.b) for g in cert.gammas] == [(39, 0), (1, -3)]
-    moved = transfer_certificate(cert)
-    assert [(g.a, g.b) for g in moved.gammas] == [(39, 0), (-2, 3)]
-    assert recheck_certificate(moved.to_json_dict()) == []
-    assert [(g.a, g.b) for g in find_certificate(_query(907, 2, 274), 2).gammas] == [(39, 0), (2, -3)]
-    with pytest.raises(ValueError):
-        transfer_certificate(find_certificate(_query(35, 2, 3), 1))
-
-
-@given(st.sampled_from([23, 59, 139, 283, 907]), st.integers(min_value=1, max_value=40))
-def test_transfer_preserves_validity_both_ways(d, r):
-    for src in (2, 3):
-        q = _query(d, src, r)
-        res = min_terms(q)
-        if not res.is_representable:
-            continue
-        cert = find_certificate(q, res.m)
-        moved = transfer_certificate(cert)
-        assert moved.query.class_index == 5 - src
-        assert moved.m == cert.m
-        assert recheck_certificate(moved.to_json_dict()) == []

@@ -1,8 +1,9 @@
 """Structure guards: the library holds no recursive search, defines no
 exception class it never raises, decides the omega branch only in
-quadfield, keeps congruence conditions out of the search kernel, the test
-oracle stays independent of the code it checks, and importing the CLI
-loads no process-pool module."""
+quadfield, keeps congruence conditions out of the search kernel, keeps no
+public name that only tests use, the test oracle stays independent of the
+code it checks, and importing the CLI loads no process-pool module and
+no fractions module."""
 
 import ast
 import builtins
@@ -13,14 +14,21 @@ from pathlib import Path
 import normsums
 
 SRC = Path(normsums.__file__).resolve().parent
-ORACLE = Path(__file__).resolve().parent / "_oracle.py"
+REPO = Path(__file__).resolve().parents[1]
+ORACLE = REPO / "tests" / "_oracle.py"
 KERNEL_MODULES = {"normsums.repsearch", "normsums.universality"}
 # outside quadfield, the functions that may read the omega branch: one
-# display, and two formulas that are independent of the norm form by design
-BRANCH_READERS = {"cli.py:_omega_text", "verify.py:recheck_certificate", "universality.py:three_norm_sum"}
+# display, and the recheck, independent of the norm form by design
+BRANCH_READERS = {"cli.py:_omega_text", "verify.py:recheck_certificate"}
 # the congruence edge: display, certificate coordinates and recheck use it,
 # the kernel reads only the class form
-CONGRUENCE_NAMES = {"congruence_for", "predicate_holds", "condition_display", "CongruenceCondition"}
+CONGRUENCE_NAMES = {"congruence_for", "condition_display", "CongruenceCondition"}
+# public names that no caller in src/, cli, a demo or the bench reads, kept
+# on purpose
+UNREAD_PUBLIC_NAMES = {
+    "min_count_table",  # the README's library API; a bench/layertrace.py layer
+    "validate_tables",  # the representative tables' consistency sweep, kept by the ROADMAP
+}
 
 
 def self_calls(tree: ast.AST, filename: str) -> list[str]:
@@ -88,6 +96,42 @@ def congruence_names(tree: ast.AST) -> list[str]:
         else:
             continue
         found += [f"{name}:{node.lineno}" for name in names if name in CONGRUENCE_NAMES]
+    return sorted(found)
+
+
+def referenced_names(tree: ast.AST) -> set[str]:
+    """Every name, attribute or imported name the tree mentions."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+    return found
+
+
+def defined_names(top: ast.stmt) -> list[str]:
+    """The names a top-level def, class or assignment binds."""
+    if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [top.name]
+    targets = top.targets if isinstance(top, ast.Assign) else [top.target] if isinstance(top, ast.AnnAssign) else []
+    return [node.id for target in targets for node in ast.walk(target) if isinstance(node, ast.Name)]
+
+
+def unread_public_names(modules: dict[str, ast.Module], readers: list[ast.Module]) -> list[str]:
+    """module:name of every public top-level name of the modules that no
+    other module, no reader and no other top-level statement of its own
+    module mentions, sorted."""
+    found = []
+    for filename, tree in modules.items():
+        outside = set().union(*(referenced_names(t) for other, t in modules.items() if other != filename),
+                              *(referenced_names(t) for t in readers))
+        for top in tree.body:
+            inside = set().union(*(referenced_names(t) for t in tree.body if t is not top))
+            found += [f"{filename}:{name}" for name in defined_names(top)
+                      if not name.startswith("_") and name not in outside | inside]
     return sorted(found)
 
 
@@ -174,11 +218,43 @@ def test_guard_sees_congruence_names():
         "from normsums import classdata\n"
         "def f(field, rep, a, b):\n"
         "    c = classdata.congruence_for(field, rep)\n"
-        "    return classdata.predicate_holds(c, a, b) or condition_display(c)\n"
+        "    return classdata.class_form(field, rep) or condition_display(c)\n"
         "X: CongruenceCondition = None\n"
     )
     assert congruence_names(tree) == [
-        "CongruenceCondition:6", "condition_display:5", "congruence_for:1", "congruence_for:4", "predicate_holds:5",
+        "CongruenceCondition:6", "condition_display:5", "congruence_for:1", "congruence_for:4",
+    ]
+
+
+def _parsed(paths) -> dict[str, ast.Module]:
+    return {path.name: ast.parse(path.read_text()) for path in paths}
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    # a public name of a library module is read by another library module,
+    # by its own module, by the CLI, a demo or the bench; __init__ only
+    # re-exports, so it reads nothing
+    modules = _parsed(p for p in sorted(SRC.glob("*.py")) if p.name not in ("cli.py", "__init__.py"))
+    readers = _parsed([SRC / "cli.py", *sorted((REPO / "demos").glob("*.py")), *sorted((REPO / "bench").glob("*.py"))])
+    unread = [entry for entry in unread_public_names(modules, list(readers.values()))
+              if entry.split(":")[1] not in UNREAD_PUBLIC_NAMES]
+    assert unread == []
+
+
+def test_guard_sees_unread_public_names():
+    lib = ast.parse(
+        "LIMIT = 3\n"
+        "TABLE: dict = {}\n"
+        "A, (B, _C) = 1, (2, 3)\n"
+        "def helper(): return LIMIT\n"
+        "def orphan(): return orphan()\n"
+        "def _private(): pass\n"
+        "class Record: pass\n"
+    )
+    other = ast.parse("from lib import helper\ndef run(): return helper()\n")
+    reader = ast.parse("import lib\nprint(lib.Record, B)\n")
+    assert unread_public_names({"lib.py": lib, "other.py": other}, [reader]) == [
+        "lib.py:A", "lib.py:TABLE", "lib.py:orphan", "other.py:run",
     ]
 
 
@@ -188,11 +264,12 @@ def test_oracle_imports_neither_kernel_module():
     assert kernel_imports(tree) == ["normsums.repsearch", "normsums.universality"]
 
 
-def test_cli_import_loads_no_process_pool():
-    # the pool's modules load only when verify_all fans out
+def test_cli_import_loads_no_process_pool_or_fractions():
+    # the pool's modules load only when verify_all fans out, and no exact
+    # rational arithmetic is needed anywhere
     code = (
         "import sys, normsums, normsums.cli; "
-        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))"
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures', 'fractions') if m in sys.modules))"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

@@ -1,4 +1,6 @@
-"""Coverage tools: criterion sets, mixed square/triangular sums, m_d."""
+"""Coverage tools: criterion sets, mixed square/triangular sums, m_d, and
+the small-discriminant lemmas (Legendre's three-square rule, the 16
+three-norm identities) checked directly."""
 
 import math
 import time
@@ -16,21 +18,17 @@ from normsums.universality import (
     MixedSum,
     TermKind,
     check_criterion,
-    is_sum_of_three_squares,
     m_d,
     norm_sum_first_gap,
-    represents_bounded,
     sun_polynomial_universal,
-    three_norm_sum,
-    three_norm_witness_table,
     triangular,
     universal_up_to,
 )
 
 
 def test_criterion_sets_frozen():
-    assert FIFTEEN.numbers == (1, 2, 3, 5, 6, 7, 10, 14, 15)
-    assert TWO_NINETY.numbers == (
+    assert FIFTEEN == (1, 2, 3, 5, 6, 7, 10, 14, 15)
+    assert TWO_NINETY == (
         1, 2, 3, 5, 6, 7, 10, 13, 14, 15, 17, 19, 21, 22, 23, 26, 29, 30, 31,
         34, 35, 37, 42, 58, 93, 110, 145, 203, 290,
     )
@@ -43,18 +41,12 @@ def test_triangular():
         assert triangular(x) == triangular(-x - 1)
 
 
-def test_represents_bounded_examples():
+def test_single_number_coverage_examples():
     three_squares = DiagonalForm((1, 1, 1))
-    ok, wit = represents_bounded(three_squares, 6)
-    assert ok and sum(c * x * x for c, x in zip((1, 1, 1), wit)) == 6
-    ok, wit = represents_bounded(three_squares, 7)
-    assert not ok and wit is None
-
+    assert check_criterion(three_squares, (6,))
+    assert not check_criterion(three_squares, (7,))
     mixed = MixedSum(((TermKind.TRIANGULAR, 2), (TermKind.SQUARE, 1), (TermKind.SQUARE, 1)))
-    ok, wit = represents_bounded(mixed, 5)
-    assert ok
-    t, x, y = wit
-    assert 2 * triangular(t) + x * x + y * y == 5
+    assert check_criterion(mixed, (5,))
 
 
 def _oracle_terms(form):
@@ -73,26 +65,24 @@ _forms = st.one_of(
 
 @settings(max_examples=300)
 @given(_forms, st.integers(min_value=-1, max_value=400))
-def test_represents_bounded_matches_oracle(form, n):
-    # coverage masks against the oracle's depth-first search: the same
-    # verdict and the same, lexicographically least, witness
-    assert represents_bounded(form, n) == oracle_represents(_oracle_terms(form), n)
+def test_coverage_matches_oracle(form, n):
+    # the coverage mask against the oracle's depth-first search
+    assert check_criterion(form, (n,)) == oracle_represents(_oracle_terms(form), n)
 
 
-def test_represents_bounded_answers_fast_at_any_size():
+def test_coverage_answers_fast_at_any_size():
     t0 = time.perf_counter()
     # odd n, even coefficients: a miss the depth-first search takes minutes on
-    assert represents_bounded(DiagonalForm((2,) * 5), 8001) == (False, None)
-    # 1200 terms, past the recursion limit of a search per term; the least
-    # witness leaves everything to the last two terms, 5 = 1^2 + 2^2
-    assert represents_bounded(DiagonalForm((1,) * 1200), 5) == (True, (0,) * 1198 + (1, 2))
+    assert not check_criterion(DiagonalForm((2,) * 5), (8001,))
+    # 1200 terms, past the recursion limit of a search per term
+    assert check_criterion(DiagonalForm((1,) * 1200), (5,))
     assert time.perf_counter() - t0 < 1
 
 
 def test_coverage_over_budget_raises_before_work():
     form = MixedSum(((TermKind.SQUARE, 1), (TermKind.TRIANGULAR, 1)))
     for check in (
-        lambda: represents_bounded(form, 10**12),
+        lambda: check_criterion(form, (10**12,)),
         lambda: universal_up_to(form, 10**12),
         lambda: sun_polynomial_universal(10**12),
     ):
@@ -102,23 +92,21 @@ def test_coverage_over_budget_raises_before_work():
         assert time.perf_counter() - t0 < 1
 
 
-@given(st.integers(min_value=0, max_value=300))
-def test_witness_evaluates_to_target(n):
-    form = MixedSum(((TermKind.SQUARE, 1), (TermKind.TRIANGULAR, 4), (TermKind.SQUARE, 2)))
-    ok, wit = represents_bounded(form, n)
-    if ok:
-        x, t, y = wit
-        assert x * x + 4 * triangular(t) + 2 * y * y == n
-
-
 def test_check_criterion_diagonal_forms():
     assert check_criterion(DiagonalForm((1, 1, 1, 1)), FIFTEEN)
     assert check_criterion(DiagonalForm((1, 1, 1, 5)), FIFTEEN)
     assert check_criterion(DiagonalForm((1, 1, 1, 6, 6)), FIFTEEN)
     assert not check_criterion(DiagonalForm((1, 1, 1)), FIFTEEN)
     # the members that break the three-square form are exactly those = 7 mod 8
-    misses = {n for n in FIFTEEN.numbers if not represents_bounded(DiagonalForm((1, 1, 1)), n)[0]}
+    misses = {n for n in FIFTEEN if not check_criterion(DiagonalForm((1, 1, 1)), (n,))}
     assert misses == {7, 15}
+
+
+def _is_sum_of_three_squares(n):
+    # Legendre: n >= 0 is a sum of three squares iff it is not 4^a * (8b + 7)
+    while n % 4 == 0 and n > 0:
+        n //= 4
+    return n % 8 != 7
 
 
 def test_three_squares_against_brute_force():
@@ -137,7 +125,7 @@ def test_three_squares_against_brute_force():
                 break
             reachable[t + s] = 1
     for n in range(limit + 1):
-        assert is_sum_of_three_squares(n) == bool(reachable[n]), n
+        assert _is_sum_of_three_squares(n) == bool(reachable[n]), n
 
 
 def test_universal_up_to():
@@ -153,44 +141,48 @@ def test_universal_up_to_agrees_with_search(n):
     terms = _oracle_terms(form)
     ok, gap = universal_up_to(form, n)
     if ok:
-        assert oracle_represents(terms, n)[0]
+        assert oracle_represents(terms, n)
     else:
-        assert gap <= n and not oracle_represents(terms, gap)[0]
+        assert gap <= n and not oracle_represents(terms, gap)
 
 
 def test_sun_polynomial_universal():
     assert sun_polynomial_universal(10**4)
 
 
-def test_three_norm_sum_polynomial():
-    # d=15 row: N(1+omega) + N(1) + N(0) style identities evaluate directly
-    assert three_norm_sum(15, (1, 1, 1, 0, 0, 0)) == 7
-    assert three_norm_sum(27, (0, 1, 0, 0, 0, 0)) == 7
-    with pytest.raises(ValueError):
-        three_norm_sum(5, (1, 0, 0, 0, 0, 0))
-    # exactly six coordinates: extra entries are not dropped, short
-    # tuples do not index past the end
-    for coords in ((1,) * 8, (1,) * 3, ()):
-        with pytest.raises(ValueError, match="6 coordinates"):
-            three_norm_sum(15, coords)
-    # d = -1 is 3 mod 4 but gives no positive definite form
-    for d in (-1, -5):
-        with pytest.raises(ValueError, match="positive"):
-            three_norm_sum(d, (1,) * 6)
-    # True is 1 mod 4 and 27.0 is 3 mod 4, but neither is an int d
-    for d in (True, 2.0, "3", 27.0):
-        with pytest.raises(TypeError, match="d must be an integer"):
-            three_norm_sum(d, (1,) * 6)
+# Identities showing 7, 15, 23 and 31 as sums of three norms
+# a^2 + a*b + ((1+d)/4)*b^2 for d = 15, 19, 23, 27: the inputs
+# (a1, b1, a2, b2, a3, b3) and the value each must produce.
+THREE_NORM_IDENTITIES = (
+    (15, (1, 1, 1, 0, 0, 0), 7),
+    (15, (2, 1, 1, 0, 2, 0), 15),
+    (15, (1, 1, 1, 0, 4, 0), 23),
+    (15, (1, 1, 5, 0, 0, 0), 31),
+    (19, (1, 1, 0, 0, 0, 0), 7),
+    (19, (1, 1, 2, 0, 2, 0), 15),
+    (19, (1, 1, 4, 0, 0, 0), 23),
+    (19, (5, 0, 1, 0, 0, 1), 31),
+    (23, (1, 0, 0, 1, 0, 0), 7),
+    (23, (1, 0, 0, 1, 1, 1), 15),
+    (23, (1, 0, 0, 1, 4, 0), 23),
+    (23, (5, 0, 0, 1, 0, 0), 31),
+    (27, (0, 1, 0, 0, 0, 0), 7),
+    (27, (0, 1, 2, 0, 2, 0), 15),
+    (27, (0, 1, 4, 0, 0, 0), 23),
+    (27, (2, 1, 3, 0, 3, 0), 31),
+)
 
 
-def test_three_norm_witness_table():
-    table = three_norm_witness_table()
-    assert len(table) == 16
-    assert {w.d for w in table} == {15, 19, 23, 27}
-    assert sorted({w.expected for w in table}) == [7, 15, 23, 31]
-    assert all(w.ok and w.actual == w.expected for w in table)
-    # each (d, target) pair appears exactly once
-    assert len({(w.d, w.expected) for w in table}) == 16
+def test_three_norm_identities():
+    # each (d, target) pair appears exactly once, and every identity
+    # holds by direct evaluation (d = 27 is no field: plain polynomials)
+    assert sorted((d, n) for d, _, n in THREE_NORM_IDENTITIES) == [
+        (d, n) for d in (15, 19, 23, 27) for n in (7, 15, 23, 31)
+    ]
+    for d, coords, expected in THREE_NORM_IDENTITIES:
+        c = (1 + d) // 4
+        pairs = zip(coords[::2], coords[1::2])
+        assert sum(a * a + a * b + c * b * b for a, b in pairs) == expected, (d, coords)
 
 
 EXPECTED_M_D = {d: 2 for d in (1, 2, 3, 7, 11)}
@@ -200,7 +192,7 @@ for _d in SUPPORTED_FIELDS:
 
 
 def _least_full_layer(layers, criterion):
-    return next(j for j, mask in enumerate(layers) if all(mask >> n & 1 for n in criterion.numbers))
+    return next(j for j, mask in enumerate(layers) if all(mask >> n & 1 for n in criterion))
 
 
 def test_m_d_all_fields():
@@ -208,7 +200,7 @@ def test_m_d_all_fields():
     # on every field: the transcribed values, bounded coverage scans
     # (m_d norms cover [1, 10^4], m_d - 1 miss something in [1, 100]),
     # and the least oracle layer holding every TWO_NINETY number
-    width = TWO_NINETY.numbers[-1]
+    width = TWO_NINETY[-1]
     for d in SUPPORTED_FIELDS:
         f = make_field(d)
         count = m_d(f)
@@ -259,16 +251,16 @@ def test_gap_agrees_with_direct_search():
     f = make_field(10)
     gap = norm_sum_first_gap(f, 3, 10**3)
     terms = [("Square", c) for c in (1, 10, 1, 10, 1, 10)]
-    assert not oracle_represents(terms, gap)[0]
+    assert not oracle_represents(terms, gap)
     for n in range(gap):
-        assert oracle_represents(terms, n)[0], n
+        assert oracle_represents(terms, n), n
 
 
 def test_fifteen_theorem_gives_m_d_on_classically_integral_norm_forms():
     # a^2 + d*b^2 (d not 3 mod 4) is classically integral, so the 15
     # theorem applies too; the half-integer forms are left out, as no
     # theorem backs FIFTEEN there
-    width = FIFTEEN.numbers[-1]
+    width = FIFTEEN[-1]
     classical = [d for d in SUPPORTED_FIELDS if d % 4 != 3]
     assert classical
     for d in classical:
@@ -289,7 +281,7 @@ def test_form_validation():
     with pytest.raises(ValueError, match="limit must be positive, got 0"):
         universal_up_to(form, 0)
     # a negative n is a value the form does not take, not an error
-    assert represents_bounded(form, -1) == (False, None)
+    assert not check_criterion(form, (-1,))
     for value in (True, 2.0, "3"):
         with pytest.raises(TypeError, match="coefficient must be an integer"):
             DiagonalForm((1, value))
@@ -297,5 +289,3 @@ def test_form_validation():
             MixedSum(((TermKind.SQUARE, 1), (TermKind.TRIANGULAR, value)))
         with pytest.raises(TypeError, match="limit must be an integer"):
             universal_up_to(form, value)
-        with pytest.raises(TypeError, match="n must be an integer"):
-            represents_bounded(form, value)

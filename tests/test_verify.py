@@ -8,7 +8,6 @@ from normsums.classdata import class_number_fields, class_reps
 from normsums.quadfield import make_field
 from normsums.repsearch import LatticeQuery, find_certificate, min_terms
 from normsums.verify import (
-    describe_expected,
     expected_row,
     recheck_certificate,
     report_table,
@@ -85,9 +84,14 @@ def test_expected_rows_exist_for_all_tabled_fields():
         assert len(row.beyond_threshold) == BEYOND_COUNTS[d], d
 
 
-def test_describe_expected_frozen_strings():
+def test_expected_rows_match_second_transcription():
+    # DESCRIPTIONS retypes ten rows as 'r/5 for r >= 3 and r != 4, 7; g = 4'
     for d, expected in DESCRIPTIONS.items():
-        assert describe_expected(d) == expected, d
+        row = expected_row(d)
+        text = f"r/{row.k_per_class[0]} for r >= {row.threshold}"
+        if row.beyond_threshold:
+            text += " and r != " + ", ".join(str(r) for r in row.beyond_threshold)
+        assert f"{text}; g = {row.expected_g}" == expected, d
 
 
 def test_verify_field_matches():
@@ -196,6 +200,22 @@ def test_verify_all_pool_clamped_to_field_count(monkeypatch):
     report = verify_all(2, r_max=300)
     assert sizes == [16, 3]
     assert report.matches == report.total == 18
+
+
+def test_verify_all_checks_every_window_before_any_pool(monkeypatch):
+    # a window too small for any field is the caller's error, raised with
+    # verify_field's message before a worker starts
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(verify_mod, "_usable_cpus", lambda: 2)
+    with pytest.raises(ValueError, match=r"^r_max=0 too small: exception 1 > 0$"):
+        verify_all(3, 0)
+    with pytest.raises(ValueError, match=r"^r_max=10 leaves no padding headroom past exception 9 \(need >= 13\)$"):
+        verify_all(2, 10)
 
 
 def test_verify_all_class3_builds_no_class3_table(monkeypatch):

@@ -220,9 +220,15 @@ def test_paired_class_predicates_swap_under_conjugation():
                 assert predicate_holds(c2, a, b) == predicate_holds(c3, a + b, -b), (d, a, b)
 
 
+def test_odd_sqrt_of_minus_d():
+    assert odd_sqrt_of_minus_d(make_field(23)) == 1
+    assert odd_sqrt_of_minus_d(make_field(211)) == 3
+    assert odd_sqrt_of_minus_d(make_field(283)) == 5
+    assert odd_sqrt_of_minus_d(make_field(547)) == 5
+    assert odd_sqrt_of_minus_d(make_field(907)) == 9
+
+
 def test_odd_sqrt_is_minimal_odd_square_root():
-    spot = {23: 1, 211: 3, 283: 5, 547: 5, 907: 9}
-    assert {d: odd_sqrt_of_minus_d(make_field(d)) for d in spot} == spot
     for d in sorted(CLASS3_ROWS):
         f = make_field(d)
         k = rep_for(f, 2).k

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from _oracle import oracle_layers, oracle_least_split, oracle_min_terms, oracle_witness, oracle_witnesses
 from normsums import repsearch
 from normsums.classdata import class_form, class_number_fields, class_reps, rep_for
-from normsums.quadfield import SUPPORTED_FIELDS, Overflow, RingElement, make_field, norm
+from normsums.quadfield import SUPPORTED_FIELDS, Overflow, RingElement, conjugate, make_field, norm
 from normsums.repsearch import (
     LatticeQuery,
     MinTermsResult,
@@ -244,12 +244,6 @@ def test_find_certificate_goldens():
     cert = find_certificate(_query(907, 2, 81), 5)
     assert [(g.a, g.b) for g in cert.gammas] == [(13, 0), (13, 0), (13, 0), (5, -1), (8, 1)]
     assert cert.to_json_dict()["check"] == 1053
-
-    # the paired classes' certificates are not conjugates of each other:
-    # conjugating class 3's (1, -3) gives (-2, 3), where class 2's is (2, -3)
-    cert = find_certificate(_query(907, 3, 274), 2)
-    assert [(g.a, g.b) for g in cert.gammas] == [(39, 0), (1, -3)]
-    assert [(g.a, g.b) for g in find_certificate(_query(907, 2, 274), 2).gammas] == [(39, 0), (2, -3)]
 
 
 def test_find_certificate_exact_count_contract():
@@ -777,3 +771,31 @@ def test_class_forms_switch_to_unset_bit_tests_after_layer_two_or_three():
             switches.append(_first_sparse_layer(masks, values, width))
     assert sorted(set(switches)) == [2, 3]
     assert switches.count(2) == 2 * 87
+
+
+def _transferred(cert):
+    """The certificate's JSON with each summand conjugated and the query
+    moved to the paired class, in canonical (norm, a, b) order."""
+    f = cert.query.field
+    moved = cert.to_json_dict()
+    moved["class_index"] = 5 - cert.query.class_index
+    image = sorted((conjugate(f, g) for g in cert.gammas), key=lambda g: (norm(f, g), g.a, g.b))
+    moved["gammas"] = [[g.a, g.b] for g in image]
+    return moved
+
+
+def test_transfer_certificate_between_paired_classes():
+    cert = find_certificate(_query(23, 2, 3), 1)
+    assert [(g.a, g.b) for g in cert.gammas] == [(1, -1)]
+    moved = _transferred(cert)
+    assert moved["class_index"] == 3
+    assert moved["gammas"] == [[0, 1]]
+    assert recheck_certificate(moved) == []
+    # the image is valid and in canonical order, but a conjugate need not
+    # be the canonical witness of its norm: class 2 itself gives (2, -3)
+    cert = find_certificate(_query(907, 3, 274), 2)
+    assert [(g.a, g.b) for g in cert.gammas] == [(39, 0), (1, -3)]
+    moved = _transferred(cert)
+    assert moved["gammas"] == [[39, 0], [-2, 3]]
+    assert recheck_certificate(moved) == []
+    assert [(g.a, g.b) for g in find_certificate(_query(907, 2, 274), 2).gammas] == [(39, 0), (2, -3)]

@@ -6,7 +6,10 @@ scaled norms N(gamma/k) exactly when r*k is a sum of m congruence-
 admissible norm values N(gamma).  Each admissible norm is k times a value
 of the class's binary form A*x^2 + B*x*y + C*y^2 (classdata.class_form),
 so the search asks instead whether r is a sum of m form values, in
-r-space, with no congruence test in the loop.
+r-space, with no congruence test in the loop.  The values are enumerated
+row by row over a half plane, each row an itertools.accumulate over the
+form's steps along it; when A divides B a row is its own mirror image
+and only its upper half is walked, and a row left empty is skipped.
 
 Minimum counts come from a layered reachability table: layer j is the
 bitmask of all r reachable as a sum of at most j form values.  The
@@ -51,6 +54,7 @@ before its first build.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .classdata import IdealClassRep, class_form, class_reps, rep_for
 from .quadfield import (
@@ -93,7 +97,6 @@ class LatticeQuery:
 @dataclass(frozen=True)
 class NormValueSet:
     k: int
-    bound: int
     values: tuple[int, ...]
     witnesses: tuple[RingElement, ...]
 
@@ -151,12 +154,26 @@ def _form_rows(a: int, b: int, c: int, bound: int):
 def form_values(a: int, b: int, c: int, bound: int) -> list[int]:
     """Distinct values in [1, bound] of the form a*x^2 + b*x*y + c*y^2,
     ascending.  Raises Overflow before visiting a point unless layering
-    them up to bound fits the work budget (_work_estimate)."""
+    them up to bound fits the work budget (_work_estimate).
+
+    Each row of _form_rows is summed by accumulate, with no Python code
+    per point: along row y, Q(x + 1, y) - Q(x, y) = a*(2x + 1) + b*y,
+    which steps by 2a.  When a divides b, x -> -x - (b/a)*y maps the
+    row's values onto themselves, so the row starts at its middle,
+    -(b/a)*y/2 rounded up.  A row left empty, by that clamp or in row 0
+    below a, is skipped: accumulate would still yield its initial value.
+    """
     _check_budget(_work_estimate(a, b, c, bound), f"width {bound}")
     vals: set[int] = set()
+    two_a = 2 * a
+    mirror = b // a if b % a == 0 else None
     for y, lo, hi in _form_rows(a, b, c, bound):
-        by, cyy = b * y, c * y * y
-        vals.update([(a * x + by) * x + cyy for x in range(lo, hi + 1)])
+        if mirror is not None:
+            lo = max(lo, -(mirror * y // 2))
+        if lo > hi:
+            continue
+        step0 = a * (2 * lo + 1) + b * y
+        vals.update(accumulate(range(step0, step0 + two_a * (hi - lo), two_a), initial=(a * lo + b * y) * lo + c * y * y))
     return sorted(vals)
 
 
@@ -229,7 +246,7 @@ def enumerate_norm_values(f: FieldParams, rep: IdealClassRep, bound: int) -> Nor
     form = class_form(f, rep)
     values = form_values(*form[:3], bound // rep.k)
     witnesses = tuple(_witness(form, rep.k, v) for v in values)
-    return NormValueSet(k=rep.k, bound=bound, values=tuple(rep.k * v for v in values), witnesses=witnesses)
+    return NormValueSet(k=rep.k, values=tuple(rep.k * v for v in values), witnesses=witnesses)
 
 
 def reach_layers(values: list[int], width: int, cap: int | None = None) -> list[int]:

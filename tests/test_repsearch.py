@@ -4,6 +4,7 @@ FROZEN_MIN_TERMS was produced by tests/_oracle.py (depth-first search with
 its own value enumeration) and is pinned here; min_terms must agree.
 """
 
+import math
 import time
 from pathlib import Path
 
@@ -155,6 +156,24 @@ def test_enumerate_matches_oracle_box_scan(field_class, bound):
     # the same values, each with the oracle's canonical witness
     assert {v: (w.a, w.b) for v, w in zip(vs.values, vs.witnesses)} == expected
     assert list(vs.values) == list(expected)
+
+
+def test_form_values_match_a_box_scan_at_every_width():
+    # form_values walks half rows and skips rows left empty; a plain box
+    # scan with its own bounds (4a*Q >= D*y^2 and 4c*Q >= D*x^2) must give
+    # the same values at every width, for every class form and for forms
+    # whose b is another multiple of a, or no multiple at all
+    extra = [(2, 4, 3), (2, -4, 3), (1, 3, 3), (1, -3, 3), (2, 6, 5), (2, -6, 5),
+             (2, 1, 3), (3, 2, 5), (3, -2, 5), (5, 3, 2), (4, 7, 5)]
+    forms = {class_form(make_field(d), rep_for(make_field(d), class_index))[:3] for d, class_index in ALL_CLASSES}
+    top = 400
+    for a, b, c in sorted(forms) + extra:
+        disc = 4 * a * c - b * b
+        xmax, ymax = math.isqrt(4 * c * top // disc), math.isqrt(4 * a * top // disc)
+        scan = sorted({q for x in range(-xmax, xmax + 1) for y in range(-ymax, ymax + 1)
+                       if 0 < (q := a * x * x + b * x * y + c * y * y) <= top})
+        for width in range(1, top + 1):
+            assert form_values(a, b, c, width) == [q for q in scan if q <= width], (a, b, c, width)
 
 
 @given(

@@ -28,20 +28,32 @@ costs more than a full pass and the work bound below still holds.
 Each layer's new bits are decoded once into a per-r min-count table, one
 byte per r.  One table is kept per (field, class), the inverse classes 2
 and 3 of a class-number-3 field sharing one, rebuilt only when a larger
-r_max is asked for; smaller windows read a prefix of it.
+r_max is asked for; smaller windows read a prefix of it.  min_count_table,
+exceptional_set and g_invariant always read it.
 
-Certificates walk back through a min-count table, one of two.  When the
-class's table is cached up to r, m below its byte r (or any m, if r is
-unreachable) has no certificate, and m equal to it walks that table, with
-no enumeration or layer build.  Otherwise exactly m form values sum to r
-exactly when at most m of the shifted values v - vmin (v > vmin, vmin the
-least value) sum to r - m*vmin; those are layered up to m - 1 times and
-decoded into a table, and the certificate opens with m - c copies of vmin,
-c the least count of shifted values reaching the remainder.  The walk then
-takes the rest in order, each the least value in a window whose remainder
-needs exactly the slots left, found by one bytes search over the window.
-Congruences stay at the edges: only the summands a certificate picks get
-(a, b) coordinates, solved from the form's (x, y) by a = k*x - beta*y,
+A point query at r (min_terms, find_certificate) needs only r's count, and
+almost every r needs one or two values.  So, unless the min-count table is
+cached up to r, it reads a second table kept under the same key: the value
+table, byte v 1 when v is a form value, marked from form_values with no
+layering.  r needs one value when its byte is 1 and two when the walk
+below finds a pair; only the other r, which need three or more values or
+none, build the min-count table.  A walk for one or two values reads only
+bytes equal to 1, which the two tables share, so it picks the same values
+from either.
+
+Certificates walk back through the table that gave the minimum: m below it
+(or any m, if r is unreachable) has no certificate, and m equal to it walks
+that table, with no further enumeration or layer build.  Above the
+minimum, exactly m form values sum to r exactly when at most m of the
+shifted values v - vmin (v > vmin, vmin the least value) sum to
+r - m*vmin; those are layered up to m - 1 times and decoded into a table,
+and the certificate opens with m - c copies of vmin, c the least count of
+shifted values reaching the remainder.  The walk then takes the rest in
+order, each the least value in a window whose remainder needs exactly the
+slots left: the first few values of the window are tried one at a time,
+and past those one bytes search over the window finds it.  Congruences
+stay at the edges: only the distinct values a certificate picks get (a, b)
+coordinates, solved once each from the form's (x, y) by a = k*x - beta*y,
 b = y.
 
 Work is known before it starts: form_values bounds the word-shifts of a
@@ -77,6 +89,8 @@ _WORK_BUDGET = 10**10
 # (d, class_index) -> min-count table: byte r is the least number of form
 # values summing to r, 0 when no number does; class 3 reads (d, 2)
 _TABLES: dict[tuple[int, int], bytes] = {}
+# the same keys -> value table: byte v is 1 when v is a form value, else 0
+_VALUE_TABLES: dict[tuple[int, int], bytes] = {}
 
 
 @dataclass(frozen=True)
@@ -338,16 +352,56 @@ def _count_table(f: FieldParams, class_index: int, r_max: int) -> bytes:
     table = _TABLES.get(key)
     if table is None or len(table) <= r_max:
         # a hit reads a prefix of a table whose build was already admitted
-        form = class_form(f, rep_for(f, key[1]))[:3]
-        table = _decode(reach_layers(form_values(*form, r_max), r_max), r_max)
-        _TABLES[key] = table
+        table = _TABLES[key] = _decode(reach_layers(_key_values(f, key, r_max), r_max), r_max)
     return table
+
+
+def _key_values(f: FieldParams, key: tuple[int, int], width: int) -> list[int]:
+    """form_values up to width of the class form kept under a _TABLES key."""
+    return form_values(*class_form(f, rep_for(f, key[1]))[:3], width)
+
+
+def _point_table(q: LatticeQuery) -> tuple[int, bytes, list[int] | None]:
+    """The least number of form values summing to q.r (0 when no number
+    does), a table that _walk can read for that count at q.r, and the
+    form's values up to q.r if this call enumerated them, else None.
+
+    The class's min-count table answers when it is cached up to r.
+    Otherwise the value table does, built up to r if it is shorter: r
+    needs one value when its byte is 1, and two when _walk finds a pair.
+    Only an r that needs three or more values, or none, builds the
+    min-count table up to r, from the values just enumerated if this call
+    built the value table.
+    """
+    key = _table_key(q.field, q.class_index)
+    table = _TABLES.get(key, b"")
+    if len(table) > q.r:
+        return table[q.r], table, None
+    values = None
+    ones = _VALUE_TABLES.get(key, b"")
+    if len(ones) <= q.r:
+        values = _key_values(q.field, key, q.r)
+        marks = bytearray(q.r + 1)
+        for v in values:
+            marks[v] = 1
+        ones = _VALUE_TABLES[key] = bytes(marks)
+    if ones[q.r]:
+        return 1, ones, values
+    if _walk(ones, q.r, 2) is not None:
+        return 2, ones, values
+    if values is None:
+        values = _key_values(q.field, key, q.r)
+    table = _TABLES[key] = _decode(reach_layers(values, q.r), q.r)
+    return table[q.r], table, values
 
 
 def min_terms(q: LatticeQuery) -> MinTermsResult:
     """Exact minimum number of admissible norms summing to r*k, or the
-    exact verdict that no number of norms works."""
-    m = _count_table(q.field, q.class_index, q.r)[q.r]
+    exact verdict that no number of norms works.  The count is read off
+    the cached min-count table when it reaches r, else off the value table
+    when r needs one or two values; only other r build the min-count table
+    (_point_table)."""
+    m = _point_table(q)[0]
     if not m:
         return MinTermsResult.unrepresentable()
     return MinTermsResult.representable(m)
@@ -357,27 +411,36 @@ def _walk(table: bytes, rem: int, count: int) -> list[int] | None:
     """The least nondecreasing count values summing to rem, or None.  Byte
     n of table (n <= rem) is the least number of values summing to n, so
     byte 1 marks a value; rem needs no fewer than count values, and is a
-    value if count is 1.
+    value if count is 1.  For count 1 or 2 only bytes equal to 1 are read,
+    so a value table serves as well.
 
     Each pick u is the least value in [previous pick, rem // (slots + 1)]
     whose remainder needs exactly the slots left after it: fewer would let
     rem take fewer than count, and none of the later picks, each at least
-    u, is smaller.  One bytes search finds it: the window translated to
-    "is a value" and the mirrored window to "needs exactly slots", ANDed
-    as ints; the lowest set byte is the pick.  The last pick is what
-    remains, a value because the pick before it left one.
+    u, is smaller.  Most picks are among the first values of the window,
+    so the first 16 are tried one at a time, each found by bytes.find.
+    Past those one bytes search finds it: the rest of the window translated
+    to "is a value" and its mirror to "needs exactly slots", ANDed as ints;
+    the lowest set byte is the pick.  The last pick is what remains, a
+    value because the pick before it left one.
     """
     picks: list[int] = []
     u = 1
     for slots in range(count - 1, 0, -1):
         hi = rem // (slots + 1)
-        is_value = table[u : hi + 1].translate(bytes(1) + b"\1" + bytes(254))
-        # read big-endian, byte rem - u of the mirrored window lands at u's place
-        needs = table[rem - hi : rem - u + 1].translate(bytes(slots) + b"\1" + bytes(255 - slots))
-        both = int.from_bytes(is_value, "little") & int.from_bytes(needs, "big")
-        if not both:
+        for _ in range(16):
+            u = table.find(1, u, hi + 1)
+            if u < 0 or table[rem - u] == slots:
+                break
+            u += 1
+        else:
+            is_value = table[u : hi + 1].translate(bytes(1) + b"\1" + bytes(254))
+            # read big-endian, byte rem - u of the mirrored window lands at u's place
+            needs = table[rem - hi : rem - u + 1].translate(bytes(slots) + b"\1" + bytes(255 - slots))
+            both = int.from_bytes(is_value, "little") & int.from_bytes(needs, "big")
+            u = u + ((both & -both).bit_length() - 1) // 8 if both else -1
+        if u < 0:
             return None
-        u += ((both & -both).bit_length() - 1) // 8
         picks.append(u)
         rem -= u
     return picks + [rem] if count else picks
@@ -394,45 +457,48 @@ def find_certificate(q: LatticeQuery, m: int) -> RepCertificate | None:
     enumerate_norm_values witness, and the summands follow that sequence,
     already in (norm, a, b) order since equal values share a witness.
 
-    The values come from one of two tables, both walked by _walk.  When
-    the class's min-count table is cached up to r it decides m below the
-    minimum (None) and at the minimum, where the walk reads the cached
-    table itself, with no enumeration or layer build.  Otherwise exactly
-    m values sum to r exactly when at most m of the shifted values
-    v - vmin (v > vmin, vmin the least value) sum to rem = r - m*vmin; the
-    shifted values are layered up to m - 1 times and decoded into a table.
-    If c shifted values at the least reach rem (c = m when m - 1 layers do
-    not), the least sequence is m - c copies of vmin and then the walk's c
-    picks, each plus vmin.  Layers that reach a fixpoint before m - 1
-    without reaching rem leave no certificate at all.
+    The minimum comes from _point_table, as for min_terms: the cached
+    min-count table, else the value table when r needs one or two values,
+    else a min-count table built up to r.  m below the minimum (or any m,
+    if r is unreachable) has no certificate, and m equal to it walks the
+    table that gave the minimum, with no further enumeration or layer
+    build.  Above the minimum, exactly m values sum to r exactly when at
+    most m of the shifted values v - vmin (v > vmin, vmin the least value)
+    sum to rem = r - m*vmin; the shifted values, from the enumeration
+    _point_table made if it made one, are layered up to m - 1 times and
+    decoded into a table.  If c shifted values at the least
+    reach rem (c = m when m - 1 layers do not), the least sequence is
+    m - c copies of vmin and then the walk's c picks, each plus vmin.
+    Layers that reach a fixpoint before m - 1 without reaching rem leave
+    no certificate at all.  Each distinct value's witness is solved once.
     """
     require_int("m", m, least=1)
+    least, table, values = _point_table(q)
+    if not least or m < least:
+        return None
     f = q.field
     rep = rep_for(f, q.class_index)
     form = class_form(f, rep)
-    cached = _TABLES.get(_table_key(f, q.class_index), b"")
-    least = cached[q.r] if len(cached) > q.r else None
-    if least is not None and (not least or m <= least):
-        seq = _walk(cached, q.r, m) if m == least else None
+    if m == least:
+        seq = _walk(table, q.r, m)
     else:
-        values = form_values(*form[:3], q.r)
-        if not values or m * values[0] > q.r:
+        if values is None:
+            values = form_values(*form[:3], q.r)
+        vmin = values[0]
+        if m * vmin > q.r:
             return None
-        if m == 1:  # no layer to read: r itself must be a value
-            seq = [q.r] if values[-1] == q.r else None
-        else:
-            vmin = values[0]
-            rem = q.r - m * vmin
-            masks = reach_layers([v - vmin for v in values[1:] if v - vmin <= rem], rem, m - 1)
-            table = _decode(masks, rem)
-            if rem and not table[rem] and len(masks) < m:
-                return None  # a fixpoint before m - 1 layers: no count reaches rem
-            c = table[rem] or (m if rem else 0)
-            picks = _walk(table, rem, c)
-            seq = None if picks is None else [vmin] * (m - c) + [vmin + u for u in picks]
-    if seq is None:
-        return None
-    return RepCertificate(query=q, m=m, gammas=tuple(_witness(form, rep.k, v) for v in seq))
+        rem = q.r - m * vmin
+        masks = reach_layers([v - vmin for v in values[1:] if v - vmin <= rem], rem, m - 1)
+        table = _decode(masks, rem)
+        if rem and not table[rem] and len(masks) < m:
+            return None  # a fixpoint before m - 1 layers: no count reaches rem
+        c = table[rem] or (m if rem else 0)
+        picks = _walk(table, rem, c)
+        if picks is None:
+            return None
+        seq = [vmin] * (m - c) + [vmin + u for u in picks]
+    witnesses = {v: _witness(form, rep.k, v) for v in set(seq)}
+    return RepCertificate(query=q, m=m, gammas=tuple(witnesses[v] for v in seq))
 
 
 def min_count_table(f: FieldParams, class_index: int, r_max: int) -> tuple[int | None, ...]:

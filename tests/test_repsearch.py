@@ -357,14 +357,109 @@ def test_unreachable_remainder_with_more_than_255_summands_is_none(monkeypatch):
 
 
 def test_cold_certificate_builds_no_table(monkeypatch):
-    # a cold call layers only the shifted values up to m - 1 and keeps
-    # nothing; another class's cached table is left as it was
+    # a cold call layers only the shifted values up to m - 1 and keeps no
+    # min-count table; another class's cached table is left as it was
     monkeypatch.setattr(repsearch, "_TABLES", {})
     min_count_table(make_field(5), 2, 100)
     before = dict(repsearch._TABLES)
     for d, class_index, r, m in ((1, 1, 5000, 2), (907, 3, 1201, 3), (23, 2, 300, 7), (5, 1, 50, 1)):
         find_certificate(_query(d, class_index, r), m)
         assert repsearch._TABLES == before, (d, class_index)
+
+
+def test_point_queries_match_the_min_count_table(monkeypatch):
+    # every class from a cold cache: each r <= 200 on a cache emptied
+    # before it, so its value table ends at byte r; then r = 1500 down to 1
+    # with _TABLES emptied after each, so every r is read off the value
+    # table built at 1500 or off a min-count table built at r itself
+    monkeypatch.setattr(repsearch, "_TABLES", {})
+    monkeypatch.setattr(repsearch, "_VALUE_TABLES", {})
+    for d, class_index in ALL_CLASSES:
+        f = make_field(d)
+        want = min_count_table(f, class_index, 1500)
+        for r in range(1, 201):
+            repsearch._TABLES.clear()
+            repsearch._VALUE_TABLES.clear()
+            assert min_terms(_query(d, class_index, r)).m == want[r - 1], (d, class_index, r)
+        for r in range(1500, 0, -1):
+            assert min_terms(_query(d, class_index, r)).m == want[r - 1], (d, class_index, r)
+            repsearch._TABLES.clear()
+
+
+def test_value_table_certificates_equal_the_full_table_walk(monkeypatch):
+    # at a minimum of 1 or 2 a cold call walks the value table; the walk
+    # reads only bytes equal to 1, which it shares with the min-count
+    # table, so it gives the certificate the cached min-count table gives
+    monkeypatch.setattr(repsearch, "_TABLES", {})
+    monkeypatch.setattr(repsearch, "_VALUE_TABLES", {})
+    checked = 0
+    for d, class_index in ALL_CLASSES:
+        f = make_field(d)
+        repsearch._VALUE_TABLES.clear()
+        counts = min_count_table(f, class_index, 20000)
+        cases = [(_query(d, class_index, r), counts[r - 1]) for r in (*range(1, 121), 300, 1201, 5000, 20000)]
+        warm = [(q, least, find_certificate(q, least)) for q, least in cases if least in (1, 2)]
+        for q, least, cert in warm:
+            repsearch._TABLES.clear()
+            repsearch._VALUE_TABLES.clear()
+            assert find_certificate(q, least) == cert, q
+            if least == 2:
+                assert find_certificate(q, 1) is None, q
+            assert repsearch._TABLES == {}, q
+        repsearch._TABLES.clear()
+        checked += len(warm)
+    assert checked == 8610
+
+
+def test_counts_one_and_two_build_no_layers(monkeypatch):
+    # a query whose r needs one or two values enumerates once and reads the
+    # value table alone: no reach_layers, no _decode and no min-count
+    # table; r that needs three or more values, or none, builds that table
+    # at r from the same enumeration
+    monkeypatch.setattr(repsearch, "_TABLES", {})
+    monkeypatch.setattr(repsearch, "_VALUE_TABLES", {})
+    calls = []
+
+    def spy(stage):
+        def wrapped(*args):
+            calls.append(stage.__name__)
+            return stage(*args)
+        return wrapped
+
+    for stage in (form_values, reach_layers, repsearch._decode):
+        monkeypatch.setattr(repsearch, stage.__name__, spy(stage))
+    for d, class_index, r, least in ((35, 2, 3, 1), (5, 2, 6, 2), (1, 1, 7, 2), (907, 2, 779903, 2), (907, 3, 4997, 1)):
+        q = _query(d, class_index, r)
+        assert min_terms(q).m == least
+        cert = find_certificate(q, least)
+        assert len(cert.gammas) == least and recheck_certificate(cert.to_json_dict()) == []
+        if least == 2:
+            assert find_certificate(q, 1) is None
+        assert calls == ["form_values"] and repsearch._TABLES == {}, q
+        calls.clear()
+        repsearch._VALUE_TABLES.clear()
+    # above the minimum the values enumerated for the minimum are shifted
+    # and layered, and no min-count table is kept
+    assert len(find_certificate(_query(5, 2, 6), 3).gammas) == 3
+    assert calls == ["form_values", "reach_layers", "_decode"] and repsearch._TABLES == {}
+    calls.clear()
+    for d, class_index, r, least in ((115, 2, 19, 3), (187, 2, 38, 4), (91, 2, 16, None)):
+        q = _query(d, class_index, r)
+        assert min_terms(q).m == least
+        assert (find_certificate(q, least or 1) is None) == (least is None)
+        assert calls == ["form_values", "reach_layers", "_decode"]
+        assert len(repsearch._TABLES[(d, class_index)]) == r + 1
+        calls.clear()
+
+
+def test_each_distinct_summand_is_solved_once(monkeypatch):
+    # 81 = 13 + 13 + 13 + 19 + 23 for d=907 class 2: three distinct values
+    solved = []
+    witness = repsearch._witness
+    monkeypatch.setattr(repsearch, "_witness", lambda form, k, v: solved.append(v) or witness(form, k, v))
+    cert = find_certificate(_query(907, 2, 81), 5)
+    assert [(g.a, g.b) for g in cert.gammas] == [(13, 0), (13, 0), (13, 0), (5, -1), (8, 1)]
+    assert sorted(solved) == sorted(set(solved)) and len(solved) == 3
 
 
 certificate_cases = st.tuples(
@@ -511,15 +606,13 @@ def test_work_is_checked_once_per_build(monkeypatch):
         g_invariant(f, 300)
 
 
-def test_table_cache_is_bounded_in_bytes():
-    # a table of width w takes w + 1 bytes and is built only at a width
-    # form_values admits, so each key's widest admitted width bounds the
-    # cache in bytes with no eviction; the estimate grows with the width,
-    # so a doubling and a bisection find it
+def _widest_admitted_widths():
+    """(field, class_index, key, width) for each _TABLES key, width the
+    widest that form_values admits for the key's form; the estimate grows
+    with the width, so a doubling and a bisection find it."""
     def admitted(form, width):
         return repsearch._work_estimate(*form, width) <= repsearch._WORK_BUDGET
 
-    table_bytes = {}
     for d in SUPPORTED_FIELDS:
         f = make_field(d)
         for rep in class_reps(f):
@@ -533,12 +626,44 @@ def test_table_cache_is_bounded_in_bytes():
             while hi - lo > 1:
                 mid = (lo + hi) // 2
                 lo, hi = (mid, hi) if admitted(form, mid) else (lo, mid)
-            with pytest.raises(Overflow):
-                min_count_table(f, rep.class_index, hi)
-            table_bytes[key] = lo + 1
+            yield f, rep.class_index, key, lo
+
+
+def test_table_cache_is_bounded_in_bytes():
+    # a table of width w takes w + 1 bytes and is built only at a width
+    # form_values admits, so each key's widest admitted width bounds the
+    # cache in bytes with no eviction
+    table_bytes = {}
+    for f, class_index, key, width in _widest_admitted_widths():
+        with pytest.raises(Overflow):
+            min_count_table(f, class_index, width + 1)
+        table_bytes[key] = width + 1
     assert len(table_bytes) == 77
     assert sum(table_bytes.values()) < 36 * 2**20
     assert max(table_bytes.values()) == table_bytes[(907, 2)] == 779904
+
+
+def test_value_table_cache_is_bounded_in_bytes(monkeypatch):
+    # a point query at r keeps a value table of r + 1 bytes under the same
+    # keys as _TABLES, built from form_values, so the same widest admitted
+    # widths bound it: the two caches together hold at most twice 36973171
+    # bytes; a refused query keeps nothing
+    monkeypatch.setattr(repsearch, "_TABLES", {})
+    monkeypatch.setattr(repsearch, "_VALUE_TABLES", {})
+    value_bytes = {}
+    for f, class_index, key, width in _widest_admitted_widths():
+        q = LatticeQuery(f, class_index, width + 1)
+        for query in (lambda: min_terms(q), lambda: find_certificate(q, 2)):
+            with pytest.raises(Overflow):
+                query()
+        value_bytes[key] = width + 1
+    assert repsearch._VALUE_TABLES == {} and repsearch._TABLES == {}
+    assert len(value_bytes) == 77
+    assert sum(value_bytes.values()) == 36973171
+    assert max(value_bytes.values()) == value_bytes[(907, 2)] == 779904
+    for r in (1, 50, 3000):
+        min_terms(_query(907, 3, r))
+        assert len(repsearch._VALUE_TABLES[(907, 2)]) == r + 1
 
 
 def test_every_enumeration_is_admitted_before_its_first_point(monkeypatch):

@@ -37,21 +37,21 @@ cached up to r, it reads a second table kept under the same key: the value
 table, byte v 1 when v is a form value, marked from form_values with no
 layering.  r needs one value when its byte is 1 and two when the walk
 below finds a pair; only the other r, which need three or more values or
-none, build the min-count table.  A walk for one or two values reads only
-bytes equal to 1, which the two tables share, so it picks the same values
-from either.
+none, build the min-count table, and a value table no wider than it is
+dropped.  A walk for one or two values reads only bytes equal to 1, which
+the two tables share, so it picks the same values from either.
 
-Certificates walk back through the table that gave the minimum: m below it
-(or any m, if r is unreachable) has no certificate, and m equal to it walks
-that table, with no further enumeration or layer build.  Above the
+Certificates come from the table that gave the minimum: m below it (or
+any m, if r is unreachable) has no certificate, and m equal to it takes
+the pair the value table's walk found, or walks the min-count table, with
+no further enumeration or layer build.  Above the
 minimum, exactly m form values sum to r exactly when at most m of the
 shifted values v - vmin (v > vmin, vmin the least value) sum to
 r - m*vmin; those are layered up to m - 1 times and decoded into a table,
 and the certificate opens with m - c copies of vmin, c the least count of
 shifted values reaching the remainder.  The walk then takes the rest in
 order, each the least value in a window whose remainder needs exactly the
-slots left: the first few values of the window are tried one at a time,
-and past those one bytes search over the window finds it.  Congruences
+slots left, found by one bytes search over the window.  Congruences
 stay at the edges: only the distinct values a certificate picks get (a, b)
 coordinates, solved once each from the form's (x, y) by a = k*x - beta*y,
 b = y.
@@ -352,7 +352,17 @@ def _count_table(f: FieldParams, class_index: int, r_max: int) -> bytes:
     table = _TABLES.get(key)
     if table is None or len(table) <= r_max:
         # a hit reads a prefix of a table whose build was already admitted
-        table = _TABLES[key] = _decode(reach_layers(_key_values(f, key, r_max), r_max), r_max)
+        table = _keep_table(key, _decode(reach_layers(_key_values(f, key, r_max), r_max), r_max))
+    return table
+
+
+def _keep_table(key: tuple[int, int], table: bytes) -> bytes:
+    """Cache a min-count table under key.  A value table under key that is
+    no wider is dropped: point queries read the min-count table first
+    wherever it reaches, so that value table is never read again."""
+    _TABLES[key] = table
+    if len(_VALUE_TABLES.get(key, b"")) <= len(table):
+        _VALUE_TABLES.pop(key, None)
     return table
 
 
@@ -361,10 +371,12 @@ def _key_values(f: FieldParams, key: tuple[int, int], width: int) -> list[int]:
     return form_values(*class_form(f, rep_for(f, key[1]))[:3], width)
 
 
-def _point_table(q: LatticeQuery) -> tuple[int, bytes, list[int] | None]:
-    """The least number of form values summing to q.r (0 when no number
-    does), a table that _walk can read for that count at q.r, and the
-    form's values up to q.r if this call enumerated them, else None.
+def _point_table(q: LatticeQuery) -> tuple[int, bytes, list[int] | None, list[int] | None]:
+    """The least number m of form values summing to q.r (0 when no number
+    does); the table that gave m; the form's values up to q.r if this call
+    enumerated them, else None; and, when the value table gave m, the
+    least m values summing to q.r, else None (_walk reads them off the
+    min-count table that gave m).
 
     The class's min-count table answers when it is cached up to r.
     Otherwise the value table does, built up to r if it is shorter: r
@@ -376,7 +388,7 @@ def _point_table(q: LatticeQuery) -> tuple[int, bytes, list[int] | None]:
     key = _table_key(q.field, q.class_index)
     table = _TABLES.get(key, b"")
     if len(table) > q.r:
-        return table[q.r], table, None
+        return table[q.r], table, None, None
     values = None
     ones = _VALUE_TABLES.get(key, b"")
     if len(ones) <= q.r:
@@ -385,14 +397,13 @@ def _point_table(q: LatticeQuery) -> tuple[int, bytes, list[int] | None]:
         for v in values:
             marks[v] = 1
         ones = _VALUE_TABLES[key] = bytes(marks)
-    if ones[q.r]:
-        return 1, ones, values
-    if _walk(ones, q.r, 2) is not None:
-        return 2, ones, values
+    picks = [q.r] if ones[q.r] else _walk(ones, q.r, 2)
+    if picks is not None:
+        return len(picks), ones, values, picks
     if values is None:
         values = _key_values(q.field, key, q.r)
-    table = _TABLES[key] = _decode(reach_layers(values, q.r), q.r)
-    return table[q.r], table, values
+    table = _keep_table(key, _decode(reach_layers(values, q.r), q.r))
+    return table[q.r], table, values, None
 
 
 def min_terms(q: LatticeQuery) -> MinTermsResult:
@@ -417,30 +428,22 @@ def _walk(table: bytes, rem: int, count: int) -> list[int] | None:
     Each pick u is the least value in [previous pick, rem // (slots + 1)]
     whose remainder needs exactly the slots left after it: fewer would let
     rem take fewer than count, and none of the later picks, each at least
-    u, is smaller.  Most picks are among the first values of the window,
-    so the first 16 are tried one at a time, each found by bytes.find.
-    Past those one bytes search finds it: the rest of the window translated
-    to "is a value" and its mirror to "needs exactly slots", ANDed as ints;
-    the lowest set byte is the pick.  The last pick is what remains, a
-    value because the pick before it left one.
+    u, is smaller.  One bytes search finds it: the window translated to
+    "is a value" and the mirrored window to "needs exactly slots", ANDed
+    as ints; the lowest set byte is the pick.  The last pick is what
+    remains, a value because the pick before it left one.
     """
     picks: list[int] = []
     u = 1
     for slots in range(count - 1, 0, -1):
         hi = rem // (slots + 1)
-        for _ in range(16):
-            u = table.find(1, u, hi + 1)
-            if u < 0 or table[rem - u] == slots:
-                break
-            u += 1
-        else:
-            is_value = table[u : hi + 1].translate(bytes(1) + b"\1" + bytes(254))
-            # read big-endian, byte rem - u of the mirrored window lands at u's place
-            needs = table[rem - hi : rem - u + 1].translate(bytes(slots) + b"\1" + bytes(255 - slots))
-            both = int.from_bytes(is_value, "little") & int.from_bytes(needs, "big")
-            u = u + ((both & -both).bit_length() - 1) // 8 if both else -1
-        if u < 0:
+        is_value = table[u : hi + 1].translate(bytes(1) + b"\1" + bytes(254))
+        # read big-endian, byte rem - u of the mirrored window lands at u's place
+        needs = table[rem - hi : rem - u + 1].translate(bytes(slots) + b"\1" + bytes(255 - slots))
+        both = int.from_bytes(is_value, "little") & int.from_bytes(needs, "big")
+        if not both:
             return None
+        u += ((both & -both).bit_length() - 1) // 8
         picks.append(u)
         rem -= u
     return picks + [rem] if count else picks
@@ -460,27 +463,28 @@ def find_certificate(q: LatticeQuery, m: int) -> RepCertificate | None:
     The minimum comes from _point_table, as for min_terms: the cached
     min-count table, else the value table when r needs one or two values,
     else a min-count table built up to r.  m below the minimum (or any m,
-    if r is unreachable) has no certificate, and m equal to it walks the
-    table that gave the minimum, with no further enumeration or layer
-    build.  Above the minimum, exactly m values sum to r exactly when at
-    most m of the shifted values v - vmin (v > vmin, vmin the least value)
-    sum to rem = r - m*vmin; the shifted values, from the enumeration
-    _point_table made if it made one, are layered up to m - 1 times and
-    decoded into a table.  If c shifted values at the least
-    reach rem (c = m when m - 1 layers do not), the least sequence is
-    m - c copies of vmin and then the walk's c picks, each plus vmin.
-    Layers that reach a fixpoint before m - 1 without reaching rem leave
-    no certificate at all.  Each distinct value's witness is solved once.
+    if r is unreachable) has no certificate, and m equal to it takes the
+    values the value table's walk found, or walks the min-count table that
+    gave it, with no further enumeration or layer build.  Above the
+    minimum, exactly m values sum to r exactly when at most m of the
+    shifted values v - vmin (v > vmin, vmin the least value) sum to
+    rem = r - m*vmin; the shifted values, from the enumeration _point_table
+    made if it made one, are layered up to m - 1 times and decoded into a
+    table.  If c shifted values at the least reach rem (c = m when m - 1
+    layers do not), the least sequence is m - c copies of vmin and then
+    the walk's c picks, each plus vmin.  Layers that reach a fixpoint
+    before m - 1 without reaching rem leave no certificate at all.  Each
+    distinct value's witness is solved once.
     """
     require_int("m", m, least=1)
-    least, table, values = _point_table(q)
+    least, table, values, picks = _point_table(q)
     if not least or m < least:
         return None
     f = q.field
     rep = rep_for(f, q.class_index)
     form = class_form(f, rep)
     if m == least:
-        seq = _walk(table, q.r, m)
+        seq = picks if picks is not None else _walk(table, q.r, m)
     else:
         if values is None:
             values = form_values(*form[:3], q.r)

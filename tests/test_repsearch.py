@@ -70,6 +70,13 @@ def _query(d, class_index, r):
     return LatticeQuery(make_field(d), class_index, r)
 
 
+@pytest.fixture(autouse=True)
+def _no_value_tables(monkeypatch):
+    # point queries keep value tables in a module-global cache; each test
+    # starts with none, so no answer depends on the order tests run in
+    monkeypatch.setattr(repsearch, "_VALUE_TABLES", {})
+
+
 def test_query_validation():
     with pytest.raises(ValueError):
         _query(5, 3, 1)
@@ -308,6 +315,7 @@ def test_certificates_match_goldens_cold_and_warm(monkeypatch):
     monkeypatch.setattr(repsearch, "_TABLES", {})
     for q, m, want in _certificate_goldens():
         repsearch._TABLES.clear()
+        repsearch._VALUE_TABLES.clear()
         assert _summands(find_certificate(q, m)) == want, (q, m)
     for q, m, want in _certificate_goldens():
         min_terms(q)
@@ -349,6 +357,7 @@ def test_unreachable_remainder_with_more_than_255_summands_is_none(monkeypatch):
         for m in (256, 257, 300):
             q = _query(d, class_index, m * values[0] + 1)
             repsearch._TABLES.clear()
+            repsearch._VALUE_TABLES.clear()
             assert find_certificate(q, m) is None, (q, m)
             min_terms(q)
             assert find_certificate(q, m) is None, (q, m)
@@ -373,7 +382,6 @@ def test_point_queries_match_the_min_count_table(monkeypatch):
     # with _TABLES emptied after each, so every r is read off the value
     # table built at 1500 or off a min-count table built at r itself
     monkeypatch.setattr(repsearch, "_TABLES", {})
-    monkeypatch.setattr(repsearch, "_VALUE_TABLES", {})
     for d, class_index in ALL_CLASSES:
         f = make_field(d)
         want = min_count_table(f, class_index, 1500)
@@ -391,7 +399,6 @@ def test_value_table_certificates_equal_the_full_table_walk(monkeypatch):
     # reads only bytes equal to 1, which it shares with the min-count
     # table, so it gives the certificate the cached min-count table gives
     monkeypatch.setattr(repsearch, "_TABLES", {})
-    monkeypatch.setattr(repsearch, "_VALUE_TABLES", {})
     checked = 0
     for d, class_index in ALL_CLASSES:
         f = make_field(d)
@@ -417,7 +424,6 @@ def test_counts_one_and_two_build_no_layers(monkeypatch):
     # table; r that needs three or more values, or none, builds that table
     # at r from the same enumeration
     monkeypatch.setattr(repsearch, "_TABLES", {})
-    monkeypatch.setattr(repsearch, "_VALUE_TABLES", {})
     calls = []
 
     def spy(stage):
@@ -449,7 +455,22 @@ def test_counts_one_and_two_build_no_layers(monkeypatch):
         assert (find_certificate(q, least or 1) is None) == (least is None)
         assert calls == ["form_values", "reach_layers", "_decode"]
         assert len(repsearch._TABLES[(d, class_index)]) == r + 1
+        assert (d, class_index) not in repsearch._VALUE_TABLES
         calls.clear()
+
+
+def test_a_pair_found_on_the_value_table_is_walked_once(monkeypatch):
+    # at a minimum of 2 the pair that set the minimum is the certificate;
+    # the walk that found it is not run again
+    monkeypatch.setattr(repsearch, "_TABLES", {})
+    walks = []
+    walk = repsearch._walk
+    monkeypatch.setattr(repsearch, "_walk", lambda table, rem, count: walks.append(count) or walk(table, rem, count))
+    for d, class_index, r in ((5, 2, 6), (907, 3, 26), (907, 2, 3000)):
+        repsearch._VALUE_TABLES.clear()
+        cert = find_certificate(_query(d, class_index, r), 2)
+        assert recheck_certificate(cert.to_json_dict()) == [] and walks == [2], (d, class_index, r)
+        walks.clear()
 
 
 def test_each_distinct_summand_is_solved_once(monkeypatch):
@@ -649,7 +670,6 @@ def test_value_table_cache_is_bounded_in_bytes(monkeypatch):
     # widths bound it: the two caches together hold at most twice 36973171
     # bytes; a refused query keeps nothing
     monkeypatch.setattr(repsearch, "_TABLES", {})
-    monkeypatch.setattr(repsearch, "_VALUE_TABLES", {})
     value_bytes = {}
     for f, class_index, key, width in _widest_admitted_widths():
         q = LatticeQuery(f, class_index, width + 1)
@@ -661,9 +681,15 @@ def test_value_table_cache_is_bounded_in_bytes(monkeypatch):
     assert len(value_bytes) == 77
     assert sum(value_bytes.values()) == 36973171
     assert max(value_bytes.values()) == value_bytes[(907, 2)] == 779904
-    for r in (1, 50, 3000):
+    for r in (13, 26, 3000):
         min_terms(_query(907, 3, r))
-        assert len(repsearch._VALUE_TABLES[(907, 2)]) == r + 1
+        assert len(repsearch._VALUE_TABLES[(907, 2)]) == r + 1 and repsearch._TABLES == {}
+    # a min-count table drops the value table only when it is at least as
+    # wide: r = 50 is reached by no number of values
+    min_terms(_query(907, 3, 50))
+    assert len(repsearch._TABLES[(907, 2)]) == 51 and len(repsearch._VALUE_TABLES[(907, 2)]) == 3001
+    min_count_table(make_field(907), 2, 3000)
+    assert (907, 2) not in repsearch._VALUE_TABLES
 
 
 def test_every_enumeration_is_admitted_before_its_first_point(monkeypatch):

@@ -36,23 +36,26 @@ almost every r needs one or two values.  So, unless the min-count table is
 cached up to r, it reads a second table kept under the same key: the value
 table, byte v 1 when v is a form value, marked from form_values with no
 layering.  r needs one value when its byte is 1 and two when the walk
-below finds a pair; only the other r, which need three or more values or
-none, build the min-count table, and a value table no wider than it is
-dropped.  A walk for one or two values reads only bytes equal to 1, which
-the two tables share, so it picks the same values from either.
+below finds a pair; for the other r, which need three or more values or
+none, min_terms builds the min-count table, and a value table no wider
+than it is dropped.  A walk for one or two values reads only bytes equal
+to 1, which the two tables share, so it picks the same values from
+either.
 
 Certificates come from the table that gave the minimum: m below it (or
 any m, if r is unreachable) has no certificate, and m equal to it takes
 the pair the value table's walk found, or walks the min-count table, with
-no further enumeration or layer build.  Above the
-minimum, exactly m form values sum to r exactly when at most m of the
-shifted values v - vmin (v > vmin, vmin the least value) sum to
-r - m*vmin; those are layered up to m - 1 times and decoded into a table,
-and the certificate opens with m - c copies of vmin, c the least count of
-shifted values reaching the remainder.  The walk then takes the rest in
-order, each the least value in a window whose remainder needs exactly the
-slots left, found by one bytes search over the window.  Congruences
-stay at the edges: only the distinct values a certificate picks get (a, b)
+no further enumeration or layer build.  When neither table gives the
+minimum, m of 1 or 2 has no certificate and a larger m takes the path
+below, which is exact for any m and keeps no table.  Above the minimum,
+exactly m form values sum to r exactly when at most m of the shifted
+values v - vmin (v > vmin, vmin the least value) sum to r - m*vmin;
+those are layered up to m - 1 times and decoded into a table, and the
+certificate opens with m - c copies of vmin, c the least count of shifted
+values reaching the remainder.  The walk then takes the rest in order,
+each the least value in a window whose remainder needs exactly the slots
+left, found by one bytes search over the window.  Congruences stay at the
+edges: only the distinct values a certificate picks get (a, b)
 coordinates, solved once each from the form's (x, y) by a = k*x - beta*y,
 b = y.
 
@@ -371,19 +374,18 @@ def _key_values(f: FieldParams, key: tuple[int, int], width: int) -> list[int]:
     return form_values(*class_form(f, rep_for(f, key[1]))[:3], width)
 
 
-def _point_table(q: LatticeQuery) -> tuple[int, bytes, list[int] | None, list[int] | None]:
-    """The least number m of form values summing to q.r (0 when no number
-    does); the table that gave m; the form's values up to q.r if this call
-    enumerated them, else None; and, when the value table gave m, the
-    least m values summing to q.r, else None (_walk reads them off the
-    min-count table that gave m).
+def _point_table(q: LatticeQuery) -> tuple[int | None, bytes, list[int] | None, list[int] | None]:
+    """The least number m of form values summing to q.r as far as the
+    cached tables tell it, or None; the table that gave m; the form's
+    values up to q.r if this call enumerated them, else None; and, when
+    the value table gave m, the least m values summing to q.r, else None
+    (_walk reads them off the min-count table that gave m).
 
-    The class's min-count table answers when it is cached up to r.
-    Otherwise the value table does, built up to r if it is shorter: r
-    needs one value when its byte is 1, and two when _walk finds a pair.
-    Only an r that needs three or more values, or none, builds the
-    min-count table up to r, from the values just enumerated if this call
-    built the value table.
+    The class's min-count table answers when it is cached up to r, with 0
+    when no number of values sums to r.  Otherwise the value table does,
+    built up to r if it is shorter: r needs one value when its byte is 1,
+    and two when _walk finds a pair.  For any other r, which needs three
+    or more values or none, m is None and no layer is built.
     """
     key = _table_key(q.field, q.class_index)
     table = _TABLES.get(key, b"")
@@ -398,21 +400,22 @@ def _point_table(q: LatticeQuery) -> tuple[int, bytes, list[int] | None, list[in
             marks[v] = 1
         ones = _VALUE_TABLES[key] = bytes(marks)
     picks = [q.r] if ones[q.r] else _walk(ones, q.r, 2)
-    if picks is not None:
-        return len(picks), ones, values, picks
-    if values is None:
-        values = _key_values(q.field, key, q.r)
-    table = _keep_table(key, _decode(reach_layers(values, q.r), q.r))
-    return table[q.r], table, values, None
+    return None if picks is None else len(picks), ones, values, picks
 
 
 def min_terms(q: LatticeQuery) -> MinTermsResult:
     """Exact minimum number of admissible norms summing to r*k, or the
     exact verdict that no number of norms works.  The count is read off
     the cached min-count table when it reaches r, else off the value table
-    when r needs one or two values; only other r build the min-count table
-    (_point_table)."""
-    m = _point_table(q)[0]
+    when r needs one or two values (_point_table).  Only other r build the
+    min-count table up to r, from the values just enumerated if the value
+    table was built for this r."""
+    m, _, values, _ = _point_table(q)
+    if m is None:
+        key = _table_key(q.field, q.class_index)
+        if values is None:
+            values = _key_values(q.field, key, q.r)
+        m = _keep_table(key, _decode(reach_layers(values, q.r), q.r))[q.r]
     if not m:
         return MinTermsResult.unrepresentable()
     return MinTermsResult.representable(m)
@@ -461,16 +464,18 @@ def find_certificate(q: LatticeQuery, m: int) -> RepCertificate | None:
     already in (norm, a, b) order since equal values share a witness.
 
     The minimum comes from _point_table, as for min_terms: the cached
-    min-count table, else the value table when r needs one or two values,
-    else a min-count table built up to r.  m below the minimum (or any m,
-    if r is unreachable) has no certificate, and m equal to it takes the
-    values the value table's walk found, or walks the min-count table that
-    gave it, with no further enumeration or layer build.  Above the
-    minimum, exactly m values sum to r exactly when at most m of the
-    shifted values v - vmin (v > vmin, vmin the least value) sum to
-    rem = r - m*vmin; the shifted values, from the enumeration _point_table
-    made if it made one, are layered up to m - 1 times and decoded into a
-    table.  If c shifted values at the least reach rem (c = m when m - 1
+    min-count table, else the value table when r needs one or two values.
+    m below the minimum (or any m, if r is unreachable) has no
+    certificate, and m equal to it takes the values the value table's walk
+    found, or walks the min-count table that gave it, with no further
+    enumeration or layer build.  When neither table gives the minimum, r
+    needs three or more values or none: m of 1 or 2 has no certificate,
+    and no min-count table is built for a larger m.  Every other m takes
+    the shifted path, exact for any m: exactly m values sum to r exactly
+    when at most m of the shifted values v - vmin (v > vmin, vmin the
+    least value) sum to rem = r - m*vmin; the shifted values, from the
+    enumeration _point_table made if it made one, are layered up to m - 1
+    times and decoded into a table.  If c shifted values at the least reach rem (c = m when m - 1
     layers do not), the least sequence is m - c copies of vmin and then
     the walk's c picks, each plus vmin.  Layers that reach a fixpoint
     before m - 1 without reaching rem leave no certificate at all.  Each
@@ -478,7 +483,8 @@ def find_certificate(q: LatticeQuery, m: int) -> RepCertificate | None:
     """
     require_int("m", m, least=1)
     least, table, values, picks = _point_table(q)
-    if not least or m < least:
+    # an r the tables leave open needs three or more values, or none
+    if least == 0 or m < (least or 3):
         return None
     f = q.field
     rep = rep_for(f, q.class_index)
@@ -488,9 +494,9 @@ def find_certificate(q: LatticeQuery, m: int) -> RepCertificate | None:
     else:
         if values is None:
             values = form_values(*form[:3], q.r)
-        vmin = values[0]
-        if m * vmin > q.r:
+        if not values or m * values[0] > q.r:
             return None
+        vmin = values[0]
         rem = q.r - m * vmin
         masks = reach_layers([v - vmin for v in values[1:] if v - vmin <= rem], rem, m - 1)
         table = _decode(masks, rem)

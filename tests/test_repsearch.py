@@ -367,12 +367,19 @@ def test_unreachable_remainder_with_more_than_255_summands_is_none(monkeypatch):
 
 def test_cold_certificate_builds_no_table(monkeypatch):
     # a cold call layers only the shifted values up to m - 1 and keeps no
-    # min-count table; another class's cached table is left as it was
+    # min-count table, also for r that needs three or more values (115, 2,
+    # 19 and 907, 2, 673901 need 3; 187, 2, 38 needs 4) or none (91, 2,
+    # 16); another class's cached table is left as it was
     monkeypatch.setattr(repsearch, "_TABLES", {})
     min_count_table(make_field(5), 2, 100)
     before = dict(repsearch._TABLES)
-    for d, class_index, r, m in ((1, 1, 5000, 2), (907, 3, 1201, 3), (23, 2, 300, 7), (5, 1, 50, 1)):
-        find_certificate(_query(d, class_index, r), m)
+    for d, class_index, r, m, found in (
+        (1, 1, 5000, 2, True), (907, 3, 1201, 3, True), (23, 2, 300, 7, True), (5, 1, 50, 1, False),
+        (115, 2, 19, 2, False), (115, 2, 19, 3, True), (115, 2, 19, 4, False), (907, 2, 673901, 4, True),
+        (187, 2, 38, 3, False), (187, 2, 38, 4, True), (91, 2, 16, 1, False), (91, 2, 16, 3, False),
+    ):
+        cert = find_certificate(_query(d, class_index, r), m)
+        assert (cert is not None) == found, (d, class_index, r, m)
         assert repsearch._TABLES == before, (d, class_index)
 
 

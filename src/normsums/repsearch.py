@@ -475,11 +475,11 @@ def find_certificate(q: LatticeQuery, m: int) -> RepCertificate | None:
     when at most m of the shifted values v - vmin (v > vmin, vmin the
     least value) sum to rem = r - m*vmin; the shifted values, from the
     enumeration _point_table made if it made one, are layered up to m - 1
-    times and decoded into a table.  If c shifted values at the least reach rem (c = m when m - 1
-    layers do not), the least sequence is m - c copies of vmin and then
-    the walk's c picks, each plus vmin.  Layers that reach a fixpoint
-    before m - 1 without reaching rem leave no certificate at all.  Each
-    distinct value's witness is solved once.
+    times and decoded into a table.  If c shifted values at the least
+    reach rem (c = m when m - 1 layers do not), the least sequence is
+    m - c copies of vmin and then the walk's c picks, each plus vmin.
+    Layers that reach a fixpoint before m - 1 without reaching rem leave
+    no certificate at all.  Each distinct value's witness is solved once.
     """
     require_int("m", m, least=1)
     least, table, values, picks = _point_table(q)

@@ -20,8 +20,8 @@ search runs on that form; the congruence is only needed at the edges
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 from .quadfield import (
     CLASS_NUMBER_2_FIELDS,
@@ -78,16 +78,14 @@ _CLASS3_REPS: dict[int, tuple[int, int, int]] = {
 }
 
 
-@dataclass(frozen=True)
-class IdealClassRep:
+class IdealClassRep(NamedTuple):
     class_index: int
     k: int
     s: int
     t: int
 
 
-@dataclass(frozen=True)
-class CongruenceCondition:
+class CongruenceCondition(NamedTuple):
     """The constraint k | (a + beta*b), with 0 <= beta < k."""
 
     k: int

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 INT64_MAX = 2**63 - 1
 
@@ -57,8 +57,7 @@ SUPPORTED_FIELDS = tuple(sorted(CLASS_NUMBER_1_FIELDS + CLASS_NUMBER_2_FIELDS + 
 MAX_CHECKED_D = 10**12
 
 
-@dataclass(frozen=True)
-class FieldParams:
+class FieldParams(NamedTuple):
     d: int
     omega_branch: OmegaBranch
     class_number: int
@@ -76,8 +75,7 @@ class FieldParams:
         return (1, 0, self.d)
 
 
-@dataclass(frozen=True)
-class RingElement:
+class RingElement(NamedTuple):
     a: int
     b: int
 

@@ -29,7 +29,8 @@ Each layer's new bits are decoded once into a per-r min-count table, one
 byte per r.  One table is kept per (field, class), the inverse classes 2
 and 3 of a class-number-3 field sharing one, rebuilt only when a larger
 r_max is asked for; smaller windows read a prefix of it.  min_count_table,
-exceptional_set and g_invariant always read it.
+exceptional_set and g_invariant always read it; g_invariant finds the
+largest count by one bytes search per count (_max_count).
 
 A point query at r (min_terms, find_certificate) needs only r's count, and
 almost every r needs one or two values.  So, unless the min-count table is
@@ -68,8 +69,8 @@ before its first build.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
+from typing import NamedTuple
 
 from .classdata import IdealClassRep, class_form, class_reps, rep_for
 from .quadfield import (
@@ -96,30 +97,36 @@ _TABLES: dict[tuple[int, int], bytes] = {}
 _VALUE_TABLES: dict[tuple[int, int], bytes] = {}
 
 
-@dataclass(frozen=True)
-class LatticeQuery:
+class _LatticeQueryFields(NamedTuple):
     field: FieldParams
     class_index: int
     r: int
 
-    def __post_init__(self):
-        rep_for(self.field, self.class_index)
-        require_int("r", self.r, least=1)
+
+class LatticeQuery(_LatticeQueryFields):
+    """The lattice of class class_index scaled by r, checked on
+    construction: a class the field lacks or an r that is not a positive
+    int raises before the record exists."""
+
+    __slots__ = ()
+
+    def __new__(cls, field: FieldParams, class_index: int, r: int):
+        rep_for(field, class_index)
+        require_int("r", r, least=1)
+        return super().__new__(cls, field, class_index, r)
 
     @property
     def k(self) -> int:
         return rep_for(self.field, self.class_index).k
 
 
-@dataclass(frozen=True)
-class NormValueSet:
+class NormValueSet(NamedTuple):
     k: int
     values: tuple[int, ...]
     witnesses: tuple[RingElement, ...]
 
 
-@dataclass(frozen=True)
-class RepCertificate:
+class RepCertificate(NamedTuple):
     query: LatticeQuery
     m: int
     gammas: tuple[RingElement, ...]
@@ -137,8 +144,7 @@ class RepCertificate:
         }
 
 
-@dataclass(frozen=True)
-class MinTermsResult:
+class MinTermsResult(NamedTuple):
     outcome: str  # "representable" | "unrepresentable"
     m: int | None = None
 
@@ -528,8 +534,7 @@ def exceptional_set(f: FieldParams, class_index: int, r_max: int) -> list[int]:
     return gaps
 
 
-@dataclass(frozen=True)
-class GInvariantResult:
+class GInvariantResult(NamedTuple):
     g: int
     witness: LatticeQuery
     stable: bool
@@ -554,8 +559,26 @@ def g_invariant(f: FieldParams, r_max: int) -> GInvariantResult:
         raise ValueError(f"r_max={r_max} too small: need at least 2*k+1 = {2 * kmax + 1} for k={kmax}")
     windows = [(rep.class_index, _count_table(f, rep.class_index, r_max)[1 : r_max + 1])
                for rep in reps]
-    g = max(max(window) for _, window in windows)
+    g = _max_count([window for _, window in windows])
     class_index, window = next((ci, window) for ci, window in windows if g in window)
-    half_max = max(max(window[: r_max // 2]) for _, window in windows)
+    half_max = _max_count([window[: r_max // 2] for _, window in windows])
     witness = LatticeQuery(field=f, class_index=class_index, r=window.index(g) + 1)
     return GInvariantResult(g=g, witness=witness, stable=half_max == g)
+
+
+def _max_count(windows: list[bytes]) -> int:
+    """The largest byte of the windows, each a min-count table's bytes
+    from r = 1 up, found by one C-level search per count instead of a
+    Python loop over every byte.
+
+    The counts in such a window run 1, 2, ..., its largest with no gap:
+    if r needs exactly j + 1 >= 2 values, dropping one of them leaves
+    r' < r, in the window, a sum of j values that needs exactly j (fewer
+    would let r take fewer than j + 1).  So the counts present over all
+    the windows run without a gap too, and the first count absent from
+    every window is one past the largest.
+    """
+    g = 0
+    while any(g + 1 in window for window in windows):
+        g += 1
+    return g

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Iterable
-from dataclasses import dataclass
 from math import isqrt
+from typing import NamedTuple
 
 from .quadfield import FieldParams, require_int
 from .repsearch import _check_budget, form_values, reach_layers
@@ -31,30 +31,39 @@ class TermKind(enum.Enum):
     TRIANGULAR = "Triangular"
 
 
-@dataclass(frozen=True)
-class DiagonalForm:
-    """Sum of c_i * x_i^2 over integer x_i."""
-
+class _DiagonalFormFields(NamedTuple):
     coefficients: tuple[int, ...]
 
-    def __post_init__(self):
-        if not self.coefficients:
+
+class DiagonalForm(_DiagonalFormFields):
+    """Sum of c_i * x_i^2 over integer x_i, every c_i a positive int."""
+
+    __slots__ = ()
+
+    def __new__(cls, coefficients: tuple[int, ...]):
+        if not coefficients:
             raise ValueError("coefficients must not be empty")
-        for c in self.coefficients:
+        for c in coefficients:
             require_int("coefficient", c, least=1)
+        return super().__new__(cls, coefficients)
 
 
-@dataclass(frozen=True)
-class MixedSum:
-    """Sum of weighted squares and weighted triangular numbers T_x = x(x+1)/2."""
-
+class _MixedSumFields(NamedTuple):
     terms: tuple[tuple[TermKind, int], ...]
 
-    def __post_init__(self):
-        if not self.terms:
+
+class MixedSum(_MixedSumFields):
+    """Sum of weighted squares and weighted triangular numbers T_x = x(x+1)/2,
+    every weight a positive int."""
+
+    __slots__ = ()
+
+    def __new__(cls, terms: tuple[tuple[TermKind, int], ...]):
+        if not terms:
             raise ValueError("terms must not be empty")
-        for _, w in self.terms:
+        for _, w in terms:
             require_int("weight", w, least=1)
+        return super().__new__(cls, terms)
 
 
 # the criterion numbers of the 15 and 290 theorems

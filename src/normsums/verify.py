@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 import os
 import time
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 from .classdata import class_number_fields, class_reps, reps_as_rows
 from .quadfield import make_field
@@ -78,8 +78,7 @@ _EXPECTED_CLASS3: dict[int, tuple[int, int, tuple[int, ...], int]] = {
 }
 
 
-@dataclass(frozen=True)
-class ExpectedRow:
+class ExpectedRow(NamedTuple):
     d: int
     class_number: int
     k_per_class: tuple[int, ...]
@@ -105,8 +104,7 @@ def expected_row(d: int) -> ExpectedRow:
     raise ValueError(f"no expected-results row for d={d} (need class number 2 or 3)")
 
 
-@dataclass(frozen=True)
-class ClassCheck:
+class ClassCheck(NamedTuple):
     class_index: int
     k: int
     computed_exceptions: tuple[int, ...]
@@ -114,8 +112,7 @@ class ClassCheck:
     match: bool
 
 
-@dataclass(frozen=True)
-class FieldReport:
+class FieldReport(NamedTuple):
     d: int
     class_number: int
     status: str  # "match" | "mismatch"
@@ -130,8 +127,7 @@ class FieldReport:
     classes: tuple[ClassCheck, ...]
 
 
-@dataclass(frozen=True)
-class DiffReport:
+class DiffReport(NamedTuple):
     class_number: int
     r_max: int
     fields: tuple[FieldReport, ...]
@@ -261,7 +257,11 @@ def verify_all(class_number: int, r_max: int = 300) -> DiffReport:
 
 
 def report_to_json(report: DiffReport) -> dict:
-    doc = asdict(report)
+    """The report as nested dicts, each record's fields in order, plus
+    its summary counts."""
+    doc = report._asdict()
+    doc["fields"] = tuple({**fr._asdict(), "classes": tuple(c._asdict() for c in fr.classes)}
+                          for fr in report.fields)
     doc["matches"] = report.matches
     doc["total"] = report.total
     doc["all_match"] = report.all_match

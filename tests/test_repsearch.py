@@ -603,6 +603,20 @@ def test_g_invariant_examples():
     assert (g1.witness.class_index, g1.witness.r) == (1, 3)
 
 
+def test_max_count_scan_equals_max():
+    # g_invariant's ascending scan relies on a window's counts running
+    # 1..max with no gap; checked on every class's windows, alone and with
+    # their field's other classes
+    for d in SUPPORTED_FIELDS:
+        f = make_field(d)
+        for r_max in (7, 30, 300, 3000):
+            windows = [repsearch._count_table(f, rep.class_index, r_max)[1 : r_max + 1] for rep in class_reps(f)]
+            for window in windows:
+                assert repsearch._max_count([window]) == max(window), (d, r_max)
+                assert repsearch._max_count([window[: r_max // 2]]) == max(window[: r_max // 2]), (d, r_max)
+            assert repsearch._max_count(windows) == max(map(max, windows)), (d, r_max)
+
+
 def test_g_invariant_window_guard():
     # needs room for 2k+1 targets, k=13 here
     with pytest.raises(ValueError):

@@ -2,8 +2,8 @@
 exception class it never raises, decides the omega branch only in
 quadfield, keeps congruence conditions out of the search kernel, keeps no
 public name that only tests use, the test oracle stays independent of the
-code it checks, and importing the CLI loads no process-pool module and
-no fractions module."""
+code it checks, and importing the CLI loads no process-pool module, no
+fractions and no dataclasses or inspect module."""
 
 import ast
 import builtins
@@ -264,13 +264,12 @@ def test_oracle_imports_neither_kernel_module():
     assert kernel_imports(tree) == ["normsums.repsearch", "normsums.universality"]
 
 
-def test_cli_import_loads_no_process_pool_or_fractions():
-    # the pool's modules load only when verify_all fans out, and no exact
-    # rational arithmetic is needed anywhere
-    code = (
-        "import sys, normsums, normsums.cli; "
-        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures', 'fractions') if m in sys.modules))"
-    )
+def test_cli_import_loads_no_process_pool_fractions_dataclasses_or_inspect():
+    # the pool's modules load only when verify_all fans out, no exact
+    # rational arithmetic is needed anywhere, and the records are named
+    # tuples, so nothing pulls in dataclasses or, through it, inspect
+    modules = ("multiprocessing", "concurrent.futures", "fractions", "dataclasses", "inspect")
+    code = f"import sys, normsums, normsums.cli; print(sorted(m for m in {modules!r} if m in sys.modules))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

@@ -35,6 +35,9 @@ RECORDS = [
         ({"field": make_field(5), "class_index": True, "r": 6}, TypeError, "class_index must be an integer, got bool"),
         ({"field": make_field(5), "class_index": 2, "r": 0}, ValueError, "r must be positive, got 0"),
         ({"field": make_field(5), "class_index": 2, "r": True}, TypeError, "r must be an integer, got bool"),
+        # the class is checked before r
+        ({"field": make_field(5), "class_index": 3, "r": True}, ValueError,
+         "class_index 3 out of range for d=5 (class number 2)"),
     ]),
     (lambda: enumerate_norm_values(make_field(5), rep_for(make_field(5), 2), 10),
      "NormValueSet(k=2, values=(4, 6), witnesses=(RingElement(a=2, b=0), RingElement(a=1, b=1)))", []),

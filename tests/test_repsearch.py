@@ -598,6 +598,8 @@ def test_g_invariant_examples():
     g907 = g_invariant(make_field(907), 300)
     assert g907.g == 5 and g907.stable
     assert (g907.witness.class_index, g907.witness.r) == (2, 81)
+    # g = 5 first shows at r = 81, so it is stable from r_max = 162 on
+    assert [g_invariant(make_field(907), r_max).stable for r_max in (100, 161, 162)] == [False, False, True]
     g1 = g_invariant(make_field(1), 300)
     assert g1.g == 2 and g1.stable
     assert (g1.witness.class_index, g1.witness.r) == (1, 3)

@@ -18,8 +18,6 @@ search runs on that form; the congruence is only needed at the edges
 (display, (a, b) coordinates of certificates, recheck).
 """
 
-from __future__ import annotations
-
 from functools import cache
 from typing import NamedTuple
 

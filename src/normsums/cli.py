@@ -10,8 +10,6 @@ table.  Exit codes are part of the contract so CI can gate on them:
     4   verify found at least one mismatch
 """
 
-from __future__ import annotations
-
 import argparse
 import csv
 import io

@@ -18,8 +18,6 @@ integers but the library promises results fit in signed 64 bits, so any
 larger value raises Overflow instead of being returned.
 """
 
-from __future__ import annotations
-
 import enum
 import math
 from typing import NamedTuple

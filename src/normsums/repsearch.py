@@ -67,8 +67,6 @@ check_tables sums that bound over every table a command will build, once,
 before its first build.
 """
 
-from __future__ import annotations
-
 from itertools import accumulate
 from typing import NamedTuple
 

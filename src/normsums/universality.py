@@ -9,16 +9,19 @@ is the least layer of the norm form's reach_layers at width 290 that
 holds every TWO_NINETY number, with no cross-check at run time (the
 bounded coverage scans that confirm it live in the tests).  Every
 coverage check reads one bitmask, a Python big int holding every sum of
-one value per term.  Its cost is bounded from the terms alone and
-checked against the work budget of repsearch before any value is
-enumerated.  The depth-first searches that cross-check it live only in
-tests/_oracle.py.
+one value per term.  A term's values are those of one or two quadratics
+in x >= 0 with q(0) = 0, each given by its first difference and the
+constant step of its differences: a square of weight w is (w, 2w), a
+triangular number (w, w), and Sun's p*x^2 + x over all integers x is
+(p + 1, 2p) and (p - 1, 2p).  One enumerator draws them all, and the
+step alone bounds how many there are, so the cost is checked against
+the work budget of repsearch before any value is enumerated.  The
+depth-first searches that cross-check it live only in tests/_oracle.py.
 """
 
-from __future__ import annotations
-
 import enum
-from collections.abc import Iterable
+from collections.abc import Iterator
+from itertools import accumulate, count, takewhile
 from math import isqrt
 from typing import NamedTuple
 
@@ -72,56 +75,45 @@ TWO_NINETY = (1, 2, 3, 5, 6, 7, 10, 13, 14, 15, 17, 19, 21, 22, 23, 26, 29, 30,
               31, 34, 35, 37, 42, 58, 93, 110, 145, 203, 290)
 
 
-def triangular(x: int) -> int:
-    return x * (x + 1) // 2
+def _progression(first: int, step: int, bound: int) -> Iterator[int]:
+    """The values up to bound, at x = 0, 1, 2, ..., of the quadratic q with
+    q(0) = 0 and q(x + 1) - q(x) = first + step*x, in order (first >= 0,
+    step >= 1); _progression_size bounds how many there are."""
+    return takewhile(bound.__ge__, accumulate(count(first, step), initial=0))
 
 
-def _term_values(kind: TermKind, weight: int, bound: int) -> list[int]:
-    # all attainable values of one term, 0 included, up to bound: x >= 0
-    # is exhaustive because x^2 = (-x)^2 and T_x = T_{-x-1}
-    vals = []
-    x = 0
-    while True:
-        v = weight * (x * x if kind is TermKind.SQUARE else triangular(x))
-        if v > bound:
-            break
-        vals.append(v)
-        x += 1
-    return vals
+def _progression_size(step: int, bound: int) -> int:
+    # q(x) >= step*x*(x - 1)/2 >= step*(x - 1)^2/2, so q(x) <= bound gives
+    # x <= isqrt(2*bound // step) + 1
+    return isqrt(2 * bound // step) + 2
 
 
-def _terms(form: DiagonalForm | MixedSum) -> tuple[tuple[TermKind, int], ...]:
-    if isinstance(form, DiagonalForm):
-        return tuple((TermKind.SQUARE, c) for c in form.coefficients)
-    return form.terms
+def _coverage_mask(terms: list[tuple[tuple[int, int], ...]], bound: int) -> int:
+    """The bitmask of all sums v_0 + ... + v_{n-1} <= bound, v_j a value of
+    term j: of any of the term's progressions (first, step).
 
-
-def _coverage_mask(counts: list[int], value_lists: Iterable[list[int]], bound: int) -> int:
-    """The bitmask of all sums v_0 + ... + v_{n-1} <= bound with v_j from
-    list j of the n value lists.
-
-    counts[j] bounds the length of list j, so the cost, at most sum(counts)
-    shifts of a mask of bound // 64 + 1 words, is judged before anything
-    is drawn from value_lists (which may be lazy): over the work budget
-    raises Overflow with the estimate.
+    The cost, one shift of a mask of bound // 64 + 1 words per value, is
+    bounded by _progression_size and judged before any value is drawn:
+    over the work budget raises Overflow with the estimate.
     """
-    _check_budget(sum(counts) * (bound // 64 + 1), f"bound {bound}")
+    size = sum(_progression_size(step, bound) for term in terms for _, step in term)
+    _check_budget(size * (bound // 64 + 1), f"bound {bound}")
     mask = 1
     window = (1 << (bound + 1)) - 1
-    for vals in value_lists:
+    for term in terms:
         acc = 0
-        for v in vals:
-            acc |= mask << v
+        for first, step in term:
+            for v in _progression(first, step, bound):
+                acc |= mask << v
         mask = acc & window
     return mask
 
 
 def _form_mask(form: DiagonalForm | MixedSum, bound: int) -> int:
-    # a square or triangular term of weight w has at most
-    # isqrt(2*bound // w) + 2 values up to bound
-    terms = _terms(form)
-    return _coverage_mask([isqrt(2 * bound // w) + 2 for _, w in terms],
-                          (_term_values(kind, w, bound) for kind, w in terms), bound)
+    # w*x^2 steps by w, 3w, 5w, ... and w*x(x + 1)/2 by w, 2w, 3w, ...; x >= 0
+    # is exhaustive because x^2 = (-x)^2 and x(x + 1) = (-x - 1)(-x)
+    terms = form.terms if isinstance(form, MixedSum) else ((TermKind.SQUARE, c) for c in form.coefficients)
+    return _coverage_mask([((w, 2 * w if kind is TermKind.SQUARE else w),) for kind, w in terms], bound)
 
 
 def check_criterion(form: DiagonalForm | MixedSum, criterion: tuple[int, ...]) -> bool:
@@ -151,22 +143,9 @@ def sun_polynomial_universal(limit: int) -> tuple[bool, int | None]:
     """Coverage of 2a^2+a + 3b^2+b + 3c^2+c over all integers a, b, c
     (negatives included) on [1, limit]; first gap if any."""
     require_int("limit", limit, least=1)
-
-    def poly_values(p: int) -> list[int]:
-        # p*x^2 + x over x in Z, nonnegative values up to limit
-        vals = set()
-        x = 0
-        while p * x * x - x <= limit:
-            for v in (p * x * x + x, p * x * x - x):
-                if 0 <= v <= limit:
-                    vals.add(v)
-            x += 1
-        return sorted(vals)
-
-    # p*x^2 + x and p*x^2 - x at |x| <= isqrt(limit // p) + 1: at most
-    # 2*isqrt(limit // p) + 3 values
-    ps = (2, 3, 3)
-    mask = _coverage_mask([2 * isqrt(limit // p) + 3 for p in ps], (poly_values(p) for p in ps), limit)
+    # p*x^2 + x steps by p + 1, 3p + 1, ... from x = 0 up and by p - 1,
+    # 3p - 1, ... from x = 0 down
+    mask = _coverage_mask([((p + 1, 2 * p), (p - 1, 2 * p)) for p in (2, 3, 3)], limit)
     gap = _first_gap(mask, limit)
     return (gap is None, gap)
 

@@ -18,8 +18,6 @@ and congruences from scratch so a bug in the search cannot vouch for
 itself.
 """
 
-from __future__ import annotations
-
 import functools
 import os
 import time

@@ -17,11 +17,12 @@ from normsums.universality import (
     DiagonalForm,
     MixedSum,
     TermKind,
+    _progression,
+    _progression_size,
     check_criterion,
     m_d,
     norm_sum_first_gap,
     sun_polynomial_universal,
-    triangular,
     universal_up_to,
 )
 
@@ -34,11 +35,22 @@ def test_criterion_sets_frozen():
     )
 
 
-def test_triangular():
-    assert [triangular(x) for x in range(6)] == [0, 1, 3, 6, 10, 15]
-    for x in range(-50, 50):
-        assert 2 * triangular(x) == x * x + x
-        assert triangular(x) == triangular(-x - 1)
+def test_progressions_enumerate_each_term_within_the_budget_count():
+    # each coverage term as (first, step, q): squares and triangular
+    # numbers of weight w, and both branches p*x^2 +- x of Sun's terms;
+    # the enumerator yields q's values up to the bound, and the budget's
+    # count covers them
+    shapes = [(w, 2 * w, lambda x, w=w: w * x * x) for w in range(1, 8)]
+    shapes += [(w, w, lambda x, w=w: w * x * (x + 1) // 2) for w in range(1, 8)]
+    shapes += [(p + s, 2 * p, lambda x, p=p, s=s: p * x * x + s * x) for p in range(2, 8) for s in (1, -1)]
+    top = 2000
+    for first, step, q in shapes:
+        values = [q(x) for x in range(70)]
+        assert values == sorted(values) and values[-1] > top, (first, step)
+        for bound in range(top + 1):
+            got = list(_progression(first, step, bound))
+            assert got == [v for v in values if v <= bound], (first, step, bound)
+            assert len(got) <= _progression_size(step, bound), (first, step, bound)
 
 
 def test_single_number_coverage_examples():
@@ -147,7 +159,15 @@ def test_universal_up_to_agrees_with_search(n):
 
 
 def test_sun_polynomial_universal():
-    assert sun_polynomial_universal(10**4)
+    assert sun_polynomial_universal(10**4) == (True, None)
+    # every window against a brute force over a, b, c: each term is
+    # nonnegative and over 400 once |x| > 14, so |x| <= 20 gives every sum
+    # up to 400
+    r = range(-20, 21)
+    values = {2 * a * a + a + 3 * b * b + b + 3 * c * c + c for a in r for b in r for c in r}
+    for limit in range(1, 401):
+        gap = next((n for n in range(1, limit + 1) if n not in values), None)
+        assert sun_polynomial_universal(limit) == (gap is None, gap), limit
 
 
 # Identities showing 7, 15, 23 and 31 as sums of three norms

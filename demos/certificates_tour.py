@@ -8,7 +8,7 @@ class-number-3 field.
 
 from normsums.classdata import condition_display, congruence_for, rep_for
 from normsums.quadfield import conjugate, make_field, norm
-from normsums.repsearch import LatticeQuery, enumerate_norm_values, find_certificate, min_terms
+from normsums.repsearch import LatticeQuery, find_certificate, min_terms
 from normsums.verify import recheck_certificate
 
 
@@ -18,8 +18,11 @@ def show_field(d: int, class_index: int, r_values) -> None:
     cond = condition_display(congruence_for(f, rep))
     print(f"-- d={d}, class {class_index}: k={rep.k}, admissible iff {cond}")
 
-    vs = enumerate_norm_values(f, rep, max(12 * rep.k, 2 * rep.k * rep.k))
-    pairs = ", ".join(f"{v}=N({w.a}{w.b:+d}w)" for v, w in zip(vs.values[:6], vs.witnesses[:6]))
+    # r*k is one admissible norm exactly when r has a one-summand certificate
+    bound = max(12 * rep.k, 2 * rep.k * rep.k)
+    singles = (find_certificate(LatticeQuery(f, class_index, r), 1) for r in range(1, bound // rep.k + 1))
+    norms = [(c.query.r * rep.k, c.gammas[0]) for c in singles if c is not None]
+    pairs = ", ".join(f"{v}=N({w.a}{w.b:+d}w)" for v, w in norms[:6])
     print(f"   first admissible norms: {pairs}")
 
     for r in r_values:

@@ -31,9 +31,7 @@ from .repsearch import (
     GInvariantResult,
     LatticeQuery,
     MinTermsResult,
-    NormValueSet,
     RepCertificate,
-    enumerate_norm_values,
     exceptional_set,
     find_certificate,
     g_invariant,

@@ -25,28 +25,29 @@ values at width 30000 that takes 64 to 512 shifts out of thousands.
 Then the pass tests each r still unset alone, one AND against the
 reversed first layer, and ORs the hits in with one parse, so it never
 costs more than a full pass and the work bound below still holds.
-Each layer's new bits are decoded once into a per-r min-count table, one
-byte per r.  One table is kept per (field, class), the inverse classes 2
-and 3 of a class-number-3 field sharing one, rebuilt only when a larger
-r_max is asked for; smaller windows read a prefix of it.  min_count_table,
-exceptional_set and g_invariant always read it; g_invariant finds the
-largest count by one bytes search per count (_max_count).
+Each layer's new bits are decoded once into per-r min-counts, one byte
+per r.  One table is kept per (field, class), the inverse classes 2 and 3
+of a class-number-3 field sharing one: byte r is r's least count up to
+exact, and past exact it marks the form values, 1 for a value and 0
+otherwise.  The counts are rebuilt only when a larger r_max is asked
+for, keeping the marks past it; smaller windows read a prefix of them.
+min_count_table, exceptional_set and g_invariant always read the counts;
+g_invariant finds the largest count by one bytes search per count
+(_max_count).
 
 A point query at r (min_terms, find_certificate) needs only r's count, and
-almost every r needs one or two values.  So, unless the min-count table is
-cached up to r, it reads a second table kept under the same key: the value
-table, byte v 1 when v is a form value, marked from form_values with no
-layering.  r needs one value when its byte is 1 and two when the walk
-below finds a pair; for the other r, which need three or more values or
-none, min_terms builds the min-count table, and a value table no wider
-than it is dropped.  A walk for one or two values reads only bytes equal
-to 1, which the two tables share, so it picks the same values from
-either.
+almost every r needs one or two values.  So, unless the counts reach r,
+it reads the marks, widened to r from form_values with no layering when
+the table is shorter.  r needs one value when its byte is 1 and two when
+the walk below finds a pair; for the other r, which need three or more
+values or none, min_terms builds the counts up to r.  Count 1 holds
+exactly at the values, and a walk for one or two values reads only bytes
+equal to 1, so it picks the same values from the counts or the marks.
 
-Certificates come from the table that gave the minimum: m below it (or
+Certificates come from the bytes that gave the minimum: m below it (or
 any m, if r is unreachable) has no certificate, and m equal to it takes
-the pair the value table's walk found, or walks the min-count table, with
-no further enumeration or layer build.  When neither table gives the
+the pair the walk on the marks found, or walks the counts, with no
+further enumeration or layer build.  When the table does not give the
 minimum, m of 1 or 2 has no certificate and a larger m takes the path
 below, which is exact for any m and keeps no table.  Above the minimum,
 exactly m form values sum to r exactly when at most m of the shifted
@@ -70,7 +71,7 @@ before its first build.
 from itertools import accumulate
 from typing import NamedTuple
 
-from .classdata import IdealClassRep, class_form, class_reps, rep_for
+from .classdata import class_form, class_reps, rep_for
 from .quadfield import (
     FieldParams,
     Overflow,
@@ -88,11 +89,10 @@ from .quadfield import (
 _PASS_BOUND = 10
 _WORK_BUDGET = 10**10
 
-# (d, class_index) -> min-count table: byte r is the least number of form
-# values summing to r, 0 when no number does; class 3 reads (d, 2)
-_TABLES: dict[tuple[int, int], bytes] = {}
-# the same keys -> value table: byte v is 1 when v is a form value, else 0
-_VALUE_TABLES: dict[tuple[int, int], bytes] = {}
+# (d, class_index) -> (exact, table): for r <= exact byte r is the least
+# number of form values summing to r, 0 when no number does; past exact it
+# is 1 when r is a form value, else 0.  Class 3 reads (d, 2)
+_TABLES: dict[tuple[int, int], tuple[int, bytes]] = {}
 
 
 class _LatticeQueryFields(NamedTuple):
@@ -116,12 +116,6 @@ class LatticeQuery(_LatticeQueryFields):
     @property
     def k(self) -> int:
         return rep_for(self.field, self.class_index).k
-
-
-class NormValueSet(NamedTuple):
-    k: int
-    values: tuple[int, ...]
-    witnesses: tuple[RingElement, ...]
 
 
 class RepCertificate(NamedTuple):
@@ -254,22 +248,6 @@ def _witness(form: tuple[int, int, int, int], k: int, v: int) -> RingElement:
     raise ValueError(f"{v} is not a value of the form {form[:3]}")
 
 
-def enumerate_norm_values(f: FieldParams, rep: IdealClassRep, bound: int) -> NormValueSet:
-    """All positive admissible norm values up to bound, with one canonical
-    coordinate witness each.
-
-    The values are k times the class form's values.  A value's witness is
-    the admissible gamma = a + b*omega of that norm with the least key
-    (|b|, |a|, a < 0, b < 0): small |b|, then small |a|, then nonnegative
-    a, then nonnegative b.
-    """
-    require_int("bound", bound, least=1)
-    form = class_form(f, rep)
-    values = form_values(*form[:3], bound // rep.k)
-    witnesses = tuple(_witness(form, rep.k, v) for v in values)
-    return NormValueSet(k=rep.k, values=tuple(rep.k * v for v in values), witnesses=witnesses)
-
-
 def reach_layers(values: list[int], width: int, cap: int | None = None) -> list[int]:
     """Cumulative reachability bitmasks over [0, width]: masks[j] has bit n
     set iff n is a sum of at most j of the values.  Stops after cap layers,
@@ -351,25 +329,17 @@ def _table_key(f: FieldParams, class_index: int) -> tuple[int, int]:
 
 
 def _count_table(f: FieldParams, class_index: int, r_max: int) -> bytes:
-    """The class's min-count table, covering at least [0, r_max].  Class 3
-    of a class-number-3 field reads class 2's table, kept under (d, 2)."""
+    """The class's table, its min-counts covering at least [0, r_max].
+    Class 3 of a class-number-3 field reads class 2's, kept under (d, 2).
+    A rebuild keeps the marks past r_max."""
     require_int("r_max", r_max, least=1)
     rep_for(f, class_index)  # a class the field lacks raises before any cache read
     key = _table_key(f, class_index)
-    table = _TABLES.get(key)
-    if table is None or len(table) <= r_max:
+    exact, table = _TABLES.get(key, (0, b""))
+    if exact < r_max:
         # a hit reads a prefix of a table whose build was already admitted
-        table = _keep_table(key, _decode(reach_layers(_key_values(f, key, r_max), r_max), r_max))
-    return table
-
-
-def _keep_table(key: tuple[int, int], table: bytes) -> bytes:
-    """Cache a min-count table under key.  A value table under key that is
-    no wider is dropped: point queries read the min-count table first
-    wherever it reaches, so that value table is never read again."""
-    _TABLES[key] = table
-    if len(_VALUE_TABLES.get(key, b"")) <= len(table):
-        _VALUE_TABLES.pop(key, None)
+        table = _decode(reach_layers(_key_values(f, key, r_max), r_max), r_max) + table[r_max + 1 :]
+        _TABLES[key] = (r_max, table)
     return table
 
 
@@ -380,46 +350,51 @@ def _key_values(f: FieldParams, key: tuple[int, int], width: int) -> list[int]:
 
 def _point_table(q: LatticeQuery) -> tuple[int | None, bytes, list[int] | None, list[int] | None]:
     """The least number m of form values summing to q.r as far as the
-    cached tables tell it, or None; the table that gave m; the form's
-    values up to q.r if this call enumerated them, else None; and, when
-    the value table gave m, the least m values summing to q.r, else None
-    (_walk reads them off the min-count table that gave m).
+    cached table tells it, or None; that table; the form's values up to
+    q.r if this call enumerated them, else None; and, when the marks gave
+    m, the least m values summing to q.r, else None (_walk reads them off
+    the counts that gave m).
 
-    The class's min-count table answers when it is cached up to r, with 0
-    when no number of values sums to r.  Otherwise the value table does,
-    built up to r if it is shorter: r needs one value when its byte is 1,
-    and two when _walk finds a pair.  For any other r, which needs three
-    or more values or none, m is None and no layer is built.
+    The class's counts answer when they are exact up to r, with 0 when no
+    number of values sums to r.  Otherwise the marks do, widened to r if
+    the table is shorter, its counts kept: r needs one value when its
+    byte is 1, and two when _walk finds a pair.  For any other r, which
+    needs three or more values or none, m is None and no layer is built.
     """
     key = _table_key(q.field, q.class_index)
-    table = _TABLES.get(key, b"")
-    if len(table) > q.r:
+    # an empty cache reads as a table exact up to 0, the empty sum, so the
+    # widening below copies byte 0 and never assigns b"" over it
+    exact, table = _TABLES.get(key, (0, b"\0"))
+    if exact >= q.r:
         return table[q.r], table, None, None
     values = None
-    ones = _VALUE_TABLES.get(key, b"")
-    if len(ones) <= q.r:
+    if len(table) <= q.r:
         values = _key_values(q.field, key, q.r)
         marks = bytearray(q.r + 1)
         for v in values:
             marks[v] = 1
-        ones = _VALUE_TABLES[key] = bytes(marks)
-    picks = [q.r] if ones[q.r] else _walk(ones, q.r, 2)
-    return None if picks is None else len(picks), ones, values, picks
+        marks[: exact + 1] = table[: exact + 1]
+        table = bytes(marks)
+        _TABLES[key] = (exact, table)
+    picks = [q.r] if table[q.r] else _walk(table, q.r, 2)
+    return None if picks is None else len(picks), table, values, picks
 
 
 def min_terms(q: LatticeQuery) -> MinTermsResult:
     """Exact minimum number of admissible norms summing to r*k, or the
     exact verdict that no number of norms works.  The count is read off
-    the cached min-count table when it reaches r, else off the value table
-    when r needs one or two values (_point_table).  Only other r build the
-    min-count table up to r, from the values just enumerated if the value
-    table was built for this r."""
-    m, _, values, _ = _point_table(q)
+    the cached counts when they reach r, else off the marks when r needs
+    one or two values (_point_table).  Only other r build the counts up
+    to r, from the values just enumerated if the marks were widened for
+    this r, and keep the marks past r."""
+    m, table, values, _ = _point_table(q)
     if m is None:
         key = _table_key(q.field, q.class_index)
         if values is None:
             values = _key_values(q.field, key, q.r)
-        m = _keep_table(key, _decode(reach_layers(values, q.r), q.r))[q.r]
+        counts = _decode(reach_layers(values, q.r), q.r)
+        _TABLES[key] = (q.r, counts + table[q.r + 1 :])
+        m = counts[q.r]
     if not m:
         return MinTermsResult.unrepresentable()
     return MinTermsResult.representable(m)
@@ -430,7 +405,7 @@ def _walk(table: bytes, rem: int, count: int) -> list[int] | None:
     n of table (n <= rem) is the least number of values summing to n, so
     byte 1 marks a value; rem needs no fewer than count values, and is a
     value if count is 1.  For count 1 or 2 only bytes equal to 1 are read,
-    so a value table serves as well.
+    so the marks past a table's exact prefix serve as well.
 
     Each pick u is the least value in [previous pick, rem // (slots + 1)]
     whose remainder needs exactly the slots left after it: fewer would let
@@ -464,22 +439,23 @@ def find_certificate(q: LatticeQuery, m: int) -> RepCertificate | None:
     canonical: the multiset of form values is the lexicographically least
     nondecreasing sequence summing to r (so the norms, k times those
     values, are the least summing to r*k), each value is realized by its
-    enumerate_norm_values witness, and the summands follow that sequence,
-    already in (norm, a, b) order since equal values share a witness.
+    canonical witness, the admissible gamma = a + b*omega of that norm
+    with the least key (|b|, |a|, a < 0, b < 0) (_witness), and the
+    summands follow that sequence, already in (norm, a, b) order since
+    equal values share a witness.
 
     The minimum comes from _point_table, as for min_terms: the cached
-    min-count table, else the value table when r needs one or two values.
-    m below the minimum (or any m, if r is unreachable) has no
-    certificate, and m equal to it takes the values the value table's walk
-    found, or walks the min-count table that gave it, with no further
-    enumeration or layer build.  When neither table gives the minimum, r
-    needs three or more values or none: m of 1 or 2 has no certificate,
-    and no min-count table is built for a larger m.  Every other m takes
-    the shifted path, exact for any m: exactly m values sum to r exactly
-    when at most m of the shifted values v - vmin (v > vmin, vmin the
-    least value) sum to rem = r - m*vmin; the shifted values, from the
-    enumeration _point_table made if it made one, are layered up to m - 1
-    times and decoded into a table.  If c shifted values at the least
+    counts, else the marks when r needs one or two values.  m below the
+    minimum (or any m, if r is unreachable) has no certificate, and m
+    equal to it takes the values the walk on the marks found, or walks the
+    counts that gave it, with no further enumeration or layer build.  When
+    the table does not give the minimum, r needs three or more values or
+    none: m of 1 or 2 has no certificate, and no counts are built for a
+    larger m.  Every other m takes the shifted path, exact for any m:
+    exactly m values sum to r exactly when at most m of the shifted values
+    v - vmin (v > vmin, vmin the least value) sum to rem = r - m*vmin; the
+    shifted values, from the enumeration _point_table made if it made one,
+    are layered up to m - 1 times and decoded into a table.  If c shifted values at the least
     reach rem (c = m when m - 1 layers do not), the least sequence is
     m - c copies of vmin and then the walk's c picks, each plus vmin.
     Layers that reach a fixpoint before m - 1 without reaching rem leave
@@ -487,7 +463,7 @@ def find_certificate(q: LatticeQuery, m: int) -> RepCertificate | None:
     """
     require_int("m", m, least=1)
     least, table, values, picks = _point_table(q)
-    # an r the tables leave open needs three or more values, or none
+    # an r the table leaves open needs three or more values, or none
     if least == 0 or m < (least or 3):
         return None
     f = q.field

@@ -296,9 +296,10 @@ def recheck_certificate(doc: dict) -> list[str]:
     representative data rows, sharing no code with the search: norms on
     the half-integer branch come from the integer identity
     4N = (2a+b)^2 + d*b^2, and the congruences are evaluated in raw
-    two-constraint form.  Returns a list of problems, empty when valid, or
-    one "malformed" problem for a document of the wrong shape (a bool is
-    not an int there).
+    two-constraint form.  r and m must be positive, as for any query and
+    certificate of the search.  Returns a list of problems, empty when
+    valid, or one "malformed" problem for a document of the wrong shape (a
+    bool is not an int there).
     """
     problems: list[str] = []
     keys = ("d", "class_index", "k", "r", "m", "check")
@@ -323,6 +324,10 @@ def recheck_certificate(doc: dict) -> list[str]:
     if kk != k:
         problems.append(f"certificate k={k} but table has k={kk}")
 
+    if r < 1:
+        problems.append(f"r={r} is not positive")
+    if m < 1:
+        problems.append(f"m={m} is not positive")
     if m != len(gammas):
         problems.append(f"m={m} but {len(gammas)} summands")
 

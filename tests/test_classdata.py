@@ -4,6 +4,8 @@ The rep tables are retyped here as an independent second entry; a typo in
 either copy shows up as a mismatch.
 """
 
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -262,3 +264,52 @@ def test_reps_as_rows_shape():
     by_key = {(r["d"], r["class_index"]): r for r in rows}
     assert by_key[(35, 2)] == {"d": 35, "class_index": 2, "k": 5, "s": 2, "t": 1}
     assert by_key[(907, 3)] == {"d": 907, "class_index": 3, "k": 13, "s": -5, "t": 1}
+
+
+def _gauss_reduce(a, b, c):
+    """The reduced form equivalent to the positive definite form
+    a*x^2 + b*x*y + c*y^2: |b| <= a <= c, with b >= 0 when |b| = a or
+    a = c.  Each step moves b into (-a, a] by x -> x + n*y, then swaps a
+    and c by (x, y) -> (-y, x) while c < a, or c = a with b < 0."""
+    while True:
+        n = (a - b) // (2 * a)
+        b, c = b + 2 * a * n, (a * n + b) * n + c
+        if a < c or (a == c and b >= 0):
+            return a, b, c
+        a, b, c = c, -b, a
+
+
+def _reduced_forms(disc):
+    """The primitive reduced forms of the negative discriminant disc: a up
+    to sqrt(|disc|/3), b in (-a, a], c = (b^2 - disc)/(4a) at least a, and
+    b >= 0 when a = c (Cohen, A Course in Computational Algebraic Number
+    Theory, 5.3)."""
+    forms = set()
+    for a in range(1, math.isqrt(-disc // 3) + 1):
+        for b in range(-a + 1, a + 1):
+            c, rest = divmod(b * b - disc, 4 * a)
+            if not rest and c >= a and not (a == c and b < 0) and math.gcd(a, b, c) == 1:
+                forms.add((a, b, c))
+    return forms
+
+
+def test_class_forms_reduce_onto_the_reduced_forms():
+    # each class of a class-number-2 or -3 field is a distinct class of
+    # forms, so the class forms reduce one to one onto the field's
+    # primitive reduced forms; classes 2 and 3 are inverse, so class 3
+    # reduces to the inverse (a, -b, c) of class 2's reduced form
+    inverses = 0
+    for class_number in (2, 3):
+        for d in class_number_fields(class_number):
+            f = make_field(d)
+            disc = -d if d % 4 == 3 else -4 * d
+            forms = [class_form(f, rep)[:3] for rep in class_reps(f)]
+            assert all(b * b - 4 * a * c == disc for a, b, c in forms), d
+            reduced = [_gauss_reduce(*form) for form in forms]
+            assert len(set(reduced)) == len(reduced) == class_number, d
+            assert set(reduced) == _reduced_forms(disc), d
+            if class_number == 3:
+                a, b, c = reduced[1]
+                assert reduced[2] == _gauss_reduce(a, -b, c), d
+                inverses += 1
+    assert inverses == 16

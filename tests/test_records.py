@@ -9,7 +9,7 @@ import pytest
 
 from normsums.classdata import congruence_for, rep_for
 from normsums.quadfield import RingElement, make_field
-from normsums.repsearch import LatticeQuery, enumerate_norm_values, find_certificate, g_invariant, min_terms
+from normsums.repsearch import LatticeQuery, find_certificate, g_invariant, min_terms
 from normsums.universality import DiagonalForm, MixedSum, TermKind
 from normsums.verify import ClassCheck, DiffReport, FieldReport, expected_row
 
@@ -39,8 +39,6 @@ RECORDS = [
         ({"field": make_field(5), "class_index": 3, "r": True}, ValueError,
          "class_index 3 out of range for d=5 (class number 2)"),
     ]),
-    (lambda: enumerate_norm_values(make_field(5), rep_for(make_field(5), 2), 10),
-     "NormValueSet(k=2, values=(4, 6), witnesses=(RingElement(a=2, b=0), RingElement(a=1, b=1)))", []),
     (lambda: find_certificate(LatticeQuery(make_field(5), 2, 6), 2),
      f"RepCertificate(query={Q5}, m=2, gammas=(RingElement(a=1, b=1), RingElement(a=1, b=1)))", []),
     (lambda: min_terms(LatticeQuery(make_field(5), 2, 6)), "MinTermsResult(outcome='representable', m=2)", []),

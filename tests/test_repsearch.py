@@ -20,7 +20,6 @@ from normsums.repsearch import (
     LatticeQuery,
     MinTermsResult,
     check_tables,
-    enumerate_norm_values,
     exceptional_set,
     find_certificate,
     form_values,
@@ -71,10 +70,20 @@ def _query(d, class_index, r):
 
 
 @pytest.fixture(autouse=True)
-def _no_value_tables(monkeypatch):
-    # point queries keep value tables in a module-global cache; each test
-    # starts with none, so no answer depends on the order tests run in
-    monkeypatch.setattr(repsearch, "_VALUE_TABLES", {})
+def _no_tables(monkeypatch):
+    # every query keeps its class's table in a module-global cache; each
+    # test starts with none, so no answer depends on the order tests run in
+    monkeypatch.setattr(repsearch, "_TABLES", {})
+
+
+def _single_norms(d, class_index, bound):
+    """Each admissible norm n = r*k up to bound, ascending, mapped to the
+    gamma of its one-summand certificate.  r runs down, so the first query
+    marks the values up to bound // k and the rest read those marks."""
+    f = make_field(d)
+    k = rep_for(f, class_index).k
+    certs = (find_certificate(LatticeQuery(f, class_index, r), 1) for r in range(bound // k, 0, -1))
+    return {c.query.r * k: c.gammas[0] for c in reversed([c for c in certs if c is not None])}
 
 
 def test_query_validation():
@@ -98,7 +107,6 @@ def test_query_validation():
         (make_field, 0, "d must be positive, got 0"),
         (lambda r: _query(35, 2, r), -2, "r must be positive, got -2"),
         (lambda m: find_certificate(q, m), 0, "m must be positive, got 0"),
-        (lambda bound: enumerate_norm_values(f, rep_for(f, 2), bound), 0, "bound must be positive, got 0"),
         (lambda r_max: min_count_table(f, 2, r_max), 0, "r_max must be positive, got 0"),
         (lambda r_max: exceptional_set(f, 2, r_max), -1, "r_max must be positive, got -1"),
         (lambda r_max: check_tables([f], r_max), None, None),
@@ -106,9 +114,6 @@ def test_query_validation():
         (lambda r_max: verify_field(35, r_max), 0, "r_max=0 too small: exception 4 > 0"),
         (lambda r_max: verify_all(2, r_max), None, None),
     ]
-    for key in ((35, 1), (35, 2)):
-        repsearch._TABLES.pop(key, None)
-    tables = dict(repsearch._TABLES)
     for call, out_of_range, message in entry_points:
         for value in (True, 2.0, "3"):
             with pytest.raises(TypeError, match="must be an integer"):
@@ -116,53 +121,35 @@ def test_query_validation():
         if out_of_range is not None:
             with pytest.raises(ValueError, match=message):
                 call(out_of_range)
-    assert repsearch._TABLES == tables
+    assert repsearch._TABLES == {}
 
 
-def test_enumerate_norm_values_examples():
-    f5 = make_field(5)
-    vs = enumerate_norm_values(f5, rep_for(f5, 2), 10)
+def test_single_norm_examples():
     # 9 = N(3) is excluded: 3 fails the parity condition for this class
-    assert vs.values == (4, 6)
-    assert vs.witnesses == (RingElement(2, 0), RingElement(1, 1))
-
-    f51 = make_field(51)
-    vs = enumerate_norm_values(f51, rep_for(f51, 2), 30)
-    assert vs.values == (15, 25)
-    assert vs.witnesses == (RingElement(2, -1), RingElement(5, 0))
-
-    # below the smallest admissible norm the set is empty
-    vs = enumerate_norm_values(f5, rep_for(f5, 2), 3)
-    assert vs.values == ()
-
-    with pytest.raises(ValueError):
-        enumerate_norm_values(f5, rep_for(f5, 2), 0)
+    assert _single_norms(5, 2, 10) == {4: RingElement(2, 0), 6: RingElement(1, 1)}
+    assert _single_norms(51, 2, 30) == {15: RingElement(2, -1), 25: RingElement(5, 0)}
+    # below the smallest admissible norm there is none
+    assert _single_norms(5, 2, 3) == {}
 
 
-def test_enumerate_norm_values_canonical_witnesses():
-    f907 = make_field(907)
-    vs = enumerate_norm_values(f907, rep_for(f907, 2), 300)
-    assert vs.values == (169, 247, 299)
-    assert vs.witnesses == (RingElement(13, 0), RingElement(5, -1), RingElement(8, 1))
-    vs3 = enumerate_norm_values(f907, rep_for(f907, 3), 300)
-    assert dict(zip(vs3.values, vs3.witnesses))[299] == RingElement(9, -1)
+def test_single_norm_canonical_witnesses():
+    assert _single_norms(907, 2, 300) == {169: RingElement(13, 0), 247: RingElement(5, -1), 299: RingElement(8, 1)}
+    assert _single_norms(907, 3, 300)[299] == RingElement(9, -1)
 
 
 ALL_CLASSES = [(d, rep.class_index) for d in SUPPORTED_FIELDS for rep in class_reps(make_field(d))]
 
 
 @given(st.sampled_from(ALL_CLASSES), st.integers(min_value=1, max_value=400))
-def test_enumerate_matches_oracle_box_scan(field_class, bound):
+def test_single_norms_match_oracle_box_scan(field_class, bound):
     d, class_index = field_class
-    f = make_field(d)
-    rep = rep_for(f, class_index)
     expected = oracle_witnesses(d, class_index, bound)
     # every admissible norm is k times a value of the class form
-    assert all(v % rep.k == 0 for v in expected)
-    vs = enumerate_norm_values(f, rep, bound)
+    assert all(v % _query(d, class_index, 1).k == 0 for v in expected)
+    got = _single_norms(d, class_index, bound)
     # the same values, each with the oracle's canonical witness
-    assert {v: (w.a, w.b) for v, w in zip(vs.values, vs.witnesses)} == expected
-    assert list(vs.values) == list(expected)
+    assert {v: (w.a, w.b) for v, w in got.items()} == expected
+    assert list(got) == list(expected)
 
 
 def test_form_values_match_a_box_scan_at_every_width():
@@ -190,9 +177,7 @@ def test_form_values_match_a_box_scan_at_every_width():
 def test_witnesses_are_valid_and_nonzero(field_class, bound):
     d, class_index = field_class
     f = make_field(d)
-    vs = enumerate_norm_values(f, rep_for(f, class_index), bound)
-    assert len(vs.values) == len(vs.witnesses)
-    for v, w in zip(vs.values, vs.witnesses):
+    for v, w in _single_norms(d, class_index, bound).items():
         assert (w.a, w.b) != (0, 0)
         assert norm(f, w) == v
 
@@ -233,15 +218,15 @@ def test_table_grows_and_serves_smaller_windows():
     windows = (300, 50, 600)
     repsearch._TABLES.clear()
     warm = [(min_count_table(f, 2, n), exceptional_set(f, 2, n)) for n in windows]
-    assert len(repsearch._TABLES[(907, 2)]) == 601
+    exact, table = repsearch._TABLES[(907, 2)]
+    assert exact == 600 and len(table) == 601
     for n, got in zip(windows, warm):
         repsearch._TABLES.clear()
         assert got == (min_count_table(f, 2, n), exceptional_set(f, 2, n)), n
 
 
-def test_class_the_field_lacks_raises_with_its_pair_cached(monkeypatch):
+def test_class_the_field_lacks_raises_with_its_pair_cached():
     # class 3 reads the (d, 2) table, but only where the field has a class 3
-    monkeypatch.setattr(repsearch, "_TABLES", {})
     f = make_field(5)
     exceptional_set(f, 2, 100)
     assert (5, 2) in repsearch._TABLES
@@ -308,14 +293,12 @@ def _summands(cert):
     return ["-"] if cert is None else [f"{g.a},{g.b}" for g in cert.gammas]
 
 
-def test_certificates_match_goldens_cold_and_warm(monkeypatch):
+def test_certificates_match_goldens_cold_and_warm():
     # cold: no table cached, so every call layers the shifted values;
     # warm: min_terms has cached the class's table, which decides every m
     # up to the minimum; both give the one recorded answer
-    monkeypatch.setattr(repsearch, "_TABLES", {})
     for q, m, want in _certificate_goldens():
         repsearch._TABLES.clear()
-        repsearch._VALUE_TABLES.clear()
         assert _summands(find_certificate(q, m)) == want, (q, m)
     for q, m, want in _certificate_goldens():
         min_terms(q)
@@ -323,7 +306,6 @@ def test_certificates_match_goldens_cold_and_warm(monkeypatch):
 
 
 def test_cached_table_answers_up_to_the_minimum_without_a_build(monkeypatch):
-    monkeypatch.setattr(repsearch, "_TABLES", {})
     queries = [_query(d, class_index, r) for d, class_index in ALL_CLASSES for r in (1, 7, 88, 1201, 5000)]
     minima = [min_terms(q).m or 0 for q in queries]
 
@@ -343,11 +325,10 @@ def test_cached_table_answers_up_to_the_minimum_without_a_build(monkeypatch):
         assert len(cert.gammas) == least and recheck_certificate(cert.to_json_dict()) == [], q
 
 
-def test_unreachable_remainder_with_more_than_255_summands_is_none(monkeypatch):
+def test_unreachable_remainder_with_more_than_255_summands_is_none():
     # r = m*vmin + 1 leaves the remainder 1, which no shifted value reaches
     # when vmin + 1 is not a value: the layers stop at a fixpoint long
     # before m - 1, and the answer is None, cold and warm
-    monkeypatch.setattr(repsearch, "_TABLES", {})
     checked = 0
     for d, class_index in ALL_CLASSES:
         f = make_field(d)
@@ -357,7 +338,6 @@ def test_unreachable_remainder_with_more_than_255_summands_is_none(monkeypatch):
         for m in (256, 257, 300):
             q = _query(d, class_index, m * values[0] + 1)
             repsearch._TABLES.clear()
-            repsearch._VALUE_TABLES.clear()
             assert find_certificate(q, m) is None, (q, m)
             min_terms(q)
             assert find_certificate(q, m) is None, (q, m)
@@ -365,14 +345,19 @@ def test_unreachable_remainder_with_more_than_255_summands_is_none(monkeypatch):
     assert checked > 80
 
 
-def test_cold_certificate_builds_no_table(monkeypatch):
-    # a cold call layers only the shifted values up to m - 1 and keeps no
-    # min-count table, also for r that needs three or more values (115, 2,
-    # 19 and 907, 2, 673901 need 3; 187, 2, 38 needs 4) or none (91, 2,
-    # 16); another class's cached table is left as it was
-    monkeypatch.setattr(repsearch, "_TABLES", {})
+def _counts():
+    """The min-counts cached per key: each table's bytes up to its exact
+    bound, for the keys whose counts reach past 0."""
+    return {key: table[: exact + 1] for key, (exact, table) in repsearch._TABLES.items() if exact}
+
+
+def test_cold_certificate_builds_no_counts():
+    # a cold call layers only the shifted values up to m - 1 and leaves
+    # every exact bound as it was, also for r that needs three or more
+    # values (115, 2, 19 and 907, 2, 673901 need 3; 187, 2, 38 needs 4) or
+    # none (91, 2, 16); another class's cached counts are left as they were
     min_count_table(make_field(5), 2, 100)
-    before = dict(repsearch._TABLES)
+    before = _counts()
     for d, class_index, r, m, found in (
         (1, 1, 5000, 2, True), (907, 3, 1201, 3, True), (23, 2, 300, 7, True), (5, 1, 50, 1, False),
         (115, 2, 19, 2, False), (115, 2, 19, 3, True), (115, 2, 19, 4, False), (907, 2, 673901, 4, True),
@@ -380,57 +365,57 @@ def test_cold_certificate_builds_no_table(monkeypatch):
     ):
         cert = find_certificate(_query(d, class_index, r), m)
         assert (cert is not None) == found, (d, class_index, r, m)
-        assert repsearch._TABLES == before, (d, class_index)
+        assert _counts() == before, (d, class_index)
 
 
-def test_point_queries_match_the_min_count_table(monkeypatch):
+def test_point_queries_match_the_min_count_table():
     # every class from a cold cache: each r <= 200 on a cache emptied
-    # before it, so its value table ends at byte r; then r = 1500 down to 1
-    # with _TABLES emptied after each, so every r is read off the value
-    # table built at 1500 or off a min-count table built at r itself
-    monkeypatch.setattr(repsearch, "_TABLES", {})
+    # before it, so its marks end at byte r; then r = 1500 down to 1, each
+    # on the marks a cold certificate query left at 1500, so every r is
+    # read off those marks or off counts built at r itself
     for d, class_index in ALL_CLASSES:
         f = make_field(d)
         want = min_count_table(f, class_index, 1500)
         for r in range(1, 201):
             repsearch._TABLES.clear()
-            repsearch._VALUE_TABLES.clear()
             assert min_terms(_query(d, class_index, r)).m == want[r - 1], (d, class_index, r)
+        repsearch._TABLES.clear()
+        find_certificate(_query(d, class_index, 1500), 1)
+        key = repsearch._table_key(f, class_index)
+        marks = repsearch._TABLES[key]
+        assert marks[0] == 0 and len(marks[1]) == 1501
         for r in range(1500, 0, -1):
+            repsearch._TABLES[key] = marks
             assert min_terms(_query(d, class_index, r)).m == want[r - 1], (d, class_index, r)
-            repsearch._TABLES.clear()
 
 
-def test_value_table_certificates_equal_the_full_table_walk(monkeypatch):
-    # at a minimum of 1 or 2 a cold call walks the value table; the walk
-    # reads only bytes equal to 1, which it shares with the min-count
-    # table, so it gives the certificate the cached min-count table gives
-    monkeypatch.setattr(repsearch, "_TABLES", {})
+def test_certificates_on_the_marks_equal_the_count_walk():
+    # at a minimum of 1 or 2 a cold call walks the marks; the walk reads
+    # only bytes equal to 1, which the marks share with the counts, so it
+    # gives the certificate the cached counts give
     checked = 0
     for d, class_index in ALL_CLASSES:
         f = make_field(d)
-        repsearch._VALUE_TABLES.clear()
+        key = repsearch._table_key(f, class_index)
+        repsearch._TABLES.clear()
         counts = min_count_table(f, class_index, 20000)
         cases = [(_query(d, class_index, r), counts[r - 1]) for r in (*range(1, 121), 300, 1201, 5000, 20000)]
         warm = [(q, least, find_certificate(q, least)) for q, least in cases if least in (1, 2)]
         for q, least, cert in warm:
             repsearch._TABLES.clear()
-            repsearch._VALUE_TABLES.clear()
             assert find_certificate(q, least) == cert, q
             if least == 2:
                 assert find_certificate(q, 1) is None, q
-            assert repsearch._TABLES == {}, q
-        repsearch._TABLES.clear()
+            assert list(repsearch._TABLES) == [key] and repsearch._TABLES[key][0] == 0, q
         checked += len(warm)
     assert checked == 8610
 
 
 def test_counts_one_and_two_build_no_layers(monkeypatch):
     # a query whose r needs one or two values enumerates once and reads the
-    # value table alone: no reach_layers, no _decode and no min-count
-    # table; r that needs three or more values, or none, builds that table
-    # at r from the same enumeration
-    monkeypatch.setattr(repsearch, "_TABLES", {})
+    # marks alone: no reach_layers, no _decode and no counts; r that needs
+    # three or more values, or none, builds the counts at r from the same
+    # enumeration
     calls = []
 
     def spy(stage):
@@ -448,33 +433,32 @@ def test_counts_one_and_two_build_no_layers(monkeypatch):
         assert len(cert.gammas) == least and recheck_certificate(cert.to_json_dict()) == []
         if least == 2:
             assert find_certificate(q, 1) is None
-        assert calls == ["form_values"] and repsearch._TABLES == {}, q
+        assert calls == ["form_values"] and [exact for exact, _ in repsearch._TABLES.values()] == [0], q
         calls.clear()
-        repsearch._VALUE_TABLES.clear()
+        repsearch._TABLES.clear()
     # above the minimum the values enumerated for the minimum are shifted
-    # and layered, and no min-count table is kept
+    # and layered, and no counts are kept
     assert len(find_certificate(_query(5, 2, 6), 3).gammas) == 3
-    assert calls == ["form_values", "reach_layers", "_decode"] and repsearch._TABLES == {}
+    assert calls == ["form_values", "reach_layers", "_decode"] and repsearch._TABLES[(5, 2)][0] == 0
     calls.clear()
     for d, class_index, r, least in ((115, 2, 19, 3), (187, 2, 38, 4), (91, 2, 16, None)):
         q = _query(d, class_index, r)
         assert min_terms(q).m == least
         assert (find_certificate(q, least or 1) is None) == (least is None)
         assert calls == ["form_values", "reach_layers", "_decode"]
-        assert len(repsearch._TABLES[(d, class_index)]) == r + 1
-        assert (d, class_index) not in repsearch._VALUE_TABLES
+        exact, table = repsearch._TABLES[(d, class_index)]
+        assert exact == r and len(table) == r + 1
         calls.clear()
 
 
-def test_a_pair_found_on_the_value_table_is_walked_once(monkeypatch):
+def test_a_pair_found_on_the_marks_is_walked_once(monkeypatch):
     # at a minimum of 2 the pair that set the minimum is the certificate;
     # the walk that found it is not run again
-    monkeypatch.setattr(repsearch, "_TABLES", {})
     walks = []
     walk = repsearch._walk
     monkeypatch.setattr(repsearch, "_walk", lambda table, rem, count: walks.append(count) or walk(table, rem, count))
     for d, class_index, r in ((5, 2, 6), (907, 3, 26), (907, 2, 3000)):
-        repsearch._VALUE_TABLES.clear()
+        repsearch._TABLES.clear()
         cert = find_certificate(_query(d, class_index, r), 2)
         assert recheck_certificate(cert.to_json_dict()) == [] and walks == [2], (d, class_index, r)
         walks.clear()
@@ -578,16 +562,33 @@ def test_exceptional_set_examples():
         exceptional_set(f35, 2, 0)
 
 
-def test_exceptional_set_reads_only_its_window(monkeypatch):
+def test_exceptional_set_reads_only_its_window():
     # windows ending on, just past and just before an exceptional r, read
     # cold and then from a longer cached table
-    monkeypatch.setattr(repsearch, "_TABLES", {})
     for d, class_index in ((35, 2), (403, 2), (907, 3), (1, 1)):
         f = make_field(d)
         for r_max in (1, 3, 4, 5, 82, 83, 150, 600, 150, 4, 1):
             counts = min_count_table(f, class_index, r_max)
             expected = [r for r, m in enumerate(counts, 1) if m is None]
             assert exceptional_set(f, class_index, r_max) == expected, (d, class_index, r_max)
+
+
+def test_width_300_proves_every_exceptional_set():
+    # with vmin the least form value, if every r in [R, R + vmin) is a sum
+    # of values then so is every r >= R (add vmin), so a table whose
+    # counts cover that window decides the exceptional set for all r; R is
+    # one past the last exception, and 1 when there is none, so the empty
+    # sum at byte 0 stays out of the window
+    windows = {}
+    for d, class_index in ALL_CLASSES:
+        t = repsearch._count_table(make_field(d), class_index, 300)
+        vmin = t.find(1, 1)
+        R = max(1, t.rfind(0, 1, 301) + 1)
+        assert 0 < vmin and R + vmin <= 301, (d, class_index)
+        assert t.find(0, R, R + vmin) == -1, (d, class_index)
+        windows[d, class_index] = (R + vmin - 1, R, vmin)
+    assert len(windows) == 93
+    assert max(windows.values()) == windows[427, 2] == (95, 89, 7)
 
 
 def test_g_invariant_examples():
@@ -635,7 +636,7 @@ def test_work_bound_overflow():
     with pytest.raises(Overflow):
         exceptional_set(make_field(5), 2, 10**7)
     with pytest.raises(Overflow):
-        enumerate_norm_values(make_field(1), rep_for(make_field(1), 1), 10**12)
+        find_certificate(_query(1, 1, 10**12), 1)
     assert time.perf_counter() - t0 < 1
 
 
@@ -674,52 +675,62 @@ def _widest_admitted_widths():
 
 
 def test_table_cache_is_bounded_in_bytes():
-    # a table of width w takes w + 1 bytes and is built only at a width
-    # form_values admits, so each key's widest admitted width bounds the
-    # cache in bytes with no eviction
+    # a table of width w takes w + 1 bytes, counts and marks together, and
+    # is widened only to a width form_values admits, so each key's widest
+    # admitted width bounds the cache in bytes with no eviction; a refused
+    # query or table keeps nothing
     table_bytes = {}
     for f, class_index, key, width in _widest_admitted_widths():
-        with pytest.raises(Overflow):
-            min_count_table(f, class_index, width + 1)
+        q = LatticeQuery(f, class_index, width + 1)
+        for build in (lambda: min_count_table(f, class_index, width + 1), lambda: min_terms(q),
+                      lambda: find_certificate(q, 2)):
+            with pytest.raises(Overflow):
+                build()
         table_bytes[key] = width + 1
+    assert repsearch._TABLES == {}
     assert len(table_bytes) == 77
-    assert sum(table_bytes.values()) < 36 * 2**20
+    assert sum(table_bytes.values()) == 36973171
     assert max(table_bytes.values()) == table_bytes[(907, 2)] == 779904
 
 
-def test_value_table_cache_is_bounded_in_bytes(monkeypatch):
-    # a point query at r keeps a value table of r + 1 bytes under the same
-    # keys as _TABLES, built from form_values, so the same widest admitted
-    # widths bound it: the two caches together hold at most twice 36973171
-    # bytes; a refused query keeps nothing
-    monkeypatch.setattr(repsearch, "_TABLES", {})
-    value_bytes = {}
-    for f, class_index, key, width in _widest_admitted_widths():
-        q = LatticeQuery(f, class_index, width + 1)
-        for query in (lambda: min_terms(q), lambda: find_certificate(q, 2)):
-            with pytest.raises(Overflow):
-                query()
-        value_bytes[key] = width + 1
-    assert repsearch._VALUE_TABLES == {} and repsearch._TABLES == {}
-    assert len(value_bytes) == 77
-    assert sum(value_bytes.values()) == 36973171
-    assert max(value_bytes.values()) == value_bytes[(907, 2)] == 779904
-    for r in (13, 26, 3000):
-        min_terms(_query(907, 3, r))
-        assert len(repsearch._VALUE_TABLES[(907, 2)]) == r + 1 and repsearch._TABLES == {}
-    # a min-count table drops the value table only when it is at least as
-    # wide: r = 50 is reached by no number of values
-    min_terms(_query(907, 3, 50))
-    assert len(repsearch._TABLES[(907, 2)]) == 51 and len(repsearch._VALUE_TABLES[(907, 2)]) == 3001
-    min_count_table(make_field(907), 2, 3000)
-    assert (907, 2) not in repsearch._VALUE_TABLES
+def _assert_layout(f, class_index):
+    """The class's cached table holds its counts up to exact and marks the
+    form values past it, byte for byte against the oracle's layers over
+    the table's whole width."""
+    exact, table = repsearch._TABLES[repsearch._table_key(f, class_index)]
+    width = len(table) - 1
+    values = form_values(*class_form(f, rep_for(f, class_index))[:3], width)
+    counts = repsearch._decode(oracle_layers(values, width), width)
+    assert table[: exact + 1] == counts[: exact + 1]
+    assert table[exact + 1 :] == bytes(n == 1 for n in counts[exact + 1 :])
+
+
+def test_one_table_holds_counts_then_marks():
+    # point queries at r needing one or two values widen the marks from an
+    # empty cache, byte 0 included; counts built at r keep the marks past
+    # r (r = 50 is reached by no number of values), marks widened past the
+    # counts keep them, and a wider count table replaces both
+    f = make_field(907)
+    steps = [
+        (lambda: min_terms(_query(907, 3, 13)), 0, 14),
+        (lambda: min_terms(_query(907, 3, 26)), 0, 27),
+        (lambda: min_terms(_query(907, 2, 3000)), 0, 3001),
+        (lambda: min_terms(_query(907, 3, 50)), 50, 3001),
+        (lambda: find_certificate(_query(907, 3, 5000), 2), 50, 5001),
+        (lambda: min_count_table(f, 2, 3000), 3000, 5001),
+        (lambda: exceptional_set(f, 3, 6000), 6000, 6001),
+    ]
+    for step, exact, size in steps:
+        step()
+        assert list(repsearch._TABLES) == [(907, 2)]
+        assert repsearch._TABLES[(907, 2)][0] == exact and len(repsearch._TABLES[(907, 2)][1]) == size
+        _assert_layout(f, 3)
 
 
 def test_every_enumeration_is_admitted_before_its_first_point(monkeypatch):
     # the budget check lives in form_values, so no caller can enumerate
     # without it: with no budget, each entry point must refuse before a
     # row of the form is generated
-    monkeypatch.setattr(repsearch, "_TABLES", {})
     monkeypatch.setattr(repsearch, "_WORK_BUDGET", 0)
 
     def enumerated(*args):
@@ -731,7 +742,7 @@ def test_every_enumeration_is_admitted_before_its_first_point(monkeypatch):
         lambda: min_terms(_query(907, 2, 50)),
         lambda: find_certificate(_query(907, 2, 50), 3),
         lambda: exceptional_set(f, 3, 50),
-        lambda: enumerate_norm_values(f, rep_for(f, 2), 500),
+        lambda: find_certificate(_query(907, 3, 500), 2),
         lambda: m_d(f),
         lambda: norm_sum_first_gap(f, 3, 100),
     ]

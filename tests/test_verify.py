@@ -304,6 +304,19 @@ def test_recheck_certificate_rejects_zero_summand():
     assert any("zero" in p for p in recheck_certificate(doc))
 
 
+@pytest.mark.parametrize("doc, problems", [
+    # every sum checks out, but no query has r < 1 and no certificate m < 1
+    ({"d": 5, "class_index": 2, "k": 2, "r": 0, "m": 0, "gammas": [], "check": 0},
+     ["r=0 is not positive", "m=0 is not positive"]),
+    ({"d": 5, "class_index": 2, "k": 2, "r": -1, "m": 0, "gammas": [], "check": 0},
+     ["r=-1 is not positive", "m=0 is not positive", "norms sum to 0, need r*k = -2"]),
+    ({"d": 35, "class_index": 2, "k": 5, "r": 3, "m": 0, "gammas": [], "check": 0},
+     ["m=0 is not positive", "norms sum to 0, need r*k = 15"]),
+])
+def test_recheck_certificate_rejects_a_count_below_one(doc, problems):
+    assert recheck_certificate(doc) == problems
+
+
 def test_recheck_certificate_unknown_class_representative():
     doc = _valid_cert_doc()
     # d=21 is not a supported field and d=5 has no class 3

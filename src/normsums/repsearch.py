@@ -36,23 +36,23 @@ g_invariant finds the largest count by one bytes search per count
 (_max_count).
 
 A point query at r (min_terms, find_certificate) needs only r's count, and
-almost every r needs one or two values.  So, unless the counts reach r,
-it reads the marks, widened to r from form_values with no layering when
-the table is shorter.  r needs one value when its byte is 1 and two when
-the walk below finds a pair; for the other r, which need three or more
-values or none, min_terms builds the counts up to r.  Count 1 holds
-exactly at the values, and a walk for one or two values reads only bytes
-equal to 1, so it picks the same values from the counts or the marks.
+almost every r needs one or two values.  One helper, _point_table, gives
+that count exactly.  Unless the counts reach r, it reads the marks,
+widened to r from form_values with no layering when the table is
+shorter: r needs one value when its byte is 1 and two when the walk below
+finds a pair.  Any other r needs three or more values or none, and the
+helper builds the counts up to r, keeping the marks past it.  Count 1
+holds exactly at the values, and a walk for one or two values reads only
+bytes equal to 1, so it picks the same values from the counts or the
+marks.
 
 Certificates come from the bytes that gave the minimum: m below it (or
 any m, if r is unreachable) has no certificate, and m equal to it takes
-the pair the walk on the marks found, or walks the counts, with no
-further enumeration or layer build.  When the table does not give the
-minimum, m of 1 or 2 has no certificate and a larger m takes the path
-below, which is exact for any m and keeps no table.  Above the minimum,
-exactly m form values sum to r exactly when at most m of the shifted
-values v - vmin (v > vmin, vmin the least value) sum to r - m*vmin;
-those are layered up to m - 1 times and decoded into a table, and the
+the values the walk on the marks found, or walks the counts, with no
+further enumeration or layer build.  Above the minimum, exactly m form
+values sum to r exactly when at most m of the shifted values v - vmin
+(v > vmin, vmin the least value) sum to r - m*vmin; those are layered up
+to m - 1 times and decoded into a table that is not kept, and the
 certificate opens with m - c copies of vmin, c the least count of shifted
 values reaching the remainder.  The walk then takes the rest in order,
 each the least value in a window whose remainder needs exactly the slots
@@ -348,27 +348,27 @@ def _key_values(f: FieldParams, key: tuple[int, int], width: int) -> list[int]:
     return form_values(*class_form(f, rep_for(f, key[1]))[:3], width)
 
 
-def _point_table(q: LatticeQuery) -> tuple[int | None, bytes, list[int] | None, list[int] | None]:
-    """The least number m of form values summing to q.r as far as the
-    cached table tells it, or None; that table; the form's values up to
-    q.r if this call enumerated them, else None; and, when the marks gave
-    m, the least m values summing to q.r, else None (_walk reads them off
-    the counts that gave m).
+def _point_table(q: LatticeQuery) -> tuple[int, bytes, list[int] | None]:
+    """The least number of form values summing to q.r, 0 when no number
+    does; a table of the class covering q.r; and, when the marks gave the
+    least number, the least that many values summing to q.r, else None
+    (_walk reads them off the counts).
 
-    The class's counts answer when they are exact up to r, with 0 when no
-    number of values sums to r.  Otherwise the marks do, widened to r if
-    the table is shorter, its counts kept: r needs one value when its
-    byte is 1, and two when _walk finds a pair.  For any other r, which
-    needs three or more values or none, m is None and no layer is built.
+    The class's counts answer when they are exact up to r.  Otherwise the
+    marks do, widened to r if the table is shorter, its counts kept: r
+    needs one value when its byte is 1, and two when _walk finds a pair.
+    Any other r needs three or more values or none, and _count_table
+    builds the counts up to r, keeping the marks past it.  This is the one
+    place where a point query widens marks or builds counts.
     """
     key = _table_key(q.field, q.class_index)
     # an empty cache reads as a table exact up to 0, the empty sum, so the
     # widening below copies byte 0 and never assigns b"" over it
     exact, table = _TABLES.get(key, (0, b"\0"))
     if exact >= q.r:
-        return table[q.r], table, None, None
-    values = None
+        return table[q.r], table, None
     if len(table) <= q.r:
+        # enumerating first checks the budget before any allocation
         values = _key_values(q.field, key, q.r)
         marks = bytearray(q.r + 1)
         for v in values:
@@ -377,24 +377,17 @@ def _point_table(q: LatticeQuery) -> tuple[int | None, bytes, list[int] | None, 
         table = bytes(marks)
         _TABLES[key] = (exact, table)
     picks = [q.r] if table[q.r] else _walk(table, q.r, 2)
-    return None if picks is None else len(picks), table, values, picks
+    if picks is None:
+        table = _count_table(q.field, q.class_index, q.r)
+        return table[q.r], table, None
+    return len(picks), table, picks
 
 
 def min_terms(q: LatticeQuery) -> MinTermsResult:
     """Exact minimum number of admissible norms summing to r*k, or the
-    exact verdict that no number of norms works.  The count is read off
-    the cached counts when they reach r, else off the marks when r needs
-    one or two values (_point_table).  Only other r build the counts up
-    to r, from the values just enumerated if the marks were widened for
-    this r, and keep the marks past r."""
-    m, table, values, _ = _point_table(q)
-    if m is None:
-        key = _table_key(q.field, q.class_index)
-        if values is None:
-            values = _key_values(q.field, key, q.r)
-        counts = _decode(reach_layers(values, q.r), q.r)
-        _TABLES[key] = (q.r, counts + table[q.r + 1 :])
-        m = counts[q.r]
+    exact verdict that no number of norms works, as _point_table gives
+    it."""
+    m = _point_table(q)[0]
     if not m:
         return MinTermsResult.unrepresentable()
     return MinTermsResult.representable(m)
@@ -444,27 +437,22 @@ def find_certificate(q: LatticeQuery, m: int) -> RepCertificate | None:
     summands follow that sequence, already in (norm, a, b) order since
     equal values share a witness.
 
-    The minimum comes from _point_table, as for min_terms: the cached
-    counts, else the marks when r needs one or two values.  m below the
-    minimum (or any m, if r is unreachable) has no certificate, and m
-    equal to it takes the values the walk on the marks found, or walks the
-    counts that gave it, with no further enumeration or layer build.  When
-    the table does not give the minimum, r needs three or more values or
-    none: m of 1 or 2 has no certificate, and no counts are built for a
-    larger m.  Every other m takes the shifted path, exact for any m:
+    The minimum comes from _point_table, as for min_terms.  m below it
+    (or any m, if r is unreachable) has no certificate, and m equal to it
+    takes the values the walk on the marks found, or walks the counts
+    that gave it.  A larger m takes the shifted path, exact for any m:
     exactly m values sum to r exactly when at most m of the shifted values
     v - vmin (v > vmin, vmin the least value) sum to rem = r - m*vmin; the
-    shifted values, from the enumeration _point_table made if it made one,
-    are layered up to m - 1 times and decoded into a table.  If c shifted values at the least
-    reach rem (c = m when m - 1 layers do not), the least sequence is
-    m - c copies of vmin and then the walk's c picks, each plus vmin.
-    Layers that reach a fixpoint before m - 1 without reaching rem leave
-    no certificate at all.  Each distinct value's witness is solved once.
+    shifted values, from _key_values, are layered up to m - 1 times and
+    decoded into a table.  If c shifted values at the least reach rem
+    (c = m when m - 1 layers do not), the least sequence is m - c copies
+    of vmin and then the walk's c picks, each plus vmin.  Layers that
+    reach a fixpoint before m - 1 without reaching rem leave no
+    certificate at all.  Each distinct value's witness is solved once.
     """
     require_int("m", m, least=1)
-    least, table, values, picks = _point_table(q)
-    # an r the table leaves open needs three or more values, or none
-    if least == 0 or m < (least or 3):
+    least, table, picks = _point_table(q)
+    if not least or m < least:
         return None
     f = q.field
     rep = rep_for(f, q.class_index)
@@ -472,9 +460,8 @@ def find_certificate(q: LatticeQuery, m: int) -> RepCertificate | None:
     if m == least:
         seq = picks if picks is not None else _walk(table, q.r, m)
     else:
-        if values is None:
-            values = form_values(*form[:3], q.r)
-        if not values or m * values[0] > q.r:
+        values = _key_values(f, _table_key(f, q.class_index), q.r)
+        if m * values[0] > q.r:
             return None
         vmin = values[0]
         rem = q.r - m * vmin

@@ -351,21 +351,26 @@ def _counts():
     return {key: table[: exact + 1] for key, (exact, table) in repsearch._TABLES.items() if exact}
 
 
-def test_cold_certificate_builds_no_counts():
-    # a cold call layers only the shifted values up to m - 1 and leaves
-    # every exact bound as it was, also for r that needs three or more
-    # values (115, 2, 19 and 907, 2, 673901 need 3; 187, 2, 38 needs 4) or
-    # none (91, 2, 16); another class's cached counts are left as they were
+def test_cold_certificate_builds_counts_only_past_two_values():
+    # a cold call reads the marks when r needs one or two values and leaves
+    # the exact bound at 0; for r that needs three or more values (115, 2,
+    # 19 and 907, 2, 673901 need 3; 187, 2, 38 needs 4) or none (91, 2,
+    # 16) it builds the queried class's counts up to r; every other key's
+    # cached counts are left as they were
+    three_or_none = {(115, 2, 19), (907, 2, 673901), (187, 2, 38), (91, 2, 16)}
     min_count_table(make_field(5), 2, 100)
-    before = _counts()
     for d, class_index, r, m, found in (
         (1, 1, 5000, 2, True), (907, 3, 1201, 3, True), (23, 2, 300, 7, True), (5, 1, 50, 1, False),
         (115, 2, 19, 2, False), (115, 2, 19, 3, True), (115, 2, 19, 4, False), (907, 2, 673901, 4, True),
         (187, 2, 38, 3, False), (187, 2, 38, 4, True), (91, 2, 16, 1, False), (91, 2, 16, 3, False),
     ):
+        key = repsearch._table_key(make_field(d), class_index)
+        before = {k: counts for k, counts in _counts().items() if k != key}
         cert = find_certificate(_query(d, class_index, r), m)
         assert (cert is not None) == found, (d, class_index, r, m)
-        assert _counts() == before, (d, class_index)
+        exact, table = repsearch._TABLES[key]
+        assert exact == (r if (d, class_index, r) in three_or_none else 0) and len(table) > r, (d, class_index, r, m)
+        assert {k: counts for k, counts in _counts().items() if k != key} == before, (d, class_index)
 
 
 def test_point_queries_match_the_min_count_table():
@@ -413,9 +418,7 @@ def test_certificates_on_the_marks_equal_the_count_walk():
 
 def test_counts_one_and_two_build_no_layers(monkeypatch):
     # a query whose r needs one or two values enumerates once and reads the
-    # marks alone: no reach_layers, no _decode and no counts; r that needs
-    # three or more values, or none, builds the counts at r from the same
-    # enumeration
+    # marks alone: no reach_layers, no _decode and no counts
     calls = []
 
     def spy(stage):
@@ -436,16 +439,19 @@ def test_counts_one_and_two_build_no_layers(monkeypatch):
         assert calls == ["form_values"] and [exact for exact, _ in repsearch._TABLES.values()] == [0], q
         calls.clear()
         repsearch._TABLES.clear()
-    # above the minimum the values enumerated for the minimum are shifted
-    # and layered, and no counts are kept
+    # above the minimum the values are enumerated once more, shifted and
+    # layered, and no counts are kept
     assert len(find_certificate(_query(5, 2, 6), 3).gammas) == 3
-    assert calls == ["form_values", "reach_layers", "_decode"] and repsearch._TABLES[(5, 2)][0] == 0
+    assert calls == ["form_values", "form_values", "reach_layers", "_decode"]
+    assert repsearch._TABLES[(5, 2)][0] == 0
     calls.clear()
+    # r that needs three or more values, or none, widens the marks and then
+    # builds the counts at r, once; the certificate reads those counts
     for d, class_index, r, least in ((115, 2, 19, 3), (187, 2, 38, 4), (91, 2, 16, None)):
         q = _query(d, class_index, r)
         assert min_terms(q).m == least
         assert (find_certificate(q, least or 1) is None) == (least is None)
-        assert calls == ["form_values", "reach_layers", "_decode"]
+        assert calls == ["form_values", "form_values", "reach_layers", "_decode"]
         exact, table = repsearch._TABLES[(d, class_index)]
         assert exact == r and len(table) == r + 1
         calls.clear()
@@ -635,8 +641,11 @@ def test_work_bound_overflow():
         find_certificate(_query(1, 1, 10**7), 3)
     with pytest.raises(Overflow):
         exceptional_set(make_field(5), 2, 10**7)
+    # the budget is checked before anything of width r is allocated
     with pytest.raises(Overflow):
         find_certificate(_query(1, 1, 10**12), 1)
+    with pytest.raises(Overflow):
+        min_terms(_query(1, 1, 10**12))
     assert time.perf_counter() - t0 < 1
 
 

@@ -51,15 +51,16 @@ any m, if r is unreachable) has no certificate, and m equal to it takes
 the values the walk on the marks found, or walks the counts, with no
 further enumeration or layer build.  Above the minimum, exactly m form
 values sum to r exactly when at most m of the shifted values v - vmin
-(v > vmin, vmin the least value) sum to r - m*vmin; those are layered up
-to m - 1 times and decoded into a table that is not kept, and the
-certificate opens with m - c copies of vmin, c the least count of shifted
-values reaching the remainder.  The walk then takes the rest in order,
-each the least value in a window whose remainder needs exactly the slots
-left, found by one bytes search over the window.  Congruences stay at the
-edges: only the distinct values a certificate picks get (a, b)
-coordinates, solved once each from the form's (x, y) by a = k*x - beta*y,
-b = y.
+(v > vmin, vmin the least value) sum to r - m*vmin.  The values are read
+off the table that gave the minimum, with no enumeration; the shifted
+ones are layered up to m - 1 times and decoded into a table that is not
+kept, and the certificate opens with m - c copies of vmin, c the least
+count of shifted values reaching the remainder.  The walk then takes the
+rest in order, each the least value in a window whose remainder needs
+exactly the slots left, found by one bytes search over the window.
+Congruences stay at the edges: only the distinct values a certificate
+picks get (a, b) coordinates, solved once each from the form's (x, y) by
+a = k*x - beta*y, b = y.
 
 Work is known before it starts: form_values bounds the word-shifts of a
 layer build from the form and the width alone and raises Overflow over
@@ -442,13 +443,15 @@ def find_certificate(q: LatticeQuery, m: int) -> RepCertificate | None:
     takes the values the walk on the marks found, or walks the counts
     that gave it.  A larger m takes the shifted path, exact for any m:
     exactly m values sum to r exactly when at most m of the shifted values
-    v - vmin (v > vmin, vmin the least value) sum to rem = r - m*vmin; the
-    shifted values, from _key_values, are layered up to m - 1 times and
-    decoded into a table.  If c shifted values at the least reach rem
-    (c = m when m - 1 layers do not), the least sequence is m - c copies
-    of vmin and then the walk's c picks, each plus vmin.  Layers that
-    reach a fixpoint before m - 1 without reaching rem leave no
-    certificate at all.  Each distinct value's witness is solved once.
+    v - vmin (v > vmin, vmin the least value) sum to rem = r - m*vmin.  The
+    values are read off the table that gave the minimum, which covers r
+    and holds 1 exactly at the form values; the shifted ones are layered
+    up to m - 1 times and decoded into a table.  If c shifted values at
+    the least reach rem (c = m when m - 1 layers do not), the least
+    sequence is m - c copies of vmin and then the walk's c picks, each
+    plus vmin.  Layers that reach a fixpoint before m - 1 without reaching
+    rem leave no certificate at all.  Each distinct value's witness is
+    solved once.
     """
     require_int("m", m, least=1)
     least, table, picks = _point_table(q)
@@ -460,7 +463,9 @@ def find_certificate(q: LatticeQuery, m: int) -> RepCertificate | None:
     if m == least:
         seq = picks if picks is not None else _walk(table, q.r, m)
     else:
-        values = _key_values(f, _table_key(f, q.class_index), q.r)
+        # each value v is one past the bytes between it and the value before
+        gaps = table[1 : q.r + 1].split(b"\1")[:-1]
+        values = list(accumulate(len(gap) + 1 for gap in gaps))
         if m * values[0] > q.r:
             return None
         vmin = values[0]

@@ -12,12 +12,15 @@ verify_field recomputes one field with the search machinery and reports
 match/mismatch with named offending values, per class (the inverse pair
 of a class-number-3 field reads one table); verify_all sweeps a class
 number over a process pool of one worker per usable CPU, at most one per
-field.  The module also hosts the independent certificate checker: it
-works on the JSON serialization of a certificate and reimplements norms
-and congruences from scratch so a bug in the search cannot vouch for
-itself.
+field.  The pool is started by the first call that fans out and kept for
+the later calls of this process, so a session of verify_all calls forks
+its workers once; at exit it is shut down and its workers joined.  The
+module also hosts the independent certificate checker: it works on the
+JSON serialization of a certificate and reimplements norms and
+congruences from scratch so a bug in the search cannot vouch for itself.
 """
 
+import atexit
 import functools
 import os
 import time
@@ -225,13 +228,50 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+# the fan-out pool as (workers, executor), None until a call fans out;
+# at most one is alive
+_POOL: tuple[int, "ProcessPoolExecutor"] | None = None
+
+
+def _pool(workers: int) -> "ProcessPoolExecutor":
+    """The process pool of this many workers: the running one when it has
+    that size, else a new one, started after the old one has stopped."""
+    global _POOL
+    if _POOL is None or _POOL[0] != workers:
+        _shutdown_pool()
+        from concurrent.futures import ProcessPoolExecutor
+
+        _POOL = (workers, ProcessPoolExecutor(max_workers=workers))
+    return _POOL[1]
+
+
+@atexit.register
+def _shutdown_pool() -> None:
+    """Stop the pool, joining its workers, and forget it.  At exit this
+    runs while the interpreter is whole, so the executor is not left to be
+    collected during shutdown."""
+    global _POOL
+    if _POOL is not None:
+        pool = _POOL[1]
+        _POOL = None
+        pool.shutdown()
+
+
 def verify_all(class_number: int, r_max: int = 300) -> DiffReport:
     """verify_field over every field of the class number.
 
     The fields fan out over a process pool of one worker per usable CPU,
     at most one per field, and run in this process when that is one
     worker.  Results stay in d order either way.  The work budget and
-    every field's window are checked before any fan-out.
+    every field's window are checked before any pool is started or used.
+
+    The pool outlives the call: a later call that wants the same number
+    of workers reuses it, one that wants another number stops it and
+    starts its own.  So the workers are forked once, with the module
+    state of that moment, and each keeps its own repsearch tables between
+    calls (at most 36973171 bytes per worker).  A call that fails while
+    the pool runs, a killed worker's BrokenProcessPool included, stops
+    the pool before it raises, and the next call starts a fresh one.
     """
     fields = class_number_fields(class_number)
     check_tables([make_field(d) for d in fields], r_max)
@@ -240,10 +280,11 @@ def verify_all(class_number: int, r_max: int = 300) -> DiffReport:
     t0 = time.perf_counter()
     workers = min(_usable_cpus(), len(fields))
     if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(verify_field, fields, [r_max] * len(fields)))
+        try:
+            reports = list(_pool(workers).map(verify_field, fields, [r_max] * len(fields)))
+        except BaseException:
+            _shutdown_pool()
+            raise
     else:
         reports = [verify_field(d, r_max) for d in fields]
     return DiffReport(

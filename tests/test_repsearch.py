@@ -325,6 +325,21 @@ def test_cached_table_answers_up_to_the_minimum_without_a_build(monkeypatch):
         assert len(cert.gammas) == least and recheck_certificate(cert.to_json_dict()) == [], q
 
 
+def test_point_tables_hold_one_exactly_at_the_form_values():
+    # find_certificate above the minimum reads the values off the table
+    # _point_table returns, whether that table holds marks, counts or both
+    # at r: its bytes equal to 1 up to r are the form values
+    for d, class_index in ALL_CLASSES:
+        f = make_field(d)
+        repsearch._TABLES.clear()
+        for r in (7, 1201, 88, 3000, 5000):
+            if r == 3000:
+                min_count_table(f, class_index, 2000)
+            values = form_values(*class_form(f, rep_for(f, class_index))[:3], r)
+            table = repsearch._point_table(_query(d, class_index, r))[1]
+            assert [v for v in range(1, r + 1) if table[v] == 1] == values, (d, class_index, r)
+
+
 def test_unreachable_remainder_with_more_than_255_summands_is_none():
     # r = m*vmin + 1 leaves the remainder 1, which no shifted value reaches
     # when vmin + 1 is not a value: the layers stop at a fixpoint long
@@ -439,10 +454,10 @@ def test_counts_one_and_two_build_no_layers(monkeypatch):
         assert calls == ["form_values"] and [exact for exact, _ in repsearch._TABLES.values()] == [0], q
         calls.clear()
         repsearch._TABLES.clear()
-    # above the minimum the values are enumerated once more, shifted and
-    # layered, and no counts are kept
+    # above the minimum the values are read off the marks, not enumerated
+    # again, then shifted and layered, and no counts are kept
     assert len(find_certificate(_query(5, 2, 6), 3).gammas) == 3
-    assert calls == ["form_values", "form_values", "reach_layers", "_decode"]
+    assert calls == ["form_values", "reach_layers", "_decode"]
     assert repsearch._TABLES[(5, 2)][0] == 0
     calls.clear()
     # r that needs three or more values, or none, widens the marks and then

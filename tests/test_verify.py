@@ -1,6 +1,11 @@
 """Expected-result tables, the field verifier, and the certificate rechecker."""
 
 import json
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
 
 import pytest
 
@@ -17,6 +22,16 @@ from normsums.verify import (
 )
 from normsums import repsearch
 from normsums import verify as verify_mod
+
+
+@pytest.fixture(autouse=True)
+def each_test_starts_and_ends_with_no_pool():
+    # verify_all keeps its pool between calls, so no test may be served by
+    # a pool, or a patched-in stand-in executor, that an earlier one built
+    verify_mod._shutdown_pool()
+    yield
+    verify_mod._shutdown_pool()
+
 
 # number of exceptional r beyond the k-1 run at the bottom, per field
 BEYOND_COUNTS = {
@@ -179,11 +194,8 @@ def test_verify_all_pool_clamped_to_field_count(monkeypatch):
         def __init__(self, max_workers):
             sizes.append(max_workers)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
+        def shutdown(self):
+            pass
 
         def map(self, fn, *iterables):
             return map(fn, *iterables)
@@ -200,6 +212,75 @@ def test_verify_all_pool_clamped_to_field_count(monkeypatch):
     report = verify_all(2, r_max=300)
     assert sizes == [16, 3]
     assert report.matches == report.total == 18
+
+
+def _pids(processes) -> set[int]:
+    return {p.pid for p in processes}
+
+
+def test_verify_all_keeps_one_pool_between_calls(monkeypatch):
+    # calls that want the same number of workers construct one executor,
+    # and the same worker processes run them all
+    import concurrent.futures
+
+    built = []
+
+    class CountingExecutor(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            built.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingExecutor)
+    monkeypatch.setattr(verify_mod, "_usable_cpus", lambda: 2)
+    assert verify_all(2, r_max=300).all_match
+    workers = _pids(multiprocessing.active_children())
+    report = verify_all(3, r_max=300)
+    assert report.matches == report.total == 16
+    assert built == [2]
+    assert len(workers) == 2 and _pids(multiprocessing.active_children()) == workers
+
+
+def _field_kills_its_worker(d, r_max):
+    # verify_field, except that the worker running d=13 dies at once
+    if d == 13:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return verify_field(d, r_max)
+
+
+def test_a_killed_worker_fails_its_call_and_the_next_call_gets_a_fresh_pool(monkeypatch):
+    from concurrent.futures.process import BrokenProcessPool
+
+    monkeypatch.setattr(verify_mod, "_usable_cpus", lambda: 2)
+    assert verify_all(2, r_max=300).all_match
+    killed_pool = _pids(multiprocessing.active_children())
+    monkeypatch.setattr(verify_mod, "verify_field", _field_kills_its_worker)
+    with pytest.raises(BrokenProcessPool):
+        verify_all(2, r_max=300)
+    assert verify_mod._POOL is None and multiprocessing.active_children() == []
+    monkeypatch.setattr(verify_mod, "verify_field", verify_field)
+    report = verify_all(2, r_max=300)
+    assert report.matches == report.total == 18
+    assert [fr.d for fr in report.fields] == list(class_number_fields(2))
+    assert not killed_pool & _pids(multiprocessing.active_children())
+
+
+def test_a_session_of_calls_exits_clean_and_leaves_no_worker():
+    # the pool is shut down at exit: nothing on stderr, even with warnings
+    # as errors, and no worker left once the exit hooks have run.  atexit
+    # runs its hooks last registered first, so the count registered before
+    # verify is imported runs after verify's shutdown hook, and before
+    # multiprocessing's own exit hook, registered first, joins any child
+    code = (
+        "import atexit, multiprocessing, multiprocessing.util\n"
+        "atexit.register(lambda: print(len(multiprocessing.active_children())))\n"
+        "from normsums import verify\n"
+        "verify._usable_cpus = lambda: 2\n"
+        "for class_number, r_max in ((2, 300), (3, 300), (2, 600)):\n"
+        "    assert verify.verify_all(class_number, r_max).all_match\n"
+        "print(len(multiprocessing.active_children()))\n"
+    )
+    done = subprocess.run([sys.executable, "-W", "error", "-c", code], capture_output=True, text=True, timeout=300)
+    assert (done.returncode, done.stderr, done.stdout.split()) == (0, "", ["2", "0"])
 
 
 def test_verify_all_checks_every_window_before_any_pool(monkeypatch):

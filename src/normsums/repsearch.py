@@ -9,7 +9,10 @@ so the search asks instead whether r is a sum of m form values, in
 r-space, with no congruence test in the loop.  The values are enumerated
 row by row over a half plane, each row an itertools.accumulate over the
 form's steps along it; when A divides B a row is its own mirror image
-and only its upper half is walked, and a row left empty is skipped.
+and only its upper half is walked, and a row left empty is skipped.  The
+one enumerator, _form_value_set, takes the values in (above, bound]: the
+form is convex along a row, so those are the row's two ends outside its
+range up to above, and form_values is that set from 0, sorted.
 
 Minimum counts come from a layered reachability table: layer j is the
 bitmask of all r reachable as a sum of at most j form values.  The
@@ -38,13 +41,18 @@ g_invariant finds the largest count by one bytes search per count
 A point query at r (min_terms, find_certificate) needs only r's count, and
 almost every r needs one or two values.  One helper, _point_table, gives
 that count exactly.  Unless the counts reach r, it reads the marks,
-widened to r from form_values with no layering when the table is
-shorter: r needs one value when its byte is 1 and two when the walk below
-finds a pair.  Any other r needs three or more values or none, and the
-helper builds the counts up to r, keeping the marks past it.  Count 1
-holds exactly at the values, and a walk for one or two values reads only
-bytes equal to 1, so it picks the same values from the counts or the
-marks.
+widened to r with no layering when the table is shorter: the old bytes
+are copied as they are and only the values of the new annulus, past the
+old width up to r, are enumerated and marked.  r needs one value when
+its byte is 1 and two when the walk below finds a pair.  Any other r
+needs three or more values or none, and the helper builds the counts up
+to r, keeping the marks past it.  Count 1 holds exactly at the values,
+and a walk for one or two values reads only bytes equal to 1, so it
+picks the same values from the counts or the marks.  The helper keeps
+its last answer off the marks with the _TABLES entry it read, and serves
+the same query from it while that entry is still the key's, so min_terms
+and then find_certificate at one r walk once; the kept answer holds at
+most one superseded table alive.
 
 Certificates come from the bytes that gave the minimum: m below it (or
 any m, if r is unreachable) has no certificate, and m equal to it takes
@@ -60,16 +68,19 @@ rest in order, each the least value in a window whose remainder needs
 exactly the slots left, found by one bytes search over the window.
 Congruences stay at the edges: only the distinct values a certificate
 picks get (a, b) coordinates, solved once each from the form's (x, y) by
-a = k*x - beta*y, b = y.
+a = k*x - beta*y, b = y; each row costs one isqrt, a test that it holds
+a point of the value, and x is derived only where it does.
 
-Work is known before it starts: form_values bounds the word-shifts of a
-layer build from the form and the width alone and raises Overflow over
-budget before it visits a point, so no enumeration escapes the check;
+Work is known before it starts: _form_value_set bounds the word-shifts
+of a layer build from the form and the width alone, at the new width when
+it widens, and raises Overflow over budget before it visits a point, so
+no enumeration escapes the check;
 check_tables sums that bound over every table a command will build, once,
 before its first build.
 """
 
-from itertools import accumulate
+from itertools import accumulate, chain
+from math import isqrt
 from typing import NamedTuple
 
 from .classdata import class_form, class_reps, rep_for
@@ -94,6 +105,11 @@ _WORK_BUDGET = 10**10
 # number of form values summing to r, 0 when no number does; past exact it
 # is 1 when r is a form value, else 0.  Class 3 reads (d, 2)
 _TABLES: dict[tuple[int, int], tuple[int, bytes]] = {}
+
+# _point_table's last answer off the marks: ((key, r), the _TABLES entry
+# it read, picks); it answers the same query only while that entry is the
+# key's
+_LAST_POINT: tuple = (None, None, None)
 
 
 class _LatticeQueryFields(NamedTuple):
@@ -167,30 +183,53 @@ def _form_rows(a: int, b: int, c: int, bound: int):
         yield y, (1 if y == 0 else -((u + b * y) // two_a)), (u - b * y) // two_a
 
 
-def form_values(a: int, b: int, c: int, bound: int) -> list[int]:
-    """Distinct values in [1, bound] of the form a*x^2 + b*x*y + c*y^2,
-    ascending.  Raises Overflow before visiting a point unless layering
-    them up to bound fits the work budget (_work_estimate).
+def _form_value_set(a: int, b: int, c: int, above: int, bound: int) -> set[int]:
+    """The distinct values in (above, bound] of the form a*x^2 + b*x*y +
+    c*y^2.  Raises Overflow before visiting a point unless layering the
+    values up to bound fits the work budget (_work_estimate).
 
-    Each row of _form_rows is summed by accumulate, with no Python code
-    per point: along row y, Q(x + 1, y) - Q(x, y) = a*(2x + 1) + b*y,
-    which steps by 2a.  When a divides b, x -> -x - (b/a)*y maps the
-    row's values onto themselves, so the row starts at its middle,
-    -(b/a)*y/2 rounded up.  A row left empty, by that clamp or in row 0
-    below a, is skipped: accumulate would still yield its initial value.
+    The rows of _form_rows(a, b, c, above) give the points up to above
+    (_row_ends takes the new rows outside them), and the rows past those
+    are walked whole.  Each range of a row is summed by accumulate, with
+    no Python code per point: along row y, Q(x + 1, y) - Q(x, y) =
+    a*(2x + 1) + b*y, which steps by 2a.  When a divides b,
+    x -> -x - (b/a)*y maps the row's values onto themselves, so a range
+    starts no lower than the row's middle, -(b/a)*y/2 rounded up.  A range
+    left empty, by that clamp, in row 0 below a or inside the old row, is
+    skipped: accumulate would still yield its initial value.
     """
     _check_budget(_work_estimate(a, b, c, bound), f"width {bound}")
     vals: set[int] = set()
     two_a = 2 * a
     mirror = b // a if b % a == 0 else None
-    for y, lo, hi in _form_rows(a, b, c, bound):
+    rows = _form_rows(a, b, c, bound)
+    for y, lo, hi in chain(_row_ends(_form_rows(a, b, c, above), rows), rows):
         if mirror is not None:
             lo = max(lo, -(mirror * y // 2))
-        if lo > hi:
-            continue
-        step0 = a * (2 * lo + 1) + b * y
-        vals.update(accumulate(range(step0, step0 + two_a * (hi - lo), two_a), initial=(a * lo + b * y) * lo + c * y * y))
-    return sorted(vals)
+        if lo <= hi:
+            step0 = a * (2 * lo + 1) + b * y
+            vals.update(accumulate(range(step0, step0 + two_a * (hi - lo), two_a), initial=(a * lo + b * y) * lo + c * y * y))
+    return vals
+
+
+def _row_ends(old_rows, rows):
+    """For each old row (y, olo, ohi) and the new row (y, lo, hi) it lies
+    in, the ranges of the new row outside the old one: (y, lo, olo - 1)
+    and (y, ohi + 1, hi), or the whole new row when the old one is empty.
+    Q is convex along a row, so the points of value past the old bound are
+    those two ends.  Takes an old row before its new row, so it stops
+    after the last old row without taking a new row past it."""
+    for (_, olo, ohi), (y, lo, hi) in zip(old_rows, rows):
+        if olo <= ohi:
+            yield y, lo, olo - 1
+            lo = ohi + 1
+        yield y, lo, hi
+
+
+def form_values(a: int, b: int, c: int, bound: int) -> list[int]:
+    """Distinct values in [1, bound] of the form a*x^2 + b*x*y + c*y^2,
+    ascending: _form_value_set above 0, sorted."""
+    return sorted(_form_value_set(a, b, c, 0, bound))
 
 
 def _work_estimate(a: int, b: int, c: int, width: int) -> int:
@@ -235,14 +274,23 @@ def check_tables(fields: list[FieldParams], r_max: int) -> None:
 
 def _witness(form: tuple[int, int, int, int], k: int, v: int) -> RingElement:
     """The canonical gamma of norm k*v, for a value v of the class form
-    (A, B, C, beta).  A point of value v solves (2A*x + B*y)^2 =
-    4A*v - D*y^2 with D = 4AC - B^2, so it sits at an end of its row of
-    the half plane up to v.  The first row holding one gives the least |b|; of its points the
-    one with the least |a|, a = k*x - beta*y, wins (a >= 0 on a tie), and
-    the pair's sign is flipped so that a >= 0."""
+    (A, B, C, beta).  A point of value v in row y of the half plane
+    solves (2A*x + B*y)^2 = 4A*v - D*y^2 with D = 4AC - B^2, so the row
+    holds one only when the right side is a perfect square u^2, tested
+    with one isqrt; x = (u - B*y)/(2A) or (-u - B*y)/(2A) where 2A
+    divides.  The first row holding one gives the least |b|; of its points
+    the one with the least |a|, a = k*x - beta*y, wins (a >= 0 on a tie),
+    and the pair's sign is flipped so that a >= 0.  In row 0 that keeps
+    x > 0 of the points x and -x, the half plane's own point."""
     fa, fb, fc, beta = form
-    for y, lo, hi in _form_rows(fa, fb, fc, v):
-        xs = [x for x in (lo, hi) if (fa * x + fb * y) * x + fc * y * y == v]
+    disc = 4 * fa * fc - fb * fb
+    two_a = 2 * fa
+    for y in range(isqrt_floor(4 * fa * v // disc) + 1):
+        square = 4 * fa * v - disc * y * y
+        u = isqrt(square)
+        if u * u != square:
+            continue
+        xs = [(s - fb * y) // two_a for s in (u, -u) if (s - fb * y) % two_a == 0]
         if xs:
             a = min((k * x - beta * y for x in xs), key=lambda a: (abs(a), a < 0))
             return RingElement(a, y) if a >= 0 else RingElement(-a, -y)
@@ -339,14 +387,14 @@ def _count_table(f: FieldParams, class_index: int, r_max: int) -> bytes:
     exact, table = _TABLES.get(key, (0, b""))
     if exact < r_max:
         # a hit reads a prefix of a table whose build was already admitted
-        table = _decode(reach_layers(_key_values(f, key, r_max), r_max), r_max) + table[r_max + 1 :]
+        table = _decode(reach_layers(form_values(*_key_form(f, key), r_max), r_max), r_max) + table[r_max + 1 :]
         _TABLES[key] = (r_max, table)
     return table
 
 
-def _key_values(f: FieldParams, key: tuple[int, int], width: int) -> list[int]:
-    """form_values up to width of the class form kept under a _TABLES key."""
-    return form_values(*class_form(f, rep_for(f, key[1]))[:3], width)
+def _key_form(f: FieldParams, key: tuple[int, int]) -> tuple[int, int, int]:
+    """The class form (A, B, C) kept under a _TABLES key."""
+    return class_form(f, rep_for(f, key[1]))[:3]
 
 
 def _point_table(q: LatticeQuery) -> tuple[int, bytes, list[int] | None]:
@@ -356,31 +404,46 @@ def _point_table(q: LatticeQuery) -> tuple[int, bytes, list[int] | None]:
     (_walk reads them off the counts).
 
     The class's counts answer when they are exact up to r.  Otherwise the
-    marks do, widened to r if the table is shorter, its counts kept: r
-    needs one value when its byte is 1, and two when _walk finds a pair.
-    Any other r needs three or more values or none, and _count_table
-    builds the counts up to r, keeping the marks past it.  This is the one
-    place where a point query widens marks or builds counts.
+    marks do, widened to r if the table is shorter: the old bytes are
+    copied as they are, counts and marks alike, and only the values in
+    the new annulus, past the old width up to r, are marked.  r needs one
+    value when its byte is 1, and two when _walk finds a pair.  Any other
+    r needs three or more values or none, and _count_table builds the
+    counts up to r, keeping the marks past it.  This is the one place
+    where a point query widens marks or builds counts.
+
+    The last answer off the marks is kept with the _TABLES entry it was
+    read from, and the same query is answered again from it while that
+    entry is still the key's, so min_terms and then find_certificate at
+    one r walk once.  A cleared, rebuilt or widened table is a new entry
+    and is read afresh; the kept entry holds at most one superseded table
+    alive.
     """
+    global _LAST_POINT
     key = _table_key(q.field, q.class_index)
+    entry = _TABLES.get(key)
+    last_query, last_entry, picks = _LAST_POINT
+    if last_query == (key, q.r) and last_entry is entry:
+        return len(picks), entry[1], picks
     # an empty cache reads as a table exact up to 0, the empty sum, so the
     # widening below copies byte 0 and never assigns b"" over it
-    exact, table = _TABLES.get(key, (0, b"\0"))
+    exact, table = entry or (0, b"\0")
     if exact >= q.r:
         return table[q.r], table, None
     if len(table) <= q.r:
         # enumerating first checks the budget before any allocation
-        values = _key_values(q.field, key, q.r)
+        values = _form_value_set(*_key_form(q.field, key), len(table) - 1, q.r)
         marks = bytearray(q.r + 1)
+        marks[: len(table)] = table
         for v in values:
             marks[v] = 1
-        marks[: exact + 1] = table[: exact + 1]
         table = bytes(marks)
         _TABLES[key] = (exact, table)
     picks = [q.r] if table[q.r] else _walk(table, q.r, 2)
     if picks is None:
         table = _count_table(q.field, q.class_index, q.r)
         return table[q.r], table, None
+    _LAST_POINT = ((key, q.r), _TABLES[key], picks)
     return len(picks), table, picks
 
 

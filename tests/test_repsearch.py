@@ -152,22 +152,39 @@ def test_single_norms_match_oracle_box_scan(field_class, bound):
     assert list(got) == list(expected)
 
 
+# every class form, then forms whose b is another multiple of a, or no
+# multiple at all
+ENUMERATED_FORMS = sorted({class_form(make_field(d), rep_for(make_field(d), class_index))[:3]
+                           for d, class_index in ALL_CLASSES}) + [
+    (2, 4, 3), (2, -4, 3), (1, 3, 3), (1, -3, 3), (2, 6, 5), (2, -6, 5),
+    (2, 1, 3), (3, 2, 5), (3, -2, 5), (5, 3, 2), (4, 7, 5)]
+
+
 def test_form_values_match_a_box_scan_at_every_width():
     # form_values walks half rows and skips rows left empty; a plain box
     # scan with its own bounds (4a*Q >= D*y^2 and 4c*Q >= D*x^2) must give
-    # the same values at every width, for every class form and for forms
-    # whose b is another multiple of a, or no multiple at all
-    extra = [(2, 4, 3), (2, -4, 3), (1, 3, 3), (1, -3, 3), (2, 6, 5), (2, -6, 5),
-             (2, 1, 3), (3, 2, 5), (3, -2, 5), (5, 3, 2), (4, 7, 5)]
-    forms = {class_form(make_field(d), rep_for(make_field(d), class_index))[:3] for d, class_index in ALL_CLASSES}
+    # the same values at every width, for every enumerated form
     top = 400
-    for a, b, c in sorted(forms) + extra:
+    for a, b, c in ENUMERATED_FORMS:
         disc = 4 * a * c - b * b
         xmax, ymax = math.isqrt(4 * c * top // disc), math.isqrt(4 * a * top // disc)
         scan = sorted({q for x in range(-xmax, xmax + 1) for y in range(-ymax, ymax + 1)
                        if 0 < (q := a * x * x + b * x * y + c * y * y) <= top})
         for width in range(1, top + 1):
             assert form_values(a, b, c, width) == [q for q in scan if q <= width], (a, b, c, width)
+
+
+def test_annulus_values_are_the_full_values_past_the_old_bound():
+    # a widening enumerates only the two ends of each row past the old
+    # bound; with above = 0 that is the whole half plane, with above = bound
+    # nothing, and with above < a row 0 is walked whole; forms where a
+    # divides b clamp both ranges to the row's middle
+    for a, b, c in ENUMERATED_FORMS:
+        for bound in (1, 2, 9, 60, 401, 1500):
+            full = form_values(a, b, c, bound)
+            for above in sorted({0, 1, a - 1, a, bound // 7, bound // 2, bound - 1, bound}):
+                got = repsearch._form_value_set(a, b, c, above, bound)
+                assert got == {v for v in full if v > above}, (a, b, c, above, bound)
 
 
 @given(
@@ -312,8 +329,14 @@ def test_cached_table_answers_up_to_the_minimum_without_a_build(monkeypatch):
     def no_build(*args):
         raise AssertionError("a cached table was enumerated or layered again")
 
-    monkeypatch.setattr(repsearch, "form_values", no_build)
+    # point queries enumerate through _form_value_set, form_values included
+    monkeypatch.setattr(repsearch, "_form_value_set", no_build)
     monkeypatch.setattr(repsearch, "reach_layers", no_build)
+    # the patched names are the ones a build reaches: a wider point query
+    # enumerates, and a certificate above the minimum layers
+    for build in (lambda: min_terms(_query(907, 2, 5001)), lambda: find_certificate(_query(907, 2, 5000), 6)):
+        with pytest.raises(AssertionError, match="enumerated or layered again"):
+            build()
     for q, least in zip(queries, minima):
         # m below the minimum and any m for an unrepresentable r are None
         for m in range(1, least):
@@ -338,6 +361,50 @@ def test_point_tables_hold_one_exactly_at_the_form_values():
             values = form_values(*class_form(f, rep_for(f, class_index))[:3], r)
             table = repsearch._point_table(_query(d, class_index, r))[1]
             assert [v for v in range(1, r + 1) if table[v] == 1] == values, (d, class_index, r)
+
+
+def test_widened_marks_equal_one_cold_query():
+    # point queries at growing r mark only each new annulus; the table they
+    # leave is byte for byte the one a cold query at the last r leaves, up
+    # to the counts that a query needing three or more values, or a count
+    # table run in between (to 500 inside the marks, or to 2000 past them),
+    # built and kept
+    for d, class_index in ALL_CLASSES:
+        f = make_field(d)
+        key = repsearch._table_key(f, class_index)
+        repsearch._TABLES.clear()
+        counts = repsearch._count_table(f, class_index, 5000)
+        repsearch._TABLES.clear()
+        min_terms(_query(d, class_index, 5000))
+        cold = repsearch._TABLES[key][1]
+        for between in (None, 500, 2000):
+            repsearch._TABLES.clear()
+            for r in (7, 88, 1201, 5000):
+                if r == 5000 and between:
+                    min_count_table(f, class_index, between)
+                min_terms(_query(d, class_index, r))
+            exact, table = repsearch._TABLES[key]
+            assert exact >= (between or 0), (d, class_index, between)
+            assert table == counts[: exact + 1] + cold[exact + 1 :], (d, class_index, between)
+
+
+def test_widening_is_admitted_at_the_new_width(monkeypatch):
+    # the annulus past cached marks is small, but the budget is checked at
+    # the new width, before any row is generated, and a refusal keeps the
+    # cached table as it was
+    q = _query(907, 2, 3000)
+    min_terms(_query(907, 2, 2999))
+    cached = repsearch._TABLES[(907, 2)]
+    form = class_form(q.field, rep_for(q.field, 2))[:3]
+    monkeypatch.setattr(repsearch, "_WORK_BUDGET", repsearch._work_estimate(*form, 3000) - 1)
+
+    def enumerated(*args):
+        raise AssertionError("a form was enumerated before the work check")
+
+    monkeypatch.setattr(repsearch, "_form_rows", enumerated)
+    with pytest.raises(Overflow, match="width 3000"):
+        min_terms(q)
+    assert repsearch._TABLES == {(907, 2): cached}
 
 
 def test_unreachable_remainder_with_more_than_255_summands_is_none():
@@ -433,7 +500,8 @@ def test_certificates_on_the_marks_equal_the_count_walk():
 
 def test_counts_one_and_two_build_no_layers(monkeypatch):
     # a query whose r needs one or two values enumerates once and reads the
-    # marks alone: no reach_layers, no _decode and no counts
+    # marks alone: no reach_layers, no _decode and no counts; point queries
+    # and form_values both enumerate through _form_value_set
     calls = []
 
     def spy(stage):
@@ -442,7 +510,7 @@ def test_counts_one_and_two_build_no_layers(monkeypatch):
             return stage(*args)
         return wrapped
 
-    for stage in (form_values, reach_layers, repsearch._decode):
+    for stage in (repsearch._form_value_set, reach_layers, repsearch._decode):
         monkeypatch.setattr(repsearch, stage.__name__, spy(stage))
     for d, class_index, r, least in ((35, 2, 3, 1), (5, 2, 6, 2), (1, 1, 7, 2), (907, 2, 779903, 2), (907, 3, 4997, 1)):
         q = _query(d, class_index, r)
@@ -451,13 +519,13 @@ def test_counts_one_and_two_build_no_layers(monkeypatch):
         assert len(cert.gammas) == least and recheck_certificate(cert.to_json_dict()) == []
         if least == 2:
             assert find_certificate(q, 1) is None
-        assert calls == ["form_values"] and [exact for exact, _ in repsearch._TABLES.values()] == [0], q
+        assert calls == ["_form_value_set"] and [exact for exact, _ in repsearch._TABLES.values()] == [0], q
         calls.clear()
         repsearch._TABLES.clear()
     # above the minimum the values are read off the marks, not enumerated
     # again, then shifted and layered, and no counts are kept
     assert len(find_certificate(_query(5, 2, 6), 3).gammas) == 3
-    assert calls == ["form_values", "reach_layers", "_decode"]
+    assert calls == ["_form_value_set", "reach_layers", "_decode"]
     assert repsearch._TABLES[(5, 2)][0] == 0
     calls.clear()
     # r that needs three or more values, or none, widens the marks and then
@@ -466,7 +534,7 @@ def test_counts_one_and_two_build_no_layers(monkeypatch):
         q = _query(d, class_index, r)
         assert min_terms(q).m == least
         assert (find_certificate(q, least or 1) is None) == (least is None)
-        assert calls == ["form_values", "form_values", "reach_layers", "_decode"]
+        assert calls == ["_form_value_set", "_form_value_set", "reach_layers", "_decode"]
         exact, table = repsearch._TABLES[(d, class_index)]
         assert exact == r and len(table) == r + 1
         calls.clear()
@@ -483,6 +551,49 @@ def test_a_pair_found_on_the_marks_is_walked_once(monkeypatch):
         cert = find_certificate(_query(d, class_index, r), 2)
         assert recheck_certificate(cert.to_json_dict()) == [] and walks == [2], (d, class_index, r)
         walks.clear()
+
+
+def test_a_query_is_walked_once_until_its_table_changes(monkeypatch):
+    # min_terms and then find_certificate at the minimum share one walk;
+    # a table that is cleared or rebuilt is read again, never the memo
+    walks = []
+    walk = repsearch._walk
+    monkeypatch.setattr(repsearch, "_walk", lambda table, rem, count: walks.append(count) or walk(table, rem, count))
+    f = make_field(907)
+    q = _query(907, 2, 3000)
+    assert min_terms(q).m == 2
+    cert = find_certificate(q, 2)
+    assert walks == [2] and recheck_certificate(cert.to_json_dict()) == []
+    min_count_table(f, 2, 1000)
+    assert find_certificate(q, 2) == cert and walks == [2, 2]
+    assert find_certificate(q, 2) == cert and walks == [2, 2]
+    repsearch._TABLES.clear()
+    monkeypatch.setattr(repsearch, "_WORK_BUDGET", 0)
+    with pytest.raises(Overflow):
+        min_terms(q)
+    with pytest.raises(Overflow):
+        find_certificate(q, 2)
+    assert repsearch._TABLES == {} and walks == [2, 2]
+
+
+def test_witnesses_match_the_oracle_at_every_value():
+    # every value up to 2000 of d=907 classes 2 and 3, of a class whose
+    # rows are clamped to their middle (35, 2: A = 5 divides B = -5) and of
+    # a principal class, row-0 values A*x^2 included, gets the oracle's
+    # canonical witness; a number that is not a value raises
+    for d, class_index in ((907, 2), (907, 3), (35, 2), (1, 1)):
+        f = make_field(d)
+        rep = rep_for(f, class_index)
+        form = class_form(f, rep)
+        values = form_values(*form[:3], 2000)
+        expected = oracle_witnesses(d, class_index, rep.k * 2000)
+        assert [n // rep.k for n in expected] == values
+        assert {form[0] * x * x for x in range(1, math.isqrt(2000 // form[0]) + 1)} <= set(values)
+        for n, (a, b) in expected.items():
+            assert repsearch._witness(form, rep.k, n // rep.k) == RingElement(a, b), (d, class_index, n)
+        gap = next(v for v in range(1, 2001) if v not in values)
+        with pytest.raises(ValueError, match="is not a value"):
+            repsearch._witness(form, rep.k, gap)
 
 
 def test_each_distinct_summand_is_solved_once(monkeypatch):
@@ -752,7 +863,7 @@ def test_one_table_holds_counts_then_marks():
 
 
 def test_every_enumeration_is_admitted_before_its_first_point(monkeypatch):
-    # the budget check lives in form_values, so no caller can enumerate
+    # the budget check lives in _form_value_set, so no caller can enumerate
     # without it: with no budget, each entry point must refuse before a
     # row of the form is generated
     monkeypatch.setattr(repsearch, "_WORK_BUDGET", 0)

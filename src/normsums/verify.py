@@ -11,15 +11,21 @@ recomputation.
 verify_field recomputes one field with the search machinery and reports
 match/mismatch with named offending values, per class (the inverse pair
 of a class-number-3 field reads one table); verify_all sweeps a class
-number over a process pool of one worker per usable CPU, at most one per
-field.  The pool is started by the first call that fans out and kept for
-the later calls of this process, so a session of verify_all calls forks
-its workers once; at exit it is shut down and its workers joined.  The
+number over a pool of one worker per usable CPU, at most one per field.
+The pool is forked by the first call that fans out and kept for the
+later calls of this process, so a session of verify_all calls forks its
+workers once.  Each call sends worker i the fields i, i + n, i + 2n, ...
+of its n workers down the worker's task pipe and reads back one list of
+reports, or the exception that stopped it, from its result pipe.  Only
+this process holds the write end of a task pipe, no worker does, so a
+worker exits when this process closes its pipe, at exit, or dies.  Where
+os.fork is missing the fields run in this process.  The
 module also hosts the independent certificate checker: it works on the
 JSON serialization of a certificate and reimplements norms and
 congruences from scratch so a bug in the search cannot vouch for itself.
 """
 
+import _thread
 import atexit
 import functools
 import os
@@ -222,56 +228,136 @@ def verify_field(d: int, r_max: int = 300) -> FieldReport:
 
 def _usable_cpus() -> int:
     """CPUs this process may run on: its affinity set where the OS reports
-    one, else the machine's count."""
+    one, else the machine's count; 1 where it cannot fork workers."""
+    if not hasattr(os, "fork"):
+        return 1
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
-# the fan-out pool as (workers, executor), None until a call fans out;
-# at most one is alive
-_POOL: tuple[int, "ProcessPoolExecutor"] | None = None
+# the fan-out pool, one (pid, task pipe write end, result pipe read end)
+# per worker, None until a call fans out; at most one is alive.  A call
+# holds the lock while it uses the pool, so the messages of two threads'
+# calls never share a pipe
+_POOL: list[tuple[int, int, int]] | None = None
+_POOL_LOCK = _thread.allocate_lock()  # _thread is always loaded, threading is not
 
 
-def _pool(workers: int) -> "ProcessPoolExecutor":
-    """The process pool of this many workers: the running one when it has
-    that size, else a new one, started after the old one has stopped."""
+def _pool(workers: int) -> list[tuple[int, int, int]]:
+    """The pool of this many workers: the running one when it has that
+    size, else a new one, forked after the old one has stopped."""
     global _POOL
-    if _POOL is None or _POOL[0] != workers:
+    if _POOL is None or len(_POOL) != workers:
         _shutdown_pool()
-        from concurrent.futures import ProcessPoolExecutor
+        _POOL = []
+        while len(_POOL) < workers:
+            _POOL.append(_fork_worker(_POOL))
+    return _POOL
 
-        _POOL = (workers, ProcessPoolExecutor(max_workers=workers))
-    return _POOL[1]
+
+def _fork_worker(siblings: list[tuple[int, int, int]]) -> tuple[int, int, int]:
+    """Fork one worker serving its own task pipe.  The child closes this
+    process's ends of its own pipes and of its siblings', so no worker
+    keeps another's task pipe open, and it never returns: os._exit skips
+    this process's exit hooks and its unflushed output."""
+    task_r, task_w = os.pipe()
+    result_r, result_w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        for fd in (task_r, task_w, result_r, result_w):
+            os.close(fd)
+        raise
+    if pid == 0:
+        try:
+            for fd in (task_w, result_r, *(fd for _, *ends in siblings for fd in ends)):
+                os.close(fd)
+            _serve(task_r, result_w)
+        finally:
+            os._exit(0)
+    os.close(task_r)
+    os.close(result_w)
+    return pid, task_w, result_r
+
+
+def _serve(tasks: int, results: int) -> None:
+    """A worker's loop: for each (fields, r_max) message, verify_field on
+    each field, looked up at call time, and send back the reports or the
+    exception that stopped them.  Returns at end of file."""
+    import pickle
+
+    with open(tasks, "rb") as inbox, open(results, "wb") as outbox:
+        while True:
+            try:
+                fields, r_max = pickle.load(inbox)
+            except EOFError:
+                return
+            try:
+                reply = [verify_field(d, r_max) for d in fields]
+            except BaseException as exc:
+                reply = exc
+            pickle.dump(reply, outbox)
+            outbox.flush()
+
+
+def _fan_out(fields: tuple[int, ...], r_max: int, workers: int) -> list[FieldReport]:
+    """The fields' reports in their order, worker i verifying fields[i::workers]."""
+    import pickle
+
+    pool = _pool(workers)
+    replies = []
+    try:
+        for i, (pid, tasks, _) in enumerate(pool):
+            # a few hundred bytes, under PIPE_BUF, so one write sends it whole
+            os.write(tasks, pickle.dumps((fields[i::workers], r_max)))
+        for pid, _, results in pool:
+            with open(results, "rb", closefd=False) as inbox:
+                replies.append(pickle.load(inbox))
+    except (BrokenPipeError, EOFError):
+        raise ChildProcessError(f"verify worker {pid} exited") from None
+    reports: list = [None] * len(fields)
+    for i, reply in enumerate(replies):
+        if isinstance(reply, BaseException):
+            raise reply
+        reports[i::workers] = reply
+    return reports
 
 
 @atexit.register
 def _shutdown_pool() -> None:
-    """Stop the pool, joining its workers, and forget it.  At exit this
-    runs while the interpreter is whole, so the executor is not left to be
-    collected during shutdown."""
+    """Stop the pool and forget it: close its pipes, so each worker reads
+    end of file and exits, then reap every worker."""
     global _POOL
-    if _POOL is not None:
-        pool = _POOL[1]
-        _POOL = None
-        pool.shutdown()
+    pool, _POOL = _POOL or [], None
+    for _, tasks, results in pool:
+        os.close(tasks)
+        os.close(results)
+    for pid, _, _ in pool:
+        try:
+            os.waitpid(pid, 0)
+        except ChildProcessError:  # reaped already, e.g. with SIGCHLD ignored
+            pass
 
 
 def verify_all(class_number: int, r_max: int = 300) -> DiffReport:
     """verify_field over every field of the class number.
 
-    The fields fan out over a process pool of one worker per usable CPU,
-    at most one per field, and run in this process when that is one
-    worker.  Results stay in d order either way.  The work budget and
-    every field's window are checked before any pool is started or used.
+    The fields fan out over a pool of one worker per usable CPU, at most
+    one per field, and run in this process when that is one worker, as
+    they do where os.fork is missing.  Worker i of n gets fields i, i + n,
+    i + 2n, ... in one message and sends back their reports in one
+    message; results are put back in d order.  The work budget and every
+    field's window are checked before any worker is forked or used.
 
     The pool outlives the call: a later call that wants the same number
     of workers reuses it, one that wants another number stops it and
-    starts its own.  So the workers are forked once, with the module
-    state of that moment, and each keeps its own repsearch tables between
-    calls (at most 36973171 bytes per worker).  A call that fails while
-    the pool runs, a killed worker's BrokenProcessPool included, stops
-    the pool before it raises, and the next call starts a fresh one.
+    forks its own.  So the workers are forked once, with the module state
+    of that moment, and each keeps its own repsearch tables between calls
+    (at most 36973171 bytes per worker).  An exception in a worker is
+    raised here with its type; a worker that dies fails the call with
+    ChildProcessError.  A call that fails while the pool runs stops the
+    pool before it raises, and the next call forks a fresh one.
     """
     fields = class_number_fields(class_number)
     check_tables([make_field(d) for d in fields], r_max)
@@ -280,11 +366,12 @@ def verify_all(class_number: int, r_max: int = 300) -> DiffReport:
     t0 = time.perf_counter()
     workers = min(_usable_cpus(), len(fields))
     if workers > 1:
-        try:
-            reports = list(_pool(workers).map(verify_field, fields, [r_max] * len(fields)))
-        except BaseException:
-            _shutdown_pool()
-            raise
+        with _POOL_LOCK:
+            try:
+                reports = _fan_out(fields, r_max, workers)
+            except BaseException:
+                _shutdown_pool()
+                raise
     else:
         reports = [verify_field(d, r_max) for d in fields]
     return DiffReport(

@@ -2,8 +2,9 @@
 exception class it never raises, decides the omega branch only in
 quadfield, keeps congruence conditions out of the search kernel, keeps no
 public name that only tests use, the test oracle stays independent of the
-code it checks, and importing the CLI loads no process-pool module, no
-fractions and no dataclasses or inspect module."""
+code it checks, importing the CLI loads no process-pool module, no
+fractions and no dataclasses or inspect module, and verify's pool loads
+no process-pool module either."""
 
 import ast
 import builtins
@@ -264,12 +265,30 @@ def test_oracle_imports_neither_kernel_module():
     assert kernel_imports(tree) == ["normsums.repsearch", "normsums.universality"]
 
 
-def test_cli_import_loads_no_process_pool_fractions_dataclasses_or_inspect():
+def test_cli_import_loads_no_process_pool_fractions_dataclasses_inspect_or_threading():
     # the pool's modules load only when verify_all fans out, no exact
-    # rational arithmetic is needed anywhere, and the records are named
-    # tuples, so nothing pulls in dataclasses or, through it, inspect
-    modules = ("multiprocessing", "concurrent.futures", "fractions", "dataclasses", "inspect")
+    # rational arithmetic is needed anywhere, the records are named
+    # tuples, so nothing pulls in dataclasses or, through it, inspect, and
+    # the pool's lock comes from _thread.  -S keeps site's .pth files,
+    # which may import threading, out of the count
+    modules = ("multiprocessing", "concurrent.futures", "fractions", "dataclasses", "inspect", "threading")
     code = f"import sys, normsums, normsums.cli; print(sorted(m for m in {modules!r} if m in sys.modules))"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_verify_pool_loads_no_multiprocessing_concurrent_futures_or_logging():
+    # the pool forks its own workers and talks to them over pipes, so a
+    # call that fans out loads none of the standard pool machinery
+    modules = ("multiprocessing", "concurrent.futures", "logging")
+    code = (
+        "import sys\n"
+        "from normsums import verify\n"
+        "verify._usable_cpus = lambda: 2\n"
+        "assert verify.verify_all(3, 300).all_match and len(verify._POOL) == 2\n"
+        f"print(sorted(m for m in {modules!r} if m in sys.modules))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

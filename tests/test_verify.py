@@ -1,11 +1,13 @@
 """Expected-result tables, the field verifier, and the certificate rechecker."""
 
+import errno
 import json
-import multiprocessing
 import os
 import signal
 import subprocess
 import sys
+import threading
+import time
 
 import pytest
 
@@ -27,7 +29,7 @@ from normsums import verify as verify_mod
 @pytest.fixture(autouse=True)
 def each_test_starts_and_ends_with_no_pool():
     # verify_all keeps its pool between calls, so no test may be served by
-    # a pool, or a patched-in stand-in executor, that an earlier one built
+    # a pool that an earlier one forked
     verify_mod._shutdown_pool()
     yield
     verify_mod._shutdown_pool()
@@ -180,118 +182,249 @@ def test_usable_cpus_follows_affinity(monkeypatch):
     assert verify_mod._usable_cpus() == 64
     monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: None)
     assert verify_mod._usable_cpus() == 1
+    # no fork, no workers: the fields run in this process
+    monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: 64)
+    monkeypatch.delattr(verify_mod.os, "fork", raising=False)
+    assert verify_mod._usable_cpus() == 1
+
+
+def _pool_pids() -> list[int]:
+    return [pid for pid, _, _ in verify_mod._POOL]
+
+
+def _is_live_child(pid: int) -> bool:
+    # True for a child of this process that has not exited; a child that
+    # was reaped is no longer ours, and waitpid says so
+    try:
+        return os.waitpid(pid, os.WNOHANG) == (0, 0)
+    except ChildProcessError:
+        return False
 
 
 def test_verify_all_pool_clamped_to_field_count(monkeypatch):
     # the pool is one worker per usable CPU but never more workers than
-    # fields, and one CPU builds no pool; the stand-in executor records
-    # the size and maps in this process
-    import concurrent.futures
-
+    # fields, and one CPU forks no pool; a pool of another size stops the
+    # old one, whose workers are then reaped
     sizes = []
+    real_pool = verify_mod._pool
 
-    class SerialExecutor:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    def recording_pool(workers):
+        sizes.append(workers)
+        return real_pool(workers)
 
-        def shutdown(self):
-            pass
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialExecutor)
+    monkeypatch.setattr(verify_mod, "_pool", recording_pool)
     monkeypatch.setattr(verify_mod, "_usable_cpus", lambda: 10_000)
     report = verify_all(3, r_max=300)
     assert sizes == [16]
     assert report.matches == report.total == 16
+    sixteen = _pool_pids()
+    assert len(set(sixteen)) == 16 and all(map(_is_live_child, sixteen))
     monkeypatch.setattr(verify_mod, "_usable_cpus", lambda: 3)
     verify_all(2, r_max=300)
-    assert sizes == [16, 3]
+    assert sizes == [16, 3] and len(_pool_pids()) == 3
+    assert not any(map(_is_live_child, sixteen))
+    three = verify_mod._POOL
+    verify_mod._shutdown_pool()
+    assert not any(map(_is_live_child, (pid for pid, _, _ in three)))
+    for fd in (fd for _, *ends in three for fd in ends):
+        with pytest.raises(OSError):
+            os.fstat(fd)  # closed, not leaked
     monkeypatch.setattr(verify_mod, "_usable_cpus", lambda: 1)
     report = verify_all(2, r_max=300)
-    assert sizes == [16, 3]
+    assert sizes == [16, 3] and verify_mod._POOL is None
     assert report.matches == report.total == 18
-
-
-def _pids(processes) -> set[int]:
-    return {p.pid for p in processes}
 
 
 def test_verify_all_keeps_one_pool_between_calls(monkeypatch):
-    # calls that want the same number of workers construct one executor,
-    # and the same worker processes run them all
-    import concurrent.futures
+    # calls that want the same number of workers fork them once, and the
+    # same worker processes, still alive, run them all
+    forks = []
+    real_fork = verify_mod._fork_worker
 
-    built = []
+    def counting_fork(siblings):
+        forks.append(len(siblings))
+        return real_fork(siblings)
 
-    class CountingExecutor(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers):
-            built.append(max_workers)
-            super().__init__(max_workers=max_workers)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingExecutor)
+    monkeypatch.setattr(verify_mod, "_fork_worker", counting_fork)
     monkeypatch.setattr(verify_mod, "_usable_cpus", lambda: 2)
     assert verify_all(2, r_max=300).all_match
-    workers = _pids(multiprocessing.active_children())
+    workers = _pool_pids()
     report = verify_all(3, r_max=300)
     assert report.matches == report.total == 16
-    assert built == [2]
-    assert len(workers) == 2 and _pids(multiprocessing.active_children()) == workers
-
-
-def _field_kills_its_worker(d, r_max):
-    # verify_field, except that the worker running d=13 dies at once
-    if d == 13:
-        os.kill(os.getpid(), signal.SIGKILL)
-    return verify_field(d, r_max)
+    assert [fr.d for fr in report.fields] == list(class_number_fields(3))
+    assert forks == [0, 1]
+    assert len(set(workers)) == 2 and _pool_pids() == workers and all(map(_is_live_child, workers))
 
 
 def test_a_killed_worker_fails_its_call_and_the_next_call_gets_a_fresh_pool(monkeypatch):
-    from concurrent.futures.process import BrokenProcessPool
-
     monkeypatch.setattr(verify_mod, "_usable_cpus", lambda: 2)
     assert verify_all(2, r_max=300).all_match
-    killed_pool = _pids(multiprocessing.active_children())
-    monkeypatch.setattr(verify_mod, "verify_field", _field_kills_its_worker)
-    with pytest.raises(BrokenProcessPool):
+    killed_pool = _pool_pids()
+    os.kill(killed_pool[1], signal.SIGKILL)
+    with pytest.raises(ChildProcessError, match=rf"^verify worker {killed_pool[1]} exited$"):
         verify_all(2, r_max=300)
-    assert verify_mod._POOL is None and multiprocessing.active_children() == []
-    monkeypatch.setattr(verify_mod, "verify_field", verify_field)
+    assert verify_mod._POOL is None and not any(map(_is_live_child, killed_pool))
     report = verify_all(2, r_max=300)
     assert report.matches == report.total == 18
     assert [fr.d for fr in report.fields] == list(class_number_fields(2))
-    assert not killed_pool & _pids(multiprocessing.active_children())
+    assert not set(killed_pool) & set(_pool_pids())
+
+
+def test_calls_from_several_threads_each_get_their_own_reports(monkeypatch):
+    # more calling threads than workers and CPUs, alternating class
+    # numbers on one pool: every call returns its own fields in d order.
+    # The pool is forked before the threads start, as forking a process
+    # that runs other threads is deprecated
+    monkeypatch.setattr(verify_mod, "_usable_cpus", lambda: 2)
+    assert verify_all(2, r_max=300).all_match
+    results = []
+
+    def calls(first):
+        for class_number in (first, 5 - first, first):
+            report = verify_all(class_number, r_max=300)
+            results.append([fr.d for fr in report.fields] == list(class_number_fields(class_number)))
+
+    threads = [threading.Thread(target=calls, args=(2 + i % 2,), daemon=True) for i in range(6)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [True] * 18
+
+
+def _lowest_free_fd() -> int:
+    fd = os.open(os.devnull, os.O_RDONLY)
+    os.close(fd)
+    return fd
+
+
+def test_a_failed_fork_leaves_no_pool_and_no_open_pipe(monkeypatch):
+    # the second fork fails as it does at a process limit: the call
+    # raises that error, the first worker is reaped, and no pipe end of
+    # either worker stays open here
+    real_fork = os.fork
+    forked = []
+
+    def second_fork_fails():
+        if forked:
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+        forked.append(real_fork())
+        return forked[-1]
+
+    monkeypatch.setattr(verify_mod, "_usable_cpus", lambda: 2)
+    free = _lowest_free_fd()
+    monkeypatch.setattr(verify_mod.os, "fork", second_fork_fails)
+    with pytest.raises(BlockingIOError):
+        verify_all(2, r_max=300)
+    monkeypatch.setattr(verify_mod.os, "fork", real_fork)
+    assert verify_mod._POOL is None and len(forked) == 1 and not _is_live_child(forked[0])
+    assert _lowest_free_fd() == free
+
+
+def test_an_exception_in_a_worker_is_raised_with_its_type(monkeypatch):
+    # a worker sends back the exception that stopped its fields; the call
+    # raises it and stops the pool.  The workers are forked after the
+    # patch, so they run the patched verify_field
+    def field_raises(d, r_max):
+        if d == 13:
+            raise KeyError(d)
+        return verify_field(d, r_max)
+
+    monkeypatch.setattr(verify_mod, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(verify_mod, "verify_field", field_raises)
+    with pytest.raises(KeyError, match="^13$"):
+        verify_all(2, r_max=300)
+    assert verify_mod._POOL is None
 
 
 def test_a_session_of_calls_exits_clean_and_leaves_no_worker():
-    # the pool is shut down at exit: nothing on stderr, even with warnings
-    # as errors, and no worker left once the exit hooks have run.  atexit
-    # runs its hooks last registered first, so the count registered before
-    # verify is imported runs after verify's shutdown hook, and before
-    # multiprocessing's own exit hook, registered first, joins any child
+    # the pool is shut down at exit: nothing on stderr, even in dev mode
+    # with warnings as errors (a pipe left open would warn), and no child
+    # left once the exit hooks have run.  atexit runs its hooks last
+    # registered first, so the check registered before verify is imported
+    # runs after verify's shutdown hook; waitpid(-1) finds no child at all
     code = (
-        "import atexit, multiprocessing, multiprocessing.util\n"
-        "atexit.register(lambda: print(len(multiprocessing.active_children())))\n"
+        "import atexit, os\n"
+        "def children():\n"
+        "    try:\n"
+        "        os.waitpid(-1, os.WNOHANG)\n"
+        "    except ChildProcessError:\n"
+        "        return 'none'\n"
+        "    return 'some'\n"
+        "atexit.register(lambda: print(children()))\n"
         "from normsums import verify\n"
         "verify._usable_cpus = lambda: 2\n"
         "for class_number, r_max in ((2, 300), (3, 300), (2, 600)):\n"
         "    assert verify.verify_all(class_number, r_max).all_match\n"
-        "print(len(multiprocessing.active_children()))\n"
+        "print(len(verify._POOL), children())\n"
     )
-    done = subprocess.run([sys.executable, "-W", "error", "-c", code], capture_output=True, text=True, timeout=300)
-    assert (done.returncode, done.stderr, done.stdout.split()) == (0, "", ["2", "0"])
+    done = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-c", code],
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr, done.stdout.split()) == (0, "", ["2", "some", "none"])
+
+
+def _gone(pid: int) -> bool:
+    # exited: no such process, or a zombie no one has reaped yet
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads open files from /proc")
+def test_each_worker_holds_only_its_own_pipes(monkeypatch):
+    # of the pool's pipes, worker i holds only the child ends of its own
+    # two: no write end of any task pipe, its own or a sibling's, stays
+    # open in a worker, so closing a task pipe here ends that worker
+    monkeypatch.setattr(verify_mod, "_usable_cpus", lambda: 3)
+    assert verify_all(2, r_max=300).all_match
+    pipes = [(os.fstat(tasks).st_ino, os.fstat(results).st_ino) for _, tasks, results in verify_mod._POOL]
+    pool_pipes = {ino for pair in pipes for ino in pair}
+    for (pid, _, _), own in zip(verify_mod._POOL, pipes):
+        held = {os.readlink(f"/proc/{pid}/fd/{fd}") for fd in os.listdir(f"/proc/{pid}/fd")}
+        assert {ino for ino in pool_pipes if f"pipe:[{ino}]" in held} == set(own)
+        assert sum(link in {f"pipe:[{ino}]" for ino in own} for link in held) == 2
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads process states from /proc")
+def test_workers_exit_when_their_session_is_killed():
+    # a session killed by SIGKILL runs no exit hook, so its workers see
+    # end of file on their task pipes only if no worker holds the write
+    # end of any task pipe open
+    code = (
+        "import os, signal\n"
+        "from normsums import verify\n"
+        "verify._usable_cpus = lambda: 2\n"
+        "assert verify.verify_all(2, 300).all_match\n"
+        "print(*(pid for pid, _, _ in verify._POOL), flush=True)\n"
+        "os.kill(os.getpid(), signal.SIGKILL)\n"
+    )
+    proc = subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE, text=True)
+    workers = []
+    try:
+        workers += map(int, proc.stdout.readline().split())
+        assert proc.wait(timeout=60) == -signal.SIGKILL
+        assert len(workers) == 2
+        deadline = time.monotonic() + 5
+        while not all(map(_gone, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert [pid for pid in workers if not _gone(pid)] == []
+    finally:
+        proc.stdout.close()
+        for pid in workers:
+            if not _gone(pid):
+                os.kill(pid, signal.SIGKILL)
 
 
 def test_verify_all_checks_every_window_before_any_pool(monkeypatch):
     # a window too small for any field is the caller's error, raised with
     # verify_field's message before a worker starts
-    import concurrent.futures
-
-    def no_pool(*args, **kwargs):
+    def no_pool(workers):
         raise AssertionError("a process pool was started")
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(verify_mod, "_pool", no_pool)
     monkeypatch.setattr(verify_mod, "_usable_cpus", lambda: 2)
     with pytest.raises(ValueError, match=r"^r_max=0 too small: exception 1 > 0$"):
         verify_all(3, 0)

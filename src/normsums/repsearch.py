@@ -6,25 +6,25 @@ scaled norms N(gamma/k) exactly when r*k is a sum of m congruence-
 admissible norm values N(gamma).  Each admissible norm is k times a value
 of the class's binary form A*x^2 + B*x*y + C*y^2 (classdata.class_form),
 so the search asks instead whether r is a sum of m form values, in
-r-space, with no congruence test in the loop.  The values are enumerated
-row by row over a half plane, each row an itertools.accumulate over the
-form's steps along it; when A divides B a row is its own mirror image
-and only its upper half is walked, and a row left empty is skipped.  The
-one enumerator, _form_value_set, takes the values in (above, bound]: the
-form is convex along a row, so those are the row's two ends outside its
-range up to above, and form_values is that set from 0, sorted.
+r-space, with no congruence test in the loop.  The one enumerator,
+_value_mask, gives the values up to a bound as one bitmask, bit v for
+each value v and for the empty sum 0.  By 4A*Q = (2A*x + B*y)^2 + D*y^2
+with D = 4AC - B^2, the values of row y are a base of the row plus the
+numbers A*i^2 + r*i over every integer i, r one of at most A + 1
+residues; so the mask of those numbers is built once per r, and each row
+costs one shift and one OR, with no Python code per point or per value.
 
 Minimum counts come from a layered reachability table: layer j is the
 bitmask of all r reachable as a sum of at most j form values.  The
 layers grow monotonically and the first repeated layer is a fixpoint, at
 which point every bit still unset is unreachable by any number of
 summands; that makes Unrepresentable an exact verdict, not a timeout.
-Layer 1, the values themselves, is parsed from one string of binary
-digits.  Each later pass shifts the layer by the values in order,
-counting the unset bits after 1, 2, 4, ... shifts, until at a count
-fewer bits are unset than values are left and the shifts since the last
-count cleared fewer bits than there were shifts; for a class form's
-values at width 30000 that takes 64 to 512 shifts out of thousands.
+Layer 1 is the value mask itself.  Each later pass shifts the layer by
+the values in order, counting the unset bits after 1, 2, 4, ... shifts,
+until at a count fewer bits are unset than values are left and the
+shifts since the last count cleared fewer bits than there were shifts;
+for a class form's values at width 30000 that takes 64 to 512 shifts out
+of thousands.
 Then the pass tests each r still unset alone, one AND against the
 reversed first layer, and ORs the hits in with one parse, so it never
 costs more than a full pass and the work bound below still holds.
@@ -42,11 +42,13 @@ A point query at r (min_terms, find_certificate) needs only r's count, and
 almost every r needs one or two values.  One helper, _point_table, gives
 that count exactly.  Unless the counts reach r, it reads the marks,
 widened to r with no layering when the table is shorter: the old bytes
-are copied as they are and only the values of the new annulus, past the
-old width up to r, are enumerated and marked.  r needs one value when
-its byte is 1 and two when the walk below finds a pair.  Any other r
-needs three or more values or none, and the helper builds the counts up
-to r, keeping the marks past it.  Count 1 holds exactly at the values,
+are copied as they are, and the class's value mask up to r gives the
+bytes past them, 1 for a value and 0 otherwise, with one format and one
+translate.  r needs one value when its byte is 1 and two when the walk
+below finds a pair.  Any other r needs three or more values or none, and
+the helper builds the counts up to r, keeping the marks past it, from
+the mask the widening built or, with no widening, from the marks' bytes:
+the class is not enumerated again.  Count 1 holds exactly at the values,
 and a walk for one or two values reads only bytes equal to 1, so it
 picks the same values from the counts or the marks.  The helper keeps
 its last answer off the marks with the _TABLES entry it read, and serves
@@ -59,27 +61,28 @@ any m, if r is unreachable) has no certificate, and m equal to it takes
 the values the walk on the marks found, or walks the counts, with no
 further enumeration or layer build.  Above the minimum, exactly m form
 values sum to r exactly when at most m of the shifted values v - vmin
-(v > vmin, vmin the least value) sum to r - m*vmin.  The values are read
-off the table that gave the minimum, with no enumeration; the shifted
-ones are layered up to m - 1 times and decoded into a table that is not
-kept, and the certificate opens with m - c copies of vmin, c the least
-count of shifted values reaching the remainder.  The walk then takes the
-rest in order, each the least value in a window whose remainder needs
-exactly the slots left, found by one bytes search over the window.
+(v > vmin, vmin the least value) sum to r - m*vmin.  The shifted values
+are read off the table that gave the minimum, with no enumeration: its
+bytes from vmin up, a 1 marking a value and the one at vmin the empty
+sum, parsed as one mask; they are layered up to m - 1 times and decoded
+into a table that is not kept, and the certificate opens with m - c
+copies of vmin, c the least count of shifted values reaching the
+remainder.  The walk then takes the rest in order, each the least value
+in a window whose remainder needs exactly the slots left, found by one
+bytes search over the window.
 Congruences stay at the edges: only the distinct values a certificate
 picks get (a, b) coordinates, solved once each from the form's (x, y) by
 a = k*x - beta*y, b = y; each row costs one isqrt, a test that it holds
 a point of the value, and x is derived only where it does.
 
-Work is known before it starts: _form_value_set bounds the word-shifts
-of a layer build from the form and the width alone, at the new width when
-it widens, and raises Overflow over budget before it visits a point, so
-no enumeration escapes the check;
+Work is known before it starts: _value_mask bounds the word-shifts of a
+layer build from the form and the width alone, and raises Overflow over
+budget before its first row, so no enumeration escapes the check;
 check_tables sums that bound over every table a command will build, once,
 before its first build.
 """
 
-from itertools import accumulate, chain
+import re
 from math import isqrt
 from typing import NamedTuple
 
@@ -96,8 +99,10 @@ from .quadfield import (
 # Upper bound on the passes of reach_layers over the values of any class
 # form, or over their shifted values, up to a fixpoint (measured at most
 # 10, for d=403 class 2, at widths 100 to 60000), and the most
-# word-shifts form_values admits: about 36 s at 3.6 ns per word-shift on
-# an Intel Xeon core.
+# word-shifts _value_mask admits.  The widest count build admitted, d=907
+# class 2 at 779903 (an estimate of 9.9998e9), takes 0.05-0.10 s on a
+# 2-vCPU Intel Xeon VM: passes that switch to testing unset bits shift
+# far fewer values than the estimate charges.
 _PASS_BOUND = 10
 _WORK_BUDGET = 10**10
 
@@ -170,76 +175,72 @@ class MinTermsResult(NamedTuple):
         return MinTermsResult("unrepresentable")
 
 
-def _form_rows(a: int, b: int, c: int, bound: int):
-    """Rows (y, x_lo, x_hi) covering the points of the half plane y > 0 or
-    (y = 0, x > 0) where the positive definite form a*x^2 + b*x*y + c*y^2
-    is at most bound.  Every value there is positive, and the other half
-    plane repeats them.  The ranges come from 4a*Q = (2a*x + b*y)^2 + D*y^2
-    with D = 4ac - b^2."""
-    disc = 4 * a * c - b * b
-    two_a = 2 * a
-    for y in range(isqrt_floor(4 * a * bound // disc) + 1):
-        u = isqrt_floor(4 * a * bound - disc * y * y)
-        yield y, (1 if y == 0 else -((u + b * y) // two_a)), (u - b * y) // two_a
+# byte i with its bits in reverse order
+_REVERSED_BITS = bytes(int(f"{i:08b}"[::-1], 2) for i in range(256))
+# byte 1 to the digit "1", every other byte to "0"
+_ONE_DIGIT = b"01" + b"0" * 254
+_DIGIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 
-def _form_value_set(a: int, b: int, c: int, above: int, bound: int) -> set[int]:
-    """The distinct values in (above, bound] of the form a*x^2 + b*x*y +
-    c*y^2.  Raises Overflow before visiting a point unless layering the
-    values up to bound fits the work budget (_work_estimate).
+def _reversed(mask: int, width: int) -> int:
+    """mask over [0, width] read backwards: bit n moves to bit width - n.
+    Its bytes, big-endian, each with its bits reversed, read little-endian
+    reverse all of its 8*size bits, and the shift drops the padding."""
+    size = width // 8 + 1
+    return int.from_bytes(mask.to_bytes(size, "big").translate(_REVERSED_BITS), "little") >> (8 * size - 1 - width)
 
-    The rows of _form_rows(a, b, c, above) give the points up to above
-    (_row_ends takes the new rows outside them), and the rows past those
-    are walked whole.  Each range of a row is summed by accumulate, with
-    no Python code per point: along row y, Q(x + 1, y) - Q(x, y) =
-    a*(2x + 1) + b*y, which steps by 2a.  When a divides b,
-    x -> -x - (b/a)*y maps the row's values onto themselves, so a range
-    starts no lower than the row's middle, -(b/a)*y/2 rounded up.  A range
-    left empty, by that clamp, in row 0 below a or inside the old row, is
-    skipped: accumulate would still yield its initial value.
+
+def _value_mask(a: int, b: int, c: int, bound: int) -> int:
+    """Bit v is set for v = 0 and for every value v <= bound of the positive
+    definite form a*x^2 + b*x*y + c*y^2.  Raises Overflow before its first
+    row unless layering the values up to bound fits the work budget
+    (_work_estimate).
+
+    By 4a*Q = t^2 + D*y^2 with t = 2a*x + b*y and D = 4ac - b^2, row y
+    takes t = rho + 2a*i for every integer i, rho the residue of b*y mod 2a
+    in (-a, a], so its values are the row's base (rho^2 + D*y^2)/(4a) plus
+    a*i^2 + |rho|*i (i -> -i turns rho to -rho), none negative as |rho| <= a.
+    Row -y repeats row y, and no row past sqrt(4a*bound/D) holds a value up
+    to bound.  The numbers a*i^2 + r*i up to bound go into one mask per r,
+    at most a + 1 of them, each number v at bit bound - v: shifted down by
+    a row's base, the mask drops the values past bound by itself, so each
+    row is one shift and one OR.  The rows run downward, so the sum grows with the
+    shifted masks, and is read backwards once at the end.
     """
     _check_budget(_work_estimate(a, b, c, bound), f"width {bound}")
-    vals: set[int] = set()
-    two_a = 2 * a
-    mirror = b // a if b % a == 0 else None
-    rows = _form_rows(a, b, c, bound)
-    for y, lo, hi in chain(_row_ends(_form_rows(a, b, c, above), rows), rows):
-        if mirror is not None:
-            lo = max(lo, -(mirror * y // 2))
-        if lo <= hi:
-            step0 = a * (2 * lo + 1) + b * y
-            vals.update(accumulate(range(step0, step0 + two_a * (hi - lo), two_a), initial=(a * lo + b * y) * lo + c * y * y))
-    return vals
+    disc = 4 * a * c - b * b
+    size = bound // 8 + 1
+    top = isqrt(bound // a) + 1  # a*i^2 + r*i > bound for |i| > top
+    residue_masks: dict[int, int] = {}
+    acc = 0
+    for y in range(isqrt(4 * a * bound // disc), -1, -1):
+        rho = (b * y + a - 1) % (2 * a) - a + 1
+        r = abs(rho)
+        if r not in residue_masks:
+            marks = bytearray(size)
+            for i in range(-top, top + 1):
+                n = bound - (a * i + r) * i
+                if n >= 0:
+                    marks[n >> 3] |= 1 << (n & 7)
+            residue_masks[r] = int.from_bytes(marks, "little")
+        acc |= residue_masks[r] >> (rho * rho + disc * y * y) // (4 * a)
+    return _reversed(acc, bound)
 
 
-def _row_ends(old_rows, rows):
-    """For each old row (y, olo, ohi) and the new row (y, lo, hi) it lies
-    in, the ranges of the new row outside the old one: (y, lo, olo - 1)
-    and (y, ohi + 1, hi), or the whole new row when the old one is empty.
-    Q is convex along a row, so the points of value past the old bound are
-    those two ends.  Takes an old row before its new row, so it stops
-    after the last old row without taking a new row past it."""
-    for (_, olo, ohi), (y, lo, hi) in zip(old_rows, rows):
-        if olo <= ohi:
-            yield y, lo, olo - 1
-            lo = ohi + 1
-        yield y, lo, hi
-
-
-def form_values(a: int, b: int, c: int, bound: int) -> list[int]:
-    """Distinct values in [1, bound] of the form a*x^2 + b*x*y + c*y^2,
-    ascending: _form_value_set above 0, sorted."""
-    return sorted(_form_value_set(a, b, c, 0, bound))
+def _marked(table: bytes, lo: int, hi: int) -> int:
+    """Bit n set iff byte lo + n of table is 1, for n in [0, hi - lo]: one
+    translate to binary digits and one parse."""
+    return int(table[lo : hi + 1][::-1].translate(_ONE_DIGIT), 2)
 
 
 def _work_estimate(a: int, b: int, c: int, width: int) -> int:
     """Word-shifts of layering the values of the form up to width, bounded
-    before any value is enumerated.
+    before any row is enumerated.
 
     The estimate is points x words x passes: the form's half-plane points
     up to width bound its distinct values, each pass shifts every value's
     copy of a (width + 1)-bit mask, and no build takes more than
-    _PASS_BOUND passes.  Row y of _form_rows holds at most u_y/a + 1
+    _PASS_BOUND passes.  Row y of the half plane holds at most u_y/a + 1
     points, with u_y = sqrt(4a*width - D*y^2) falling in y, so the rows
     hold at most the half ellipse's area pi*width/sqrt(D), plus row 0 once
     more, plus one point per row.  Integer arithmetic (pi < 355/113) keeps
@@ -297,18 +298,20 @@ def _witness(form: tuple[int, int, int, int], k: int, v: int) -> RingElement:
     raise ValueError(f"{v} is not a value of the form {form[:3]}")
 
 
-def reach_layers(values: list[int], width: int, cap: int | None = None) -> list[int]:
+def reach_layers(first: int, width: int, cap: int | None = None) -> list[int]:
     """Cumulative reachability bitmasks over [0, width]: masks[j] has bit n
-    set iff n is a sum of at most j of the values.  Stops after cap layers,
-    or at the first repeated layer, which is left as the last entry: a
-    fixpoint, so a bit unset there is unreachable outright.
+    set iff n is a sum of at most j of the values, the n >= 1 whose bit is
+    set in first, a mask over [0, width] with bit 0 set for the empty sum
+    (as _value_mask gives it).  Stops after cap layers, or at the first
+    repeated layer, which is left as the last entry: a fixpoint, so a bit
+    unset there is unreachable outright.
 
-    Layer 1 is parsed from one string of width + 1 binary digits, a 1 at
-    character width - v for every value v up to width and for v = 0, and
-    the same string read backwards gives rev, which holds bit width - v
-    for every such v.  Every later pass shifts the layer by the values in
-    order, recounting the unset bits of [0, width] in the growing layer
-    after shift 1, 2, 4, 8 and so on, and stops shifting at the first
+    Layer 1 is first.  One format of it, read backwards, holds a 1 at
+    character v for every value v, found in ascending order one at a time
+    as a pass needs them, and _reversed gives rev, which holds bit width - v
+    for every value v and for 0.  Every later pass shifts the layer by the
+    values in order, recounting the unset bits of [0, width] in the growing
+    layer after shift 1, 2, 4, 8 and so on, and stops shifting at the first
     recount where fewer are unset than values are left and the batch of
     shifts since the previous recount cleared fewer bits than it had
     shifts; a pass that starts with fewer unset than values shifts none.
@@ -323,26 +326,24 @@ def reach_layers(values: list[int], width: int, cap: int | None = None) -> list[
     while cap is None or len(masks) <= cap:
         cur = masks[-1]
         if len(masks) == 1:
-            digits = bytearray(b"0") * width + b"1"  # the empty sum is bit 0
-            for v in values:
-                if v <= width:
-                    digits[width - v] = 49
-            nxt = int(digits, 2)
-            rev = int(digits[::-1], 2)
+            nxt = first
+            digits = format(first, "b")[::-1]
+            nvalues = first.bit_count() - 1
+            rev = _reversed(first, width)
         else:
             nxt = cur
             shifted = 0
             left = width + 1 - cur.bit_count()
-            if left >= len(values):
-                for shifted, v in enumerate(values, 1):
-                    nxt |= (cur << v) & window
+            if left >= nvalues:
+                for shifted, value in enumerate(re.compile("1").finditer(digits, 1), 1):
+                    nxt |= (cur << value.start()) & window
                     if not shifted & (shifted - 1):
                         # the last batch, the shifted - shifted // 2 shifts
                         # since the previous recount, cleared before - left
                         before, left = left, width + 1 - nxt.bit_count()
-                        if left < len(values) - shifted and before - left < shifted - shifted // 2:
+                        if left < nvalues - shifted and before - left < shifted - shifted // 2:
                             break
-            if shifted < len(values):
+            if shifted < nvalues:
                 # character c of unset is bit len(unset) - 1 - c
                 unset = format(~nxt & window, "b")
                 hits = bytearray(b"0") * len(unset)
@@ -377,17 +378,21 @@ def _table_key(f: FieldParams, class_index: int) -> tuple[int, int]:
     return (f.d, 2 if class_index == 3 else class_index)
 
 
-def _count_table(f: FieldParams, class_index: int, r_max: int) -> bytes:
+def _count_table(f: FieldParams, class_index: int, r_max: int, first: int | None = None) -> bytes:
     """The class's table, its min-counts covering at least [0, r_max].
     Class 3 of a class-number-3 field reads class 2's, kept under (d, 2).
-    A rebuild keeps the marks past r_max."""
+    A rebuild keeps the marks past r_max.  A point query passes first, the
+    class's value mask up to r_max, which it built or read off marks at
+    least that wide, each admitted by _value_mask at its width; without
+    it the build enumerates the class."""
     require_int("r_max", r_max, least=1)
     rep_for(f, class_index)  # a class the field lacks raises before any cache read
     key = _table_key(f, class_index)
     exact, table = _TABLES.get(key, (0, b""))
     if exact < r_max:
         # a hit reads a prefix of a table whose build was already admitted
-        table = _decode(reach_layers(form_values(*_key_form(f, key), r_max), r_max), r_max) + table[r_max + 1 :]
+        first = first or _value_mask(*_key_form(f, key), r_max)
+        table = _decode(reach_layers(first, r_max), r_max) + table[r_max + 1 :]
         _TABLES[key] = (r_max, table)
     return table
 
@@ -405,12 +410,14 @@ def _point_table(q: LatticeQuery) -> tuple[int, bytes, list[int] | None]:
 
     The class's counts answer when they are exact up to r.  Otherwise the
     marks do, widened to r if the table is shorter: the old bytes are
-    copied as they are, counts and marks alike, and only the values in
-    the new annulus, past the old width up to r, are marked.  r needs one
-    value when its byte is 1, and two when _walk finds a pair.  Any other
-    r needs three or more values or none, and _count_table builds the
-    counts up to r, keeping the marks past it.  This is the one place
-    where a point query widens marks or builds counts.
+    copied as they are, counts and marks alike, and the bits of the
+    class's _value_mask past them become bytes 1 and 0 by one format and
+    one translate.  r needs one value when its byte is 1, and two when
+    _walk finds a pair.  Any other r needs three or more values or none,
+    and _count_table builds the counts up to r, keeping the marks past it,
+    from that mask or, with no widening, from the marks' bytes up to r.
+    This is the one place where a point query widens marks or builds
+    counts.
 
     The last answer off the marks is kept with the _TABLES entry it was
     read from, and the same query is answered again from it while that
@@ -430,18 +437,16 @@ def _point_table(q: LatticeQuery) -> tuple[int, bytes, list[int] | None]:
     exact, table = entry or (0, b"\0")
     if exact >= q.r:
         return table[q.r], table, None
+    first = None
     if len(table) <= q.r:
         # enumerating first checks the budget before any allocation
-        values = _form_value_set(*_key_form(q.field, key), len(table) - 1, q.r)
-        marks = bytearray(q.r + 1)
-        marks[: len(table)] = table
-        for v in values:
-            marks[v] = 1
-        table = bytes(marks)
+        first = _value_mask(*_key_form(q.field, key), q.r)
+        # the mask's digits past the old width, read backwards, are the new bytes
+        table += format(first >> len(table), f"0{q.r + 1 - len(table)}b").encode()[::-1].translate(_DIGIT_BYTES)
         _TABLES[key] = (exact, table)
     picks = [q.r] if table[q.r] else _walk(table, q.r, 2)
     if picks is None:
-        table = _count_table(q.field, q.class_index, q.r)
+        table = _count_table(q.field, q.class_index, q.r, first or _marked(table, 0, q.r) | 1)
         return table[q.r], table, None
     _LAST_POINT = ((key, q.r), _TABLES[key], picks)
     return len(picks), table, picks
@@ -526,14 +531,13 @@ def find_certificate(q: LatticeQuery, m: int) -> RepCertificate | None:
     if m == least:
         seq = picks if picks is not None else _walk(table, q.r, m)
     else:
-        # each value v is one past the bytes between it and the value before
-        gaps = table[1 : q.r + 1].split(b"\1")[:-1]
-        values = list(accumulate(len(gap) + 1 for gap in gaps))
-        if m * values[0] > q.r:
+        vmin = table.find(1, 1)
+        if m * vmin > q.r:
             return None
-        vmin = values[0]
         rem = q.r - m * vmin
-        masks = reach_layers([v - vmin for v in values[1:] if v - vmin <= rem], rem, m - 1)
+        # byte vmin + n is 1 exactly when n is a shifted value, and byte vmin
+        # is the empty sum
+        masks = reach_layers(_marked(table, vmin, vmin + rem), rem, m - 1)
         table = _decode(masks, rem)
         if rem and not table[rem] and len(masks) < m:
             return None  # a fixpoint before m - 1 layers: no count reaches rem

@@ -26,7 +26,7 @@ from math import isqrt
 from typing import NamedTuple
 
 from .quadfield import FieldParams, require_int
-from .repsearch import _check_budget, form_values, reach_layers
+from .repsearch import _check_budget, _value_mask, reach_layers
 
 
 class TermKind(enum.Enum):
@@ -160,8 +160,7 @@ def norm_sum_first_gap(f: FieldParams, copies: int, limit: int) -> int | None:
     """
     require_int("limit", limit, least=1)
     require_int("copies", copies, least=0)
-    values = form_values(*f.form_coefficients(), limit)
-    return _first_gap(reach_layers(values, limit, copies)[-1], limit)
+    return _first_gap(reach_layers(_value_mask(*f.form_coefficients(), limit), limit, copies)[-1], limit)
 
 
 def m_d(f: FieldParams) -> int:
@@ -177,5 +176,5 @@ def m_d(f: FieldParams) -> int:
     stops only at a repeated layer.
     """
     width = TWO_NINETY[-1]
-    masks = reach_layers(form_values(*f.form_coefficients(), width), width)
+    masks = reach_layers(_value_mask(*f.form_coefficients(), width), width)
     return next(j for j, mask in enumerate(masks) if all(mask >> n & 1 for n in TWO_NINETY))

@@ -12,8 +12,8 @@ from normsums.classdata import class_form, class_number_fields, class_reps, rep_
 from normsums.quadfield import SUPPORTED_FIELDS, RingElement, conjugate, make_field, norm
 from normsums.repsearch import (
     LatticeQuery,
+    _value_mask,
     find_certificate,
-    form_values,
     min_count_table,
     min_terms,
 )
@@ -86,7 +86,7 @@ def test_paired_classes_agree_and_certificates_transfer():
         # class 3 reads class 2's table; each class's own form takes the same values
         form2, form3 = (class_form(f, rep_for(f, ci))[:3] for ci in (2, 3))
         for width in (300, 3000):
-            assert form_values(*form2, width) == form_values(*form3, width), (d, width)
+            assert _value_mask(*form2, width) == _value_mask(*form3, width), (d, width)
         table2 = min_count_table(f, 2, 300)
         # conjugation carries each class's summands to the other's: move
         # certificates across the pairing both ways and recheck from scratch

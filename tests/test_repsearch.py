@@ -12,7 +12,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from _oracle import oracle_layers, oracle_least_split, oracle_min_terms, oracle_witness, oracle_witnesses
+from _oracle import (
+    oracle_layers,
+    oracle_least_split,
+    oracle_min_terms,
+    oracle_values,
+    oracle_witness,
+    oracle_witnesses,
+)
 from normsums import repsearch
 from normsums.classdata import class_form, class_number_fields, class_reps, rep_for
 from normsums.quadfield import SUPPORTED_FIELDS, Overflow, RingElement, conjugate, make_field, norm
@@ -22,7 +29,6 @@ from normsums.repsearch import (
     check_tables,
     exceptional_set,
     find_certificate,
-    form_values,
     g_invariant,
     min_count_table,
     min_terms,
@@ -160,31 +166,69 @@ ENUMERATED_FORMS = sorted({class_form(make_field(d), rep_for(make_field(d), clas
     (2, 1, 3), (3, 2, 5), (3, -2, 5), (5, 3, 2), (4, 7, 5)]
 
 
-def test_form_values_match_a_box_scan_at_every_width():
-    # form_values walks half rows and skips rows left empty; a plain box
-    # scan with its own bounds (4a*Q >= D*y^2 and 4c*Q >= D*x^2) must give
-    # the same values at every width, for every enumerated form
+def _mask(values, width):
+    """A first layer for reach_layers over [0, width]: bit 0, the empty
+    sum, and bit v for each value v <= width, a repeated value once."""
+    return sum(1 << v for v in {0, *values} if v <= width)
+
+
+def _form_values(a, b, c, bound):
+    """The form's values in [1, bound], ascending, read off _value_mask."""
+    digits = format(repsearch._value_mask(a, b, c, bound), "b")[::-1]
+    return [v for v in range(1, len(digits)) if digits[v] == "1"]
+
+
+def test_value_mask_matches_a_box_scan_at_every_width():
+    # a plain box scan with its own bounds (4a*Q >= D*y^2 and
+    # 4c*Q >= D*x^2) must give the same mask at every width, for every
+    # enumerated form: rows with either sign of the residue, forms where a
+    # divides b, and widths below a, where row 0 holds no value
     top = 400
     for a, b, c in ENUMERATED_FORMS:
         disc = 4 * a * c - b * b
         xmax, ymax = math.isqrt(4 * c * top // disc), math.isqrt(4 * a * top // disc)
-        scan = sorted({q for x in range(-xmax, xmax + 1) for y in range(-ymax, ymax + 1)
-                       if 0 < (q := a * x * x + b * x * y + c * y * y) <= top})
+        scan = {q for x in range(-xmax, xmax + 1) for y in range(-ymax, ymax + 1)
+                if 0 < (q := a * x * x + b * x * y + c * y * y) <= top}
         for width in range(1, top + 1):
-            assert form_values(a, b, c, width) == [q for q in scan if q <= width], (a, b, c, width)
+            assert repsearch._value_mask(a, b, c, width) == _mask(scan, width), (a, b, c, width)
 
 
-def test_annulus_values_are_the_full_values_past_the_old_bound():
-    # a widening enumerates only the two ends of each row past the old
-    # bound; with above = 0 that is the whole half plane, with above = bound
-    # nothing, and with above < a row 0 is walked whole; forms where a
-    # divides b clamp both ranges to the row's middle
-    for a, b, c in ENUMERATED_FORMS:
-        for bound in (1, 2, 9, 60, 401, 1500):
-            full = form_values(a, b, c, bound)
-            for above in sorted({0, 1, a - 1, a, bound // 7, bound // 2, bound - 1, bound}):
-                got = repsearch._form_value_set(a, b, c, above, bound)
-                assert got == {v for v in full if v > above}, (a, b, c, above, bound)
+@pytest.mark.parametrize("width", [1500, 6000])
+def test_value_mask_matches_the_oracle_on_every_class(width):
+    # the oracle lists the admissible norms, k times the class form's values
+    for d, class_index in ALL_CLASSES:
+        f = make_field(d)
+        rep = rep_for(f, class_index)
+        norms = oracle_values(d, class_index, rep.k * width)
+        assert repsearch._value_mask(*class_form(f, rep)[:3], width) == _mask([n // rep.k for n in norms], width)
+
+
+def test_value_mask_refuses_over_budget_before_its_first_row(monkeypatch):
+    # the rows are counted by one isqrt after the check: with the budget one
+    # below the estimate, none is taken; at the estimate the mask is built
+    form = class_form(make_field(907), rep_for(make_field(907), 2))[:3]
+    monkeypatch.setattr(repsearch, "_WORK_BUDGET", repsearch._work_estimate(*form, 3000) - 1)
+
+    def enumerated(*args):
+        raise AssertionError("a form was enumerated before the work check")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(repsearch, "isqrt", enumerated)
+        with pytest.raises(Overflow, match="width 3000 would take an estimated"):
+            repsearch._value_mask(*form, 3000)
+    monkeypatch.setattr(repsearch, "_WORK_BUDGET", repsearch._work_estimate(*form, 3000))
+    assert repsearch._value_mask(*form, 3000) & 1 << 13
+
+
+def test_the_widest_admitted_point_query():
+    # d=907 class 2 at r = 779903, the widest value mask admitted (212 rows
+    # of 779904 bits): its minimum and its certificate at m = 3 are pinned,
+    # as the CI step pins the CLI's line
+    q = _query(907, 2, 779903)
+    assert min_terms(q).m == 2
+    cert = find_certificate(q, 3)
+    assert cert.to_json_dict()["gammas"] == [[13, 0], [47, 1], [1869, 167]]
+    assert recheck_certificate(cert.to_json_dict()) == []
 
 
 @given(
@@ -329,8 +373,8 @@ def test_cached_table_answers_up_to_the_minimum_without_a_build(monkeypatch):
     def no_build(*args):
         raise AssertionError("a cached table was enumerated or layered again")
 
-    # point queries enumerate through _form_value_set, form_values included
-    monkeypatch.setattr(repsearch, "_form_value_set", no_build)
+    # every enumeration goes through _value_mask
+    monkeypatch.setattr(repsearch, "_value_mask", no_build)
     monkeypatch.setattr(repsearch, "reach_layers", no_build)
     # the patched names are the ones a build reaches: a wider point query
     # enumerates, and a certificate above the minimum layers
@@ -358,14 +402,14 @@ def test_point_tables_hold_one_exactly_at_the_form_values():
         for r in (7, 1201, 88, 3000, 5000):
             if r == 3000:
                 min_count_table(f, class_index, 2000)
-            values = form_values(*class_form(f, rep_for(f, class_index))[:3], r)
+            values = _form_values(*class_form(f, rep_for(f, class_index))[:3], r)
             table = repsearch._point_table(_query(d, class_index, r))[1]
             assert [v for v in range(1, r + 1) if table[v] == 1] == values, (d, class_index, r)
 
 
 def test_widened_marks_equal_one_cold_query():
-    # point queries at growing r mark only each new annulus; the table they
-    # leave is byte for byte the one a cold query at the last r leaves, up
+    # point queries at growing r mark only the bytes past the old width; the
+    # table they leave is byte for byte the one a cold query at the last r leaves, up
     # to the counts that a query needing three or more values, or a count
     # table run in between (to 500 inside the marks, or to 2000 past them),
     # built and kept
@@ -389,9 +433,9 @@ def test_widened_marks_equal_one_cold_query():
 
 
 def test_widening_is_admitted_at_the_new_width(monkeypatch):
-    # the annulus past cached marks is small, but the budget is checked at
-    # the new width, before any row is generated, and a refusal keeps the
-    # cached table as it was
+    # one more byte past cached marks, but the budget is checked at the new
+    # width, before any row is counted, and a refusal keeps the cached table
+    # as it was
     q = _query(907, 2, 3000)
     min_terms(_query(907, 2, 2999))
     cached = repsearch._TABLES[(907, 2)]
@@ -401,7 +445,7 @@ def test_widening_is_admitted_at_the_new_width(monkeypatch):
     def enumerated(*args):
         raise AssertionError("a form was enumerated before the work check")
 
-    monkeypatch.setattr(repsearch, "_form_rows", enumerated)
+    monkeypatch.setattr(repsearch, "isqrt", enumerated)
     with pytest.raises(Overflow, match="width 3000"):
         min_terms(q)
     assert repsearch._TABLES == {(907, 2): cached}
@@ -414,7 +458,7 @@ def test_unreachable_remainder_with_more_than_255_summands_is_none():
     checked = 0
     for d, class_index in ALL_CLASSES:
         f = make_field(d)
-        values = form_values(*class_form(f, rep_for(f, class_index))[:3], 1000)
+        values = _form_values(*class_form(f, rep_for(f, class_index))[:3], 1000)
         if values[0] + 1 in values:
             continue
         for m in (256, 257, 300):
@@ -500,8 +544,7 @@ def test_certificates_on_the_marks_equal_the_count_walk():
 
 def test_counts_one_and_two_build_no_layers(monkeypatch):
     # a query whose r needs one or two values enumerates once and reads the
-    # marks alone: no reach_layers, no _decode and no counts; point queries
-    # and form_values both enumerate through _form_value_set
+    # marks alone: no reach_layers, no _decode and no counts
     calls = []
 
     def spy(stage):
@@ -510,7 +553,7 @@ def test_counts_one_and_two_build_no_layers(monkeypatch):
             return stage(*args)
         return wrapped
 
-    for stage in (repsearch._form_value_set, reach_layers, repsearch._decode):
+    for stage in (repsearch._value_mask, reach_layers, repsearch._decode):
         monkeypatch.setattr(repsearch, stage.__name__, spy(stage))
     for d, class_index, r, least in ((35, 2, 3, 1), (5, 2, 6, 2), (1, 1, 7, 2), (907, 2, 779903, 2), (907, 3, 4997, 1)):
         q = _query(d, class_index, r)
@@ -519,25 +562,32 @@ def test_counts_one_and_two_build_no_layers(monkeypatch):
         assert len(cert.gammas) == least and recheck_certificate(cert.to_json_dict()) == []
         if least == 2:
             assert find_certificate(q, 1) is None
-        assert calls == ["_form_value_set"] and [exact for exact, _ in repsearch._TABLES.values()] == [0], q
+        assert calls == ["_value_mask"] and [exact for exact, _ in repsearch._TABLES.values()] == [0], q
         calls.clear()
         repsearch._TABLES.clear()
     # above the minimum the values are read off the marks, not enumerated
     # again, then shifted and layered, and no counts are kept
     assert len(find_certificate(_query(5, 2, 6), 3).gammas) == 3
-    assert calls == ["_form_value_set", "reach_layers", "_decode"]
+    assert calls == ["_value_mask", "reach_layers", "_decode"]
     assert repsearch._TABLES[(5, 2)][0] == 0
     calls.clear()
     # r that needs three or more values, or none, widens the marks and then
-    # builds the counts at r, once; the certificate reads those counts
+    # builds the counts at r, once, from the mask the widening built; the
+    # certificate reads those counts
     for d, class_index, r, least in ((115, 2, 19, 3), (187, 2, 38, 4), (91, 2, 16, None)):
         q = _query(d, class_index, r)
         assert min_terms(q).m == least
         assert (find_certificate(q, least or 1) is None) == (least is None)
-        assert calls == ["_form_value_set", "_form_value_set", "reach_layers", "_decode"]
+        assert calls == ["_value_mask", "reach_layers", "_decode"]
         exact, table = repsearch._TABLES[(d, class_index)]
         assert exact == r and len(table) == r + 1
         calls.clear()
+    # inside marks already wide enough, such an r reads its first layer off
+    # the marks' bytes and enumerates nothing
+    assert min_terms(_query(907, 2, 3000)).m == 2 and calls == ["_value_mask"]
+    calls.clear()
+    assert min_terms(_query(907, 3, 81)).m == 5 and calls == ["reach_layers", "_decode"]
+    assert repsearch._TABLES[(907, 2)][0] == 81 and len(repsearch._TABLES[(907, 2)][1]) == 3001
 
 
 def test_a_pair_found_on_the_marks_is_walked_once(monkeypatch):
@@ -585,7 +635,7 @@ def test_witnesses_match_the_oracle_at_every_value():
         f = make_field(d)
         rep = rep_for(f, class_index)
         form = class_form(f, rep)
-        values = form_values(*form[:3], 2000)
+        values = _form_values(*form[:3], 2000)
         expected = oracle_witnesses(d, class_index, rep.k * 2000)
         assert [n // rep.k for n in expected] == values
         assert {form[0] * x * x for x in range(1, math.isqrt(2000 // form[0]) + 1)} <= set(values)
@@ -788,7 +838,7 @@ def test_work_is_checked_once_per_build(monkeypatch):
 
 def _widest_admitted_widths():
     """(field, class_index, key, width) for each _TABLES key, width the
-    widest that form_values admits for the key's form; the estimate grows
+    widest that _value_mask admits for the key's form; the estimate grows
     with the width, so a doubling and a bisection find it."""
     def admitted(form, width):
         return repsearch._work_estimate(*form, width) <= repsearch._WORK_BUDGET
@@ -811,7 +861,7 @@ def _widest_admitted_widths():
 
 def test_table_cache_is_bounded_in_bytes():
     # a table of width w takes w + 1 bytes, counts and marks together, and
-    # is widened only to a width form_values admits, so each key's widest
+    # is widened only to a width _value_mask admits, so each key's widest
     # admitted width bounds the cache in bytes with no eviction; a refused
     # query or table keeps nothing
     table_bytes = {}
@@ -834,7 +884,7 @@ def _assert_layout(f, class_index):
     the table's whole width."""
     exact, table = repsearch._TABLES[repsearch._table_key(f, class_index)]
     width = len(table) - 1
-    values = form_values(*class_form(f, rep_for(f, class_index))[:3], width)
+    values = _form_values(*class_form(f, rep_for(f, class_index))[:3], width)
     counts = repsearch._decode(oracle_layers(values, width), width)
     assert table[: exact + 1] == counts[: exact + 1]
     assert table[exact + 1 :] == bytes(n == 1 for n in counts[exact + 1 :])
@@ -863,15 +913,15 @@ def test_one_table_holds_counts_then_marks():
 
 
 def test_every_enumeration_is_admitted_before_its_first_point(monkeypatch):
-    # the budget check lives in _form_value_set, so no caller can enumerate
-    # without it: with no budget, each entry point must refuse before a
-    # row of the form is generated
+    # the budget check lives in _value_mask, so no caller can enumerate
+    # without it: with no budget, each entry point must refuse before the
+    # form's rows are counted
     monkeypatch.setattr(repsearch, "_WORK_BUDGET", 0)
 
     def enumerated(*args):
         raise AssertionError("a form was enumerated before the work check")
 
-    monkeypatch.setattr(repsearch, "_form_rows", enumerated)
+    monkeypatch.setattr(repsearch, "isqrt", enumerated)
     f = make_field(907)
     calls = [
         lambda: min_terms(_query(907, 2, 50)),
@@ -892,7 +942,7 @@ def test_work_bound_covers_every_class(width, monkeypatch):
     # values V'' (v - vmin), a build up to a fixpoint takes no more than
     # _PASS_BOUND passes; the estimate is at least the half-plane points
     # x words x _PASS_BOUND and at least values x words x passes, so with
-    # the budget one below either, form_values must refuse; a lowered
+    # the budget one below either, _value_mask must refuse; a lowered
     # budget refuses this test's own enumeration too, so each class starts
     # from the real one
     words = width // 64 + 1
@@ -901,17 +951,28 @@ def test_work_bound_covers_every_class(width, monkeypatch):
         monkeypatch.setattr(repsearch, "_WORK_BUDGET", budget)
         f = make_field(d)
         a, b, c, _ = class_form(f, rep_for(f, class_index))
-        values = form_values(a, b, c, width)
-        points = sum(hi - lo + 1 for _, lo, hi in repsearch._form_rows(a, b, c, width))
-        loads = [points * repsearch._PASS_BOUND]
+        values = _form_values(a, b, c, width)
+        loads = [_half_plane_points(a, b, c, width) * repsearch._PASS_BOUND]
         for vs in (values, [v - values[0] for v in values[1:]]):
-            passes = len(reach_layers(vs, width))
+            passes = len(reach_layers(_mask(vs, width), width))
             assert passes <= repsearch._PASS_BOUND, (d, class_index)
             loads.append(len(vs) * passes)
         for load in loads:
             monkeypatch.setattr(repsearch, "_WORK_BUDGET", load * words - 1)
             with pytest.raises(Overflow, match=f"width {width} would take an estimated"):
-                form_values(a, b, c, width)
+                repsearch._value_mask(a, b, c, width)
+
+
+def _half_plane_points(a, b, c, width):
+    """The points of the half plane y > 0 or (y = 0, x > 0) where the form
+    is at most width, row by row: by 4a*Q = (2a*x + b*y)^2 + D*y^2, row y
+    holds the x with |2a*x + b*y| <= sqrt(4a*width - D*y^2)."""
+    disc = 4 * a * c - b * b
+    points = 0
+    for y in range(math.isqrt(4 * a * width // disc) + 1):
+        u = math.isqrt(4 * a * width - disc * y * y)
+        points += (u - b * y) // (2 * a) + 1 - (1 if y == 0 else -((u + b * y) // (2 * a)))
+    return points
 
 
 def test_admitted_widths_are_pinned():
@@ -922,7 +983,7 @@ def test_admitted_widths_are_pinned():
         form = class_form(f, rep_for(f, class_index))[:3]
         assert repsearch._work_estimate(*form, width) <= repsearch._WORK_BUDGET
         with pytest.raises(Overflow):
-            form_values(*form, width + 1)
+            repsearch._value_mask(*form, width + 1)
     # a class-number-3 field builds two tables, class 3 reading class 2's
     for class_number, r_max in ((2, 68423), (3, 87679)):
         fields = [make_field(d) for d in class_number_fields(class_number)]
@@ -934,7 +995,8 @@ def test_admitted_widths_are_pinned():
 def _first_sparse_layer(masks, values, width):
     """The first layer from which reach_layers tests unset bits one at a
     time before its first shift (fewer unset in [1, width] than values),
-    or None."""
+    or None.  The values are distinct, ascending and in [1, width], as
+    reach_layers reads them off its first layer."""
     return next((j for j in range(1, len(masks)) if width + 1 - masks[j].bit_count() < len(values)), None)
 
 
@@ -943,7 +1005,7 @@ caps = st.none() | st.integers(min_value=-3, max_value=12)
 
 @given(st.lists(st.integers(min_value=0, max_value=80), max_size=60), st.integers(min_value=0, max_value=400), caps)
 def test_layers_race_oracle_on_random_values(values, width, cap):
-    assert reach_layers(values, width, cap) == oracle_layers(values, width, cap)
+    assert reach_layers(_mask(values, width), width, cap) == oracle_layers(values, width, cap)
 
 
 @pytest.mark.parametrize("values, width", [
@@ -957,12 +1019,13 @@ def test_layers_on_edge_value_lists(values, width):
     # run and a tail too short for the pass to layer 2 to switch before
     # its last value, shifts by every value and never tests
     for cap in (None, -5, -1, 0, 1, 2, 3):
-        assert reach_layers(values, width, cap) == oracle_layers(values, width, cap), cap
+        assert reach_layers(_mask(values, width), width, cap) == oracle_layers(values, width, cap), cap
 
 
 def _shifts_before_tests(cur, values, width, batch_rule=True):
     """How many values a pass from layer cur shifts by before it tests the
-    bits still unset, by the rule of reach_layers: test at once when fewer
+    bits still unset, values distinct, ascending and in [1, width] as
+    reach_layers reads them off its first layer, by its rule: test at once when fewer
     bits of [0, width] are unset than there are values; otherwise recount
     the unset bits after shift 1, 2, 4, ..., and switch at a recount once
     fewer are unset than values are left and the last batch of shifts,
@@ -1018,8 +1081,9 @@ def mid_pass_lists(draw):
 def test_layers_race_oracle_when_the_switch_lands_mid_pass(case, cap):
     values, width = case
     layer1 = oracle_layers(values, width, 1)[1]
-    assert 0 < _shifts_before_tests(layer1, values, width) < len(values)
-    assert reach_layers(values, width, cap) == oracle_layers(values, width, cap)
+    distinct = sorted({v for v in values if 0 < v <= width})
+    assert 0 < _shifts_before_tests(layer1, distinct, width) < len(distinct)
+    assert reach_layers(_mask(values, width), width, cap) == oracle_layers(values, width, cap)
 
 
 def test_mid_pass_switch_costs_a_fraction_of_a_full_pass():
@@ -1033,7 +1097,7 @@ def test_mid_pass_switch_costs_a_fraction_of_a_full_pass():
     values = [*range(1, 31), *range(50, width + 1, 25)]
     masks = oracle_layers(values, width, 2)
     assert _shifts_before_tests(masks[1], values, width) == 64
-    fast = _best_of_three(reach_layers, masks, values, width, 2)
+    fast = _best_of_three(reach_layers, masks, _mask(values, width), width, 2)
     assert 5 * fast < _best_of_three(oracle_layers, masks, values, width, 2)
 
 
@@ -1051,7 +1115,7 @@ def test_layers_race_oracle_when_the_batch_test_defers_the_switch(values, width,
     assert _shifts_before_tests(layer1, values, width, batch_rule=False) == old
     assert _shifts_before_tests(layer1, values, width) == new
     for cap in (None, 0, 1, 2, 3):
-        assert reach_layers(values, width, cap) == oracle_layers(values, width, cap), cap
+        assert reach_layers(_mask(values, width), width, cap) == oracle_layers(values, width, cap), cap
 
 
 def test_class_form_layers_cost_a_small_fraction_of_full_passes():
@@ -1061,11 +1125,11 @@ def test_class_form_layers_cost_a_small_fraction_of_full_passes():
     # more bits than they have shifts until shift 256, which leaves 33
     width = 30000
     f = make_field(23)
-    values = form_values(*class_form(f, rep_for(f, 2))[:3], width)
+    values = _form_values(*class_form(f, rep_for(f, 2))[:3], width)
     masks = oracle_layers(values, width)
     assert _shifts_before_tests(masks[1], values, width, batch_rule=False) == 4
     assert _shifts_before_tests(masks[1], values, width) == 256
-    fast = _best_of_three(reach_layers, masks, values, width)
+    fast = _best_of_three(reach_layers, masks, masks[1], width)
     assert 15 * fast < _best_of_three(oracle_layers, masks, values, width)
 
 
@@ -1080,22 +1144,22 @@ def test_layers_race_oracle_on_the_dense_path(p, xs, width, cap):
     # unset, more bits than there are values: every pass shifts every value
     values = [p * x for x in xs]
     masks = oracle_layers(values, width, cap)
-    assert _first_sparse_layer(masks, values, width) is None
-    assert reach_layers(values, width, cap) == masks
+    assert _first_sparse_layer(masks, sorted({v for v in values if v <= width}), width) is None
+    assert reach_layers(_mask(values, width), width, cap) == masks
 
 
 def _class_value_lists(d, class_index, width):
     """The class form's values up to width and, as find_certificate layers
     them, the shifted values v - vmin of the others."""
     f = make_field(d)
-    values = form_values(*class_form(f, rep_for(f, class_index))[:3], width)
+    values = _form_values(*class_form(f, rep_for(f, class_index))[:3], width)
     return [values, [v - values[0] for v in values[1:]]]
 
 
 @given(st.sampled_from(ALL_CLASSES), st.integers(min_value=1, max_value=3000), caps)
 def test_layers_race_oracle_on_class_forms(field_class, width, cap):
     for values in _class_value_lists(*field_class, width):
-        assert reach_layers(values, width, cap) == oracle_layers(values, width, cap)
+        assert reach_layers(_mask(values, width), width, cap) == oracle_layers(values, width, cap)
 
 
 def test_class_forms_switch_to_unset_bit_tests_after_layer_two_or_three():
@@ -1106,7 +1170,7 @@ def test_class_forms_switch_to_unset_bit_tests_after_layer_two_or_three():
     for d, class_index in ALL_CLASSES:
         for values in _class_value_lists(d, class_index, width):
             masks = oracle_layers(values, width)
-            assert reach_layers(values, width) == masks, (d, class_index)
+            assert reach_layers(_mask(values, width), width) == masks, (d, class_index)
             switches.append(_first_sparse_layer(masks, values, width))
     assert sorted(set(switches)) == [2, 3]
     assert switches.count(2) == 2 * 87

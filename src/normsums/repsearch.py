@@ -11,20 +11,25 @@ _value_mask, gives the values up to a bound as one bitmask, bit v for
 each value v and for the empty sum 0.  By 4A*Q = (2A*x + B*y)^2 + D*y^2
 with D = 4AC - B^2, the values of row y are a base of the row plus the
 numbers A*i^2 + r*i over every integer i, r one of at most A + 1
-residues; so the mask of those numbers is built once per r, and each row
-costs one shift and one OR, with no Python code per point or per value.
+residues.  The mask of those numbers depends on (A, r) alone, so it is
+built once per process, at the widest bound asked for so far, and kept
+in _RESIDUES: every form here has one of seven leading coefficients, so
+at most 49 keys, 4.3 MB at the widest admitted bounds.  A narrower bound
+reads it with one shift, so each row costs one shift and one OR, with no
+Python code per point or per value once its residue masks are built.
 
 Minimum counts come from a layered reachability table: layer j is the
 bitmask of all r reachable as a sum of at most j form values.  The
 layers grow monotonically and the first repeated layer is a fixpoint, at
 which point every bit still unset is unreachable by any number of
 summands; that makes Unrepresentable an exact verdict, not a timeout.
-Layer 1 is the value mask itself.  Each later pass shifts the layer by
-the values in order, counting the unset bits after 1, 2, 4, ... shifts,
-until at a count fewer bits are unset than values are left and the
-shifts since the last count cleared fewer bits than there were shifts;
-for a class form's values at width 30000 that takes 64 to 512 shifts out
-of thousands.
+Layer 1 is the value mask itself.  Each later pass, from a sparse layer
+as from a dense one, shifts the layer by the values in order, counting
+the unset bits after 1, 2, 4, ... shifts, until at a count fewer bits
+are unset than values are left and the shifts since the last count
+cleared fewer bits than there were shifts; for a class form's values at
+width 30000 that takes 64 to 512 shifts out of thousands from layer 1,
+and a few from a nearly full layer.
 Then the pass tests each r still unset alone, one AND against the
 reversed first layer, and ORs the hits in with one parse, so it never
 costs more than a full pass and the work bound below still holds.
@@ -100,9 +105,10 @@ from .quadfield import (
 # form, or over their shifted values, up to a fixpoint (measured at most
 # 10, for d=403 class 2, at widths 100 to 60000), and the most
 # word-shifts _value_mask admits.  The widest count build admitted, d=907
-# class 2 at 779903 (an estimate of 9.9998e9), takes 0.05-0.10 s on a
-# 2-vCPU Intel Xeon VM: passes that switch to testing unset bits shift
-# far fewer values than the estimate charges.
+# class 2 at 779903 (an estimate of 9.9998e9), takes 0.08-0.13 s from
+# empty caches on a 2-vCPU Intel Xeon VM: every pass shifts by a few
+# batches of values and tests the bits still unset, far fewer operations
+# than the full passes the estimate charges.
 _PASS_BOUND = 10
 _WORK_BUDGET = 10**10
 
@@ -110,6 +116,14 @@ _WORK_BUDGET = 10**10
 # number of form values summing to r, 0 when no number does; past exact it
 # is 1 when r is a form value, else 0.  Class 3 reads (d, 2)
 _TABLES: dict[tuple[int, int], tuple[int, bytes]] = {}
+
+# (a, r) -> (limit, mask): bit limit - n of mask is set for each number
+# n = a*i^2 + r*i <= limit over the integers i, r a residue of a row of a
+# form with leading coefficient a (_value_mask), so every such form reads
+# it.  A key is only rebuilt, at the wider bound of an admitted call, so
+# limit never passes the widest width _value_mask admits for a form with
+# that a: at most 49 keys and 4303588 bytes over every supported field
+_RESIDUES: dict[tuple[int, int], tuple[int, int]] = {}
 
 # _point_table's last answer off the marks: ((key, r), the _TABLES entry
 # it read, picks); it answers the same query only while that entry is the
@@ -201,29 +215,38 @@ def _value_mask(a: int, b: int, c: int, bound: int) -> int:
     in (-a, a], so its values are the row's base (rho^2 + D*y^2)/(4a) plus
     a*i^2 + |rho|*i (i -> -i turns rho to -rho), none negative as |rho| <= a.
     Row -y repeats row y, and no row past sqrt(4a*bound/D) holds a value up
-    to bound.  The numbers a*i^2 + r*i up to bound go into one mask per r,
-    at most a + 1 of them, each number v at bit bound - v: shifted down by
-    a row's base, the mask drops the values past bound by itself, so each
-    row is one shift and one OR.  The rows run downward, so the sum grows with the
-    shifted masks, and is read backwards once at the end.
+    to bound.  The numbers n = a*i^2 + r*i up to a limit form one mask per
+    (a, r), with n at bit limit - n, kept in _RESIDUES for every form with
+    leading coefficient a: shifted down by limit - bound plus a row's base,
+    the mask drops the values past bound by itself, so each row is one
+    shift and one OR.  A key missing or narrower than bound is built at
+    bound by about 2*sqrt(bound/a) Python steps, only after the budget
+    check, so a refused call writes nothing and no key grows past the
+    widest width admitted for a form with that a.  The rows run downward,
+    so the sum grows with the shifted masks, and is read backwards once at
+    the end.
     """
     _check_budget(_work_estimate(a, b, c, bound), f"width {bound}")
     disc = 4 * a * c - b * b
-    size = bound // 8 + 1
-    top = isqrt(bound // a) + 1  # a*i^2 + r*i > bound for |i| > top
-    residue_masks: dict[int, int] = {}
+    # r -> (the key's mask, its limit - bound)
+    residue_masks: dict[int, tuple[int, int]] = {}
     acc = 0
     for y in range(isqrt(4 * a * bound // disc), -1, -1):
         rho = (b * y + a - 1) % (2 * a) - a + 1
         r = abs(rho)
         if r not in residue_masks:
-            marks = bytearray(size)
-            for i in range(-top, top + 1):
-                n = bound - (a * i + r) * i
-                if n >= 0:
-                    marks[n >> 3] |= 1 << (n & 7)
-            residue_masks[r] = int.from_bytes(marks, "little")
-        acc |= residue_masks[r] >> (rho * rho + disc * y * y) // (4 * a)
+            limit, mask = _RESIDUES.get((a, r), (-1, 0))
+            if limit < bound:
+                marks = bytearray(bound // 8 + 1)
+                top = isqrt(bound // a) + 1  # a*i^2 + r*i > bound for |i| > top
+                for i in range(-top, top + 1):
+                    n = bound - (a * i + r) * i
+                    if n >= 0:
+                        marks[n >> 3] |= 1 << (n & 7)
+                limit, mask = _RESIDUES[a, r] = bound, int.from_bytes(marks, "little")
+            residue_masks[r] = mask, limit - bound
+        mask, drop = residue_masks[r]
+        acc |= mask >> (drop + (rho * rho + disc * y * y) // (4 * a))
     return _reversed(acc, bound)
 
 
@@ -245,11 +268,14 @@ def _work_estimate(a: int, b: int, c: int, width: int) -> int:
     hold at most the half ellipse's area pi*width/sqrt(D), plus row 0 once
     more, plus one point per row.  Integer arithmetic (pi < 355/113) keeps
     the bound exact for any width.  A pass of reach_layers that switches
-    to testing unset bits stays within it too: it switches only when
-    fewer bits are unset than values are left, so for n values it does i
-    shifts and then fewer than n - i ANDs, each on at most width + 1
-    bits, so no more operations than a full pass, plus O(width) string
-    work and about log2(n) popcounts.
+    to testing unset bits stays within it too: every pass starts with
+    shifts, from a sparse layer as from a dense one, and switches only
+    when fewer bits are unset than values are left, so for n values it
+    does i shifts and then fewer than n - i ANDs, each on at most
+    width + 1 bits, so no more operations than a full pass, plus O(width)
+    string work and about log2(n) popcounts.  The enumeration itself is
+    one shift and one OR per row plus, for each residue mask not already
+    in _RESIDUES at least as wide, about 2*sqrt(width/a) Python steps.
     """
     disc = 4 * a * c - b * b
     area = 355 * (isqrt_floor(width * width // disc) + 1) // 113 + 1
@@ -314,7 +340,9 @@ def reach_layers(first: int, width: int, cap: int | None = None) -> list[int]:
     layer after shift 1, 2, 4, 8 and so on, and stops shifting at the first
     recount where fewer are unset than values are left and the batch of
     shifts since the previous recount cleared fewer bits than it had
-    shifts; a pass that starts with fewer unset than values shifts none.
+    shifts.  A pass from a nearly full layer starts so too: its first few
+    batches clear most of the bits still unset (the d=403 norm form at
+    width 30000 goes to layer 3 by 8 shifts and 15 tests, not 354 tests).
     Then it tests each r still unset alone: r joins the layer exactly
     when the old layer meets rev >> (width - r).  The hits are collected
     in one string and ORed in with one parse, so a pass does i shifts and
@@ -334,7 +362,7 @@ def reach_layers(first: int, width: int, cap: int | None = None) -> list[int]:
             nxt = cur
             shifted = 0
             left = width + 1 - cur.bit_count()
-            if left >= nvalues:
+            if left:
                 for shifted, value in enumerate(re.compile("1").finditer(digits, 1), 1):
                     nxt |= (cur << value.start()) & window
                     if not shifted & (shifted - 1):

@@ -5,8 +5,11 @@ its own value enumeration) and is pinned here; min_terms must agree.
 """
 
 import math
+import random
+import re
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
@@ -77,9 +80,11 @@ def _query(d, class_index, r):
 
 @pytest.fixture(autouse=True)
 def _no_tables(monkeypatch):
-    # every query keeps its class's table in a module-global cache; each
-    # test starts with none, so no answer depends on the order tests run in
+    # every query keeps its class's table, and every enumeration its
+    # residue masks, in module-global caches; each test starts with none,
+    # so no answer depends on the order tests run in
     monkeypatch.setattr(repsearch, "_TABLES", {})
+    monkeypatch.setattr(repsearch, "_RESIDUES", {})
 
 
 def _single_norms(d, class_index, bound):
@@ -158,10 +163,12 @@ def test_single_norms_match_oracle_box_scan(field_class, bound):
     assert list(got) == list(expected)
 
 
+CLASS_FORMS = [class_form(make_field(d), rep_for(make_field(d), class_index))[:3] for d, class_index in ALL_CLASSES]
+NORM_FORMS = [make_field(d).form_coefficients() for d in SUPPORTED_FIELDS]
+
 # every class form, then forms whose b is another multiple of a, or no
 # multiple at all
-ENUMERATED_FORMS = sorted({class_form(make_field(d), rep_for(make_field(d), class_index))[:3]
-                           for d, class_index in ALL_CLASSES}) + [
+ENUMERATED_FORMS = sorted(set(CLASS_FORMS)) + [
     (2, 4, 3), (2, -4, 3), (1, 3, 3), (1, -3, 3), (2, 6, 5), (2, -6, 5),
     (2, 1, 3), (3, 2, 5), (3, -2, 5), (5, 3, 2), (4, 7, 5)]
 
@@ -203,10 +210,36 @@ def test_value_mask_matches_the_oracle_on_every_class(width):
         assert repsearch._value_mask(*class_form(f, rep)[:3], width) == _mask([n // rep.k for n in norms], width)
 
 
+@pytest.mark.parametrize("order", ["rising", "falling", "shuffled"])
+def test_value_mask_on_warm_residues_equals_a_cold_call(order):
+    # each residue mask is kept at the widest bound asked for so far and
+    # read at a narrower one by one shift, shared by every form with the
+    # same leading coefficient; in any order of widths, below a and at 1
+    # included, each mask must equal one built from an empty cache
+    forms = CLASS_FORMS + NORM_FORMS
+    calls = [(w, i) for w in [*range(1, 16), 40, 399, 400, 1500] for i in range(len(forms))]
+    cold = {}
+    for w, i in calls:
+        repsearch._RESIDUES.clear()
+        cold[w, i] = repsearch._value_mask(*forms[i], w)
+    if order == "falling":
+        calls.reverse()
+    elif order == "shuffled":
+        random.Random(27).shuffle(calls)
+    repsearch._RESIDUES.clear()
+    for w, i in calls:
+        assert repsearch._value_mask(*forms[i], w) == cold[w, i], (forms[i], w)
+    assert {limit for limit, _ in repsearch._RESIDUES.values()} == {1500}
+
+
 def test_value_mask_refuses_over_budget_before_its_first_row(monkeypatch):
     # the rows are counted by one isqrt after the check: with the budget one
-    # below the estimate, none is taken; at the estimate the mask is built
+    # below the estimate, none is taken and the residue masks kept from a
+    # narrower call stay as they were; at the estimate the mask is built,
+    # and each residue mask it reads is rebuilt at the wider bound
     form = class_form(make_field(907), rep_for(make_field(907), 2))[:3]
+    repsearch._value_mask(*form, 300)
+    kept = dict(repsearch._RESIDUES)
     monkeypatch.setattr(repsearch, "_WORK_BUDGET", repsearch._work_estimate(*form, 3000) - 1)
 
     def enumerated(*args):
@@ -216,8 +249,12 @@ def test_value_mask_refuses_over_budget_before_its_first_row(monkeypatch):
         patch.setattr(repsearch, "isqrt", enumerated)
         with pytest.raises(Overflow, match="width 3000 would take an estimated"):
             repsearch._value_mask(*form, 3000)
+    assert repsearch._RESIDUES == kept
+    assert {limit for limit, _ in kept.values()} == {300}
     monkeypatch.setattr(repsearch, "_WORK_BUDGET", repsearch._work_estimate(*form, 3000))
     assert repsearch._value_mask(*form, 3000) & 1 << 13
+    assert repsearch._RESIDUES.keys() >= kept.keys()
+    assert {limit for limit, _ in repsearch._RESIDUES.values()} == {3000}
 
 
 def test_the_widest_admitted_point_query():
@@ -836,27 +873,30 @@ def test_work_is_checked_once_per_build(monkeypatch):
         g_invariant(f, 300)
 
 
-def _widest_admitted_widths():
-    """(field, class_index, key, width) for each _TABLES key, width the
-    widest that _value_mask admits for the key's form; the estimate grows
-    with the width, so a doubling and a bisection find it."""
-    def admitted(form, width):
+def _widest_admitted(form):
+    """The widest width that _value_mask admits for the form; the estimate
+    grows with the width, so a doubling and a bisection find it."""
+    def admitted(width):
         return repsearch._work_estimate(*form, width) <= repsearch._WORK_BUDGET
 
+    lo, hi = 1, 2
+    while admitted(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if admitted(mid) else (lo, mid)
+    return lo
+
+
+def _widest_admitted_widths():
+    """(field, class_index, key, width) for each _TABLES key, width the
+    widest that _value_mask admits for the key's form."""
     for d in SUPPORTED_FIELDS:
         f = make_field(d)
         for rep in class_reps(f):
             key = repsearch._table_key(f, rep.class_index)
-            if key != (d, rep.class_index):
-                continue
-            form = class_form(f, rep)[:3]
-            lo, hi = 1, 2
-            while admitted(form, hi):
-                lo, hi = hi, 2 * hi
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                lo, hi = (mid, hi) if admitted(form, mid) else (lo, mid)
-            yield f, rep.class_index, key, lo
+            if key == (d, rep.class_index):
+                yield f, rep.class_index, key, _widest_admitted(class_form(f, rep)[:3])
 
 
 def test_table_cache_is_bounded_in_bytes():
@@ -876,6 +916,27 @@ def test_table_cache_is_bounded_in_bytes():
     assert len(table_bytes) == 77
     assert sum(table_bytes.values()) == 36973171
     assert max(table_bytes.values()) == table_bytes[(907, 2)] == 779904
+
+
+def test_residue_cache_is_bounded_in_bytes():
+    # a residue mask of limit w takes w // 8 + 1 bytes, and its key (a, r),
+    # r = |rho| of some row of a form with leading coefficient a, is only
+    # rebuilt at the bound of an admitted call; so the widest width
+    # admitted for any form with that a bounds the key, and the cache in
+    # bytes, with no eviction; a refused call keeps nothing
+    widest = {}
+    keys = set()
+    for a, b, c in CLASS_FORMS + NORM_FORMS:
+        width = _widest_admitted((a, b, c))
+        with pytest.raises(Overflow):
+            repsearch._value_mask(a, b, c, width + 1)
+        widest[a] = max(widest.get(a, 0), width)
+        # rho depends on y mod 2a only
+        keys |= {(a, abs((b * y + a - 1) % (2 * a) - a + 1)) for y in range(2 * a)}
+    assert repsearch._RESIDUES == {}
+    assert widest == {1: 774591, 2: 554123, 3: 574241, 5: 671377, 7: 715409, 11: 687487, 13: 779903}
+    assert len(keys) == sum(a + 1 for a in widest) == 49
+    assert sum(widest[a] // 8 + 1 for a, _ in keys) == 4303588
 
 
 def _assert_layout(f, class_index):
@@ -993,10 +1054,12 @@ def test_admitted_widths_are_pinned():
 
 
 def _first_sparse_layer(masks, values, width):
-    """The first layer from which reach_layers tests unset bits one at a
-    time before its first shift (fewer unset in [1, width] than values),
-    or None.  The values are distinct, ascending and in [1, width], as
-    reach_layers reads them off its first layer."""
+    """The first layer that leaves fewer bits of [0, width] unset than
+    there are values, or None: a pass from it may switch to testing unset
+    bits one at a time at its first recount, after one shift, once a
+    batch of shifts clears fewer bits than it has shifts.  The values are
+    distinct, ascending and in [1, width], as reach_layers reads them off
+    its first layer."""
     return next((j for j in range(1, len(masks)) if width + 1 - masks[j].bit_count() < len(values)), None)
 
 
@@ -1025,16 +1088,16 @@ def test_layers_on_edge_value_lists(values, width):
 def _shifts_before_tests(cur, values, width, batch_rule=True):
     """How many values a pass from layer cur shifts by before it tests the
     bits still unset, values distinct, ascending and in [1, width] as
-    reach_layers reads them off its first layer, by its rule: test at once when fewer
-    bits of [0, width] are unset than there are values; otherwise recount
-    the unset bits after shift 1, 2, 4, ..., and switch at a recount once
-    fewer are unset than values are left and the last batch of shifts,
-    those since the previous recount, cleared fewer bits than it had
-    shifts.  With batch_rule false the model drops the batch test and
-    switches at the first recount with fewer unset than values left."""
+    reach_layers reads them off its first layer, by its rule: none when
+    cur is full; otherwise recount the unset bits of [0, width] after
+    shift 1, 2, 4, ..., and switch at a recount once fewer are unset than
+    values are left and the last batch of shifts, those since the previous
+    recount, cleared fewer bits than it had shifts.  With batch_rule false
+    the model drops the batch test and switches at the first recount with
+    fewer unset than values left."""
     window = (1 << (width + 1)) - 1
     grown, unset = cur, width + 1 - cur.bit_count()
-    if unset < len(values):
+    if not unset:
         return 0
     for i, v in enumerate(values, 1):
         grown |= (cur << v) & window
@@ -1131,6 +1194,39 @@ def test_class_form_layers_cost_a_small_fraction_of_full_passes():
     assert _shifts_before_tests(masks[1], values, width) == 256
     fast = _best_of_three(reach_layers, masks, masks[1], width)
     assert 15 * fast < _best_of_three(oracle_layers, masks, values, width)
+
+
+def test_a_pass_from_a_dense_layer_shifts_before_it_tests(monkeypatch):
+    # layer 2 of the d=403 norm form's 2090 values at width 30000 leaves
+    # 354 bits unset, fewer than the values; the pass to layer 3 shifts by
+    # 1, 2, 4 and 8 values, each batch but the last clearing more bits than
+    # it had shifts, and tests the 15 bits still unset, none of them in
+    # layer 3, where testing at once would test all 354.  The kernel's
+    # shifts are counted as the values it reads off its first layer, one
+    # pass per finditer, and match the model's; the pass from the full
+    # layer 4 reads none
+    width = 30000
+    window = (1 << (width + 1)) - 1
+    values = _form_values(*make_field(403).form_coefficients(), width)
+    masks = oracle_layers(values, width)
+    assert len(values) == 2090 and width + 1 - masks[2].bit_count() == 354
+    grown = masks[2]
+    for v in values[:8]:
+        grown |= (masks[2] << v) & window
+    assert width + 1 - grown.bit_count() == width + 1 - masks[3].bit_count() == 15
+    shifts = []
+
+    def finditer(digits, start):
+        shifts.append(0)
+        for value in re.compile("1").finditer(digits, start):
+            shifts[-1] += 1
+            yield value
+
+    monkeypatch.setattr(repsearch, "re", SimpleNamespace(compile=lambda pattern: SimpleNamespace(finditer=finditer)))
+    assert reach_layers(masks[1], width) == masks
+    assert len(masks) == 5 and masks[4] == window
+    assert shifts == [_shifts_before_tests(masks[j], values, width) for j in (1, 2, 3)]
+    assert shifts[1] == 8
 
 
 @given(

@@ -39,6 +39,8 @@ of a class-number-3 field sharing one: byte r is r's least count up to
 exact, and past exact it marks the form values, 1 for a value and 0
 otherwise.  The counts are rebuilt only when a larger r_max is asked
 for, keeping the marks past it; smaller windows read a prefix of them.
+A rebuild layers the marks' bytes up to r_max where the table is that
+wide already, and enumerates the class only where it is shorter.
 min_count_table, exceptional_set and g_invariant always read the counts;
 g_invariant finds the largest count by one bytes search per count
 (_max_count).
@@ -52,14 +54,13 @@ bytes past them, 1 for a value and 0 otherwise, with one format and one
 translate.  r needs one value when its byte is 1 and two when the walk
 below finds a pair.  Any other r needs three or more values or none, and
 the helper builds the counts up to r, keeping the marks past it, from
-the mask the widening built or, with no widening, from the marks' bytes:
-the class is not enumerated again.  Count 1 holds exactly at the values,
-and a walk for one or two values reads only bytes equal to 1, so it
-picks the same values from the counts or the marks.  The helper keeps
-its last answer off the marks with the _TABLES entry it read, and serves
-the same query from it while that entry is still the key's, so min_terms
-and then find_certificate at one r walk once; the kept answer holds at
-most one superseded table alive.
+the marks' bytes up to r: the class is not enumerated again.  Count 1
+holds exactly at the values, and a walk for one or two values reads only
+bytes equal to 1, so it picks the same values from the counts or the
+marks.  The helper keeps its last answer off the marks with the _TABLES
+entry it read, and serves the same query from it while that entry is
+still the key's, so min_terms and then find_certificate at one r walk
+once; the kept answer holds at most one superseded table alive.
 
 Certificates come from the bytes that gave the minimum: m below it (or
 any m, if r is unreachable) has no certificate, and m equal to it takes
@@ -406,20 +407,22 @@ def _table_key(f: FieldParams, class_index: int) -> tuple[int, int]:
     return (f.d, 2 if class_index == 3 else class_index)
 
 
-def _count_table(f: FieldParams, class_index: int, r_max: int, first: int | None = None) -> bytes:
+def _count_table(f: FieldParams, class_index: int, r_max: int) -> bytes:
     """The class's table, its min-counts covering at least [0, r_max].
     Class 3 of a class-number-3 field reads class 2's, kept under (d, 2).
-    A rebuild keeps the marks past r_max.  A point query passes first, the
-    class's value mask up to r_max, which it built or read off marks at
-    least that wide, each admitted by _value_mask at its width; without
-    it the build enumerates the class."""
+    A rebuild keeps the marks past r_max.  Its first layer, the class's
+    value mask up to r_max, is read off the table's bytes equal to 1 when
+    the table already covers r_max, else enumerated by _value_mask.
+    Reading needs no budget check of its own: marks of width W were
+    admitted by _value_mask at W, and the estimate grows with the width,
+    so a build up to r_max <= W is admitted too."""
     require_int("r_max", r_max, least=1)
     rep_for(f, class_index)  # a class the field lacks raises before any cache read
     key = _table_key(f, class_index)
     exact, table = _TABLES.get(key, (0, b""))
     if exact < r_max:
         # a hit reads a prefix of a table whose build was already admitted
-        first = first or _value_mask(*_key_form(f, key), r_max)
+        first = _marked(table, 0, r_max) | 1 if len(table) > r_max else _value_mask(*_key_form(f, key), r_max)
         table = _decode(reach_layers(first, r_max), r_max) + table[r_max + 1 :]
         _TABLES[key] = (r_max, table)
     return table
@@ -442,8 +445,8 @@ def _point_table(q: LatticeQuery) -> tuple[int, bytes, list[int] | None]:
     class's _value_mask past them become bytes 1 and 0 by one format and
     one translate.  r needs one value when its byte is 1, and two when
     _walk finds a pair.  Any other r needs three or more values or none,
-    and _count_table builds the counts up to r, keeping the marks past it,
-    from that mask or, with no widening, from the marks' bytes up to r.
+    and _count_table builds the counts up to r from the marks' bytes up
+    to r, keeping the marks past it.
     This is the one place where a point query widens marks or builds
     counts.
 
@@ -465,7 +468,6 @@ def _point_table(q: LatticeQuery) -> tuple[int, bytes, list[int] | None]:
     exact, table = entry or (0, b"\0")
     if exact >= q.r:
         return table[q.r], table, None
-    first = None
     if len(table) <= q.r:
         # enumerating first checks the budget before any allocation
         first = _value_mask(*_key_form(q.field, key), q.r)
@@ -474,7 +476,7 @@ def _point_table(q: LatticeQuery) -> tuple[int, bytes, list[int] | None]:
         _TABLES[key] = (exact, table)
     picks = [q.r] if table[q.r] else _walk(table, q.r, 2)
     if picks is None:
-        table = _count_table(q.field, q.class_index, q.r, first or _marked(table, 0, q.r) | 1)
+        table = _count_table(q.field, q.class_index, q.r)
         return table[q.r], table, None
     _LAST_POINT = ((key, q.r), _TABLES[key], picks)
     return len(picks), table, picks

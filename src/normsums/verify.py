@@ -11,18 +11,19 @@ recomputation.
 verify_field recomputes one field with the search machinery and reports
 match/mismatch with named offending values, per class (the inverse pair
 of a class-number-3 field reads one table); verify_all sweeps a class
-number over a pool of one worker per usable CPU, at most one per field.
-The pool is forked by the first call that fans out and kept for the
-later calls of this process, so a session of verify_all calls forks its
-workers once.  Each call sends worker i the fields i, i + n, i + 2n, ...
-of its n workers down the worker's task pipe and reads back one list of
-reports, or the exception that stopped it, from its result pipe.  Only
-this process holds the write end of a task pipe, no worker does, so a
-worker exits when this process closes its pipe, at exit, or dies.  Where
-os.fork is missing the fields run in this process.  The
-module also hosts the independent certificate checker: it works on the
-JSON serialization of a certificate and reimplements norms and
-congruences from scratch so a bug in the search cannot vouch for itself.
+number in n shares, one per usable CPU and at most one per field.  Share
+i holds the fields i, i + n, i + 2n, ...; this process verifies share 0
+itself and a pool of n - 1 workers the others, so one CPU, or a platform
+without os.fork, forks no worker.  The pool is forked by the first call
+that needs it and kept for the later calls of this process, so a session
+of verify_all calls forks its workers once.  Each call sends worker i its
+share down the worker's task pipe and reads back one list of reports, or
+the exception that stopped it, from its result pipe.  Only this process
+holds the write end of a task pipe, no worker does, so a worker exits
+when this process closes its pipe, at exit, or dies.  The module also
+hosts the independent certificate checker: it works on the JSON
+serialization of a certificate and reimplements norms and congruences
+from scratch so a bug in the search cannot vouch for itself.
 """
 
 import _thread
@@ -237,20 +238,18 @@ def _usable_cpus() -> int:
 
 
 # the fan-out pool, one (pid, task pipe write end, result pipe read end)
-# per worker, None until a call fans out; at most one is alive.  A call
-# holds the lock while it uses the pool, so the messages of two threads'
-# calls never share a pipe
-_POOL: list[tuple[int, int, int]] | None = None
+# per worker, empty until a call needs a worker.  A call holds the lock
+# while it uses the pool, so the messages of two threads' calls never
+# share a pipe
+_POOL: list[tuple[int, int, int]] = []
 _POOL_LOCK = _thread.allocate_lock()  # _thread is always loaded, threading is not
 
 
 def _pool(workers: int) -> list[tuple[int, int, int]]:
     """The pool of this many workers: the running one when it has that
     size, else a new one, forked after the old one has stopped."""
-    global _POOL
-    if _POOL is None or len(_POOL) != workers:
+    if len(_POOL) != workers:
         _shutdown_pool()
-        _POOL = []
         while len(_POOL) < workers:
             _POOL.append(_fork_worker(_POOL))
     return _POOL
@@ -301,26 +300,34 @@ def _serve(tasks: int, results: int) -> None:
             outbox.flush()
 
 
-def _fan_out(fields: tuple[int, ...], r_max: int, workers: int) -> list[FieldReport]:
-    """The fields' reports in their order, worker i verifying fields[i::workers]."""
-    import pickle
-
-    pool = _pool(workers)
-    replies = []
-    try:
-        for i, (pid, tasks, _) in enumerate(pool):
-            # a few hundred bytes, under PIPE_BUF, so one write sends it whole
-            os.write(tasks, pickle.dumps((fields[i::workers], r_max)))
-        for pid, _, results in pool:
-            with open(results, "rb", closefd=False) as inbox:
-                replies.append(pickle.load(inbox))
-    except (BrokenPipeError, EOFError):
-        raise ChildProcessError(f"verify worker {pid} exited") from None
+def _fan_out(fields: tuple[int, ...], r_max: int, n: int) -> list[FieldReport]:
+    """The fields' reports in their order, in n shares: share i is
+    fields[i::n].  Shares 1 to n - 1 go to the workers of a pool of n - 1,
+    share 0 is verified here while they run, and then their replies are
+    read back in order.  pickle is loaded before any fork, so a new
+    worker has it already; at n = 1 the pool is empty, nothing forks and
+    pickle is not loaded.  This process's share runs with the module state
+    of the moment, the workers' with the state they were forked with."""
+    if n > 1:
+        import pickle
+    pool = _pool(n - 1)
     reports: list = [None] * len(fields)
-    for i, reply in enumerate(replies):
+    try:
+        for i, (pid, tasks, _) in enumerate(pool, 1):
+            # a few hundred bytes, under PIPE_BUF, so one write sends it whole
+            os.write(tasks, pickle.dumps((fields[i::n], r_max)))
+    except BrokenPipeError:
+        raise ChildProcessError(f"verify worker {pid} exited") from None
+    reports[::n] = [verify_field(d, r_max) for d in fields[::n]]
+    for i, (pid, _, results) in enumerate(pool, 1):
+        with open(results, "rb", closefd=False) as inbox:
+            try:
+                reply = pickle.load(inbox)
+            except EOFError:
+                raise ChildProcessError(f"verify worker {pid} exited") from None
         if isinstance(reply, BaseException):
             raise reply
-        reports[i::workers] = reply
+        reports[i::n] = reply
     return reports
 
 
@@ -329,7 +336,7 @@ def _shutdown_pool() -> None:
     """Stop the pool and forget it: close its pipes, so each worker reads
     end of file and exits, then reap every worker."""
     global _POOL
-    pool, _POOL = _POOL or [], None
+    pool, _POOL = _POOL, []
     for _, tasks, results in pool:
         os.close(tasks)
         os.close(results)
@@ -343,37 +350,35 @@ def _shutdown_pool() -> None:
 def verify_all(class_number: int, r_max: int = 300) -> DiffReport:
     """verify_field over every field of the class number.
 
-    The fields fan out over a pool of one worker per usable CPU, at most
-    one per field, and run in this process when that is one worker, as
-    they do where os.fork is missing.  Worker i of n gets fields i, i + n,
-    i + 2n, ... in one message and sends back their reports in one
-    message; results are put back in d order.  The work budget and every
-    field's window are checked before any worker is forked or used.
+    The fields go in n shares, one per usable CPU and at most one per
+    field: share i is fields i, i + n, i + 2n, ...  This process verifies
+    share 0 itself and a pool of n - 1 workers the others, each worker
+    getting its share in one message and sending back its reports in one
+    message; results are put back in d order.  So one CPU, or a platform
+    without os.fork, forks no worker.  The work budget and every field's
+    window are checked before any worker is forked or used.
 
     The pool outlives the call: a later call that wants the same number
     of workers reuses it, one that wants another number stops it and
     forks its own.  So the workers are forked once, with the module state
-    of that moment, and each keeps its own repsearch tables between calls
-    (at most 36973171 bytes per worker).  An exception in a worker is
-    raised here with its type; a worker that dies fails the call with
-    ChildProcessError.  A call that fails while the pool runs stops the
-    pool before it raises, and the next call forks a fresh one.
+    of that moment, while this process's share reads the state of each
+    call; each worker keeps its own repsearch tables between calls (at
+    most 36973171 bytes per worker).  An exception in any share is raised
+    here with its type; a worker that dies fails the call with
+    ChildProcessError.  A call that fails stops the pool, reaping every
+    worker, before it raises, and the next call forks a fresh one.
     """
     fields = class_number_fields(class_number)
     check_tables([make_field(d) for d in fields], r_max)
     for d in fields:
         _check_window(expected_row(d), r_max)
     t0 = time.perf_counter()
-    workers = min(_usable_cpus(), len(fields))
-    if workers > 1:
-        with _POOL_LOCK:
-            try:
-                reports = _fan_out(fields, r_max, workers)
-            except BaseException:
-                _shutdown_pool()
-                raise
-    else:
-        reports = [verify_field(d, r_max) for d in fields]
+    with _POOL_LOCK:
+        try:
+            reports = _fan_out(fields, r_max, min(_usable_cpus(), len(fields)))
+        except BaseException:
+            _shutdown_pool()
+            raise
     return DiffReport(
         class_number=class_number,
         r_max=r_max,

@@ -165,7 +165,7 @@ def test_verify_all_class2():
 
 
 def test_verify_all_class3_parallel(monkeypatch):
-    # two usable CPUs run a real two-worker pool on any host
+    # two usable CPUs run a real one-worker pool beside this process on any host
     monkeypatch.setattr(verify_mod, "_usable_cpus", lambda: 2)
     report = verify_all(3, r_max=300)
     assert report.total == 16
@@ -201,10 +201,14 @@ def _is_live_child(pid: int) -> bool:
         return False
 
 
+def _no_fork():
+    raise AssertionError("a worker was forked")
+
+
 def test_verify_all_pool_clamped_to_field_count(monkeypatch):
-    # the pool is one worker per usable CPU but never more workers than
-    # fields, and one CPU forks no pool; a pool of another size stops the
-    # old one, whose workers are then reaped
+    # a call has one share per usable CPU but never more shares than
+    # fields, and its pool one worker fewer, so one CPU forks no worker; a
+    # pool of another size stops the old one, whose workers are then reaped
     sizes = []
     real_pool = verify_mod._pool
 
@@ -215,23 +219,24 @@ def test_verify_all_pool_clamped_to_field_count(monkeypatch):
     monkeypatch.setattr(verify_mod, "_pool", recording_pool)
     monkeypatch.setattr(verify_mod, "_usable_cpus", lambda: 10_000)
     report = verify_all(3, r_max=300)
-    assert sizes == [16]
+    assert sizes == [15]
     assert report.matches == report.total == 16
-    sixteen = _pool_pids()
-    assert len(set(sixteen)) == 16 and all(map(_is_live_child, sixteen))
+    fifteen = _pool_pids()
+    assert len(set(fifteen)) == 15 and all(map(_is_live_child, fifteen))
     monkeypatch.setattr(verify_mod, "_usable_cpus", lambda: 3)
     verify_all(2, r_max=300)
-    assert sizes == [16, 3] and len(_pool_pids()) == 3
-    assert not any(map(_is_live_child, sixteen))
-    three = verify_mod._POOL
+    assert sizes == [15, 2] and len(_pool_pids()) == 2
+    assert not any(map(_is_live_child, fifteen))
+    two = verify_mod._POOL
     verify_mod._shutdown_pool()
-    assert not any(map(_is_live_child, (pid for pid, _, _ in three)))
-    for fd in (fd for _, *ends in three for fd in ends):
+    assert not any(map(_is_live_child, (pid for pid, _, _ in two)))
+    for fd in (fd for _, *ends in two for fd in ends):
         with pytest.raises(OSError):
             os.fstat(fd)  # closed, not leaked
     monkeypatch.setattr(verify_mod, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(verify_mod.os, "fork", _no_fork)
     report = verify_all(2, r_max=300)
-    assert sizes == [16, 3] and verify_mod._POOL is None
+    assert sizes == [15, 2, 0] and verify_mod._POOL == []
     assert report.matches == report.total == 18
 
 
@@ -246,7 +251,7 @@ def test_verify_all_keeps_one_pool_between_calls(monkeypatch):
         return real_fork(siblings)
 
     monkeypatch.setattr(verify_mod, "_fork_worker", counting_fork)
-    monkeypatch.setattr(verify_mod, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(verify_mod, "_usable_cpus", lambda: 3)
     assert verify_all(2, r_max=300).all_match
     workers = _pool_pids()
     report = verify_all(3, r_max=300)
@@ -257,13 +262,14 @@ def test_verify_all_keeps_one_pool_between_calls(monkeypatch):
 
 
 def test_a_killed_worker_fails_its_call_and_the_next_call_gets_a_fresh_pool(monkeypatch):
-    monkeypatch.setattr(verify_mod, "_usable_cpus", lambda: 2)
+    # three shares: this process and two workers, one of which is killed
+    monkeypatch.setattr(verify_mod, "_usable_cpus", lambda: 3)
     assert verify_all(2, r_max=300).all_match
     killed_pool = _pool_pids()
     os.kill(killed_pool[1], signal.SIGKILL)
     with pytest.raises(ChildProcessError, match=rf"^verify worker {killed_pool[1]} exited$"):
         verify_all(2, r_max=300)
-    assert verify_mod._POOL is None and not any(map(_is_live_child, killed_pool))
+    assert verify_mod._POOL == [] and not any(map(_is_live_child, killed_pool))
     report = verify_all(2, r_max=300)
     assert report.matches == report.total == 18
     assert [fr.d for fr in report.fields] == list(class_number_fields(2))
@@ -312,13 +318,13 @@ def test_a_failed_fork_leaves_no_pool_and_no_open_pipe(monkeypatch):
         forked.append(real_fork())
         return forked[-1]
 
-    monkeypatch.setattr(verify_mod, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(verify_mod, "_usable_cpus", lambda: 3)  # a pool of two workers
     free = _lowest_free_fd()
     monkeypatch.setattr(verify_mod.os, "fork", second_fork_fails)
     with pytest.raises(BlockingIOError):
         verify_all(2, r_max=300)
     monkeypatch.setattr(verify_mod.os, "fork", real_fork)
-    assert verify_mod._POOL is None and len(forked) == 1 and not _is_live_child(forked[0])
+    assert verify_mod._POOL == [] and len(forked) == 1 and not _is_live_child(forked[0])
     assert _lowest_free_fd() == free
 
 
@@ -331,11 +337,66 @@ def test_an_exception_in_a_worker_is_raised_with_its_type(monkeypatch):
             raise KeyError(d)
         return verify_field(d, r_max)
 
+    assert 13 in class_number_fields(2)[1::2]  # the worker's share, not this process's
     monkeypatch.setattr(verify_mod, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(verify_mod, "verify_field", field_raises)
     with pytest.raises(KeyError, match="^13$"):
         verify_all(2, r_max=300)
-    assert verify_mod._POOL is None
+    assert verify_mod._POOL == []
+
+
+def test_the_calling_process_verifies_share_0(monkeypatch):
+    # the workers keep the module state they were forked with, while this
+    # process's share reads the state of each call: rows planted wrong
+    # here after the pool forked fail exactly the fields of share 0
+    monkeypatch.setattr(verify_mod, "_usable_cpus", lambda: 2)
+    assert verify_all(2, r_max=300).all_match
+    worker = _pool_pids()
+    planted = {d: (k, threshold, beyond, g + 1) for d, (k, threshold, beyond, g) in verify_mod._EXPECTED_CLASS2.items()}
+    monkeypatch.setattr(verify_mod, "_EXPECTED_CLASS2", planted)
+    report = verify_all(2, r_max=300)
+    fields = class_number_fields(2)
+    assert [fr.d for fr in report.fields] == list(fields)
+    assert [fr.d for fr in report.fields if fr.status == "mismatch"] == list(fields[0::2])
+    assert _pool_pids() == worker
+
+
+def test_an_exception_in_the_calling_process_share_stops_the_pool(monkeypatch):
+    # the call raises it with its type, after the workers were sent their
+    # shares; the pool is stopped, every worker reaped, no pipe left open
+    def field_raises(d, r_max):
+        if d == 58:
+            raise KeyError(d)
+        return verify_field(d, r_max)
+
+    assert 58 in class_number_fields(2)[0::3]
+    free = _lowest_free_fd()
+    monkeypatch.setattr(verify_mod, "_usable_cpus", lambda: 3)
+    assert verify_all(2, r_max=300).all_match
+    workers = _pool_pids()
+    monkeypatch.setattr(verify_mod, "verify_field", field_raises)
+    with pytest.raises(KeyError, match="^58$"):
+        verify_all(2, r_max=300)
+    assert verify_mod._POOL == [] and len(workers) == 2 and not any(map(_is_live_child, workers))
+    assert _lowest_free_fd() == free
+
+
+def test_one_cpu_forks_no_worker_and_loads_no_pickle():
+    # at one share the pool is empty: the fields run in the calling
+    # process, which neither forks nor pickles anything
+    code = (
+        "import os, sys\n"
+        "from normsums import verify\n"
+        "def no_fork():\n"
+        "    raise AssertionError('a worker was forked')\n"
+        "os.fork = no_fork\n"
+        "verify._usable_cpus = lambda: 1\n"
+        "assert verify.verify_all(2, 300).all_match and verify._POOL == []\n"
+        "print('pickle' in sys.modules)\n"
+    )
+    done = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-c", code],
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr, done.stdout) == (0, "", "False\n")
 
 
 def test_a_session_of_calls_exits_clean_and_leaves_no_worker():
@@ -354,7 +415,7 @@ def test_a_session_of_calls_exits_clean_and_leaves_no_worker():
         "    return 'some'\n"
         "atexit.register(lambda: print(children()))\n"
         "from normsums import verify\n"
-        "verify._usable_cpus = lambda: 2\n"
+        "verify._usable_cpus = lambda: 3\n"
         "for class_number, r_max in ((2, 300), (3, 300), (2, 600)):\n"
         "    assert verify.verify_all(class_number, r_max).all_match\n"
         "print(len(verify._POOL), children())\n"
@@ -396,7 +457,7 @@ def test_workers_exit_when_their_session_is_killed():
     code = (
         "import os, signal\n"
         "from normsums import verify\n"
-        "verify._usable_cpus = lambda: 2\n"
+        "verify._usable_cpus = lambda: 3\n"
         "assert verify.verify_all(2, 300).all_match\n"
         "print(*(pid for pid, _, _ in verify._POOL), flush=True)\n"
         "os.kill(os.getpid(), signal.SIGKILL)\n"

@@ -25,7 +25,6 @@ from .classdata import (
     condition_display,
     congruence_for,
     rep_for,
-    validate_tables,
 )
 from .repsearch import (
     GInvariantResult,

@@ -26,9 +26,7 @@ from .quadfield import (
     CLASS_NUMBER_3_FIELDS,
     SUPPORTED_FIELDS,
     FieldParams,
-    RingElement,
     make_field,
-    norm,
     require_int,
 )
 
@@ -162,54 +160,6 @@ def condition_display(c: CongruenceCondition) -> str:
     if c.beta == 0:
         return f"{c.k}|a"
     return f"{c.k}|(a+{'' if c.beta == 1 else c.beta}b)"
-
-
-def validate_tables() -> list[str]:
-    """Consistency sweep over every encoded representative row.
-
-    Checks, for each non-principal representative: k divides N(s + t*omega)
-    (necessary for U*conj(U) = k*O).  For class-number-3 fields also checks
-    the paired-row pattern s2 + s3 = -1, t2 = t3 = 1, and that n = 2*s2 + 1
-    is the smallest positive odd solution of n^2 = -d (mod k).  Every
-    class must give, through class_form, an integral form of the field's
-    discriminant q^2 - 4c, from the norm form (1, q, c).  Returns a list of violation strings, expected empty.
-    """
-    violations: list[str] = []
-    for d in SUPPORTED_FIELDS:
-        f = make_field(d)
-        reps = class_reps(f)
-        if len(reps) != f.class_number:
-            violations.append(f"d={d}: {len(reps)} reps for class number {f.class_number}")
-        _, q, c = f.form_coefficients()
-        disc = q * q - 4 * c
-        for rep in reps:
-            n = norm(f, RingElement(rep.s, rep.t))
-            if n % rep.k != 0:
-                violations.append(f"d={d} class {rep.class_index}: k={rep.k} does not divide N(s+t*omega)={n}")
-            try:
-                fa, fb, fc, _ = class_form(f, rep)
-            except ValueError as exc:
-                violations.append(str(exc))
-                continue
-            got = fb * fb - 4 * fa * fc
-            if got != disc:
-                violations.append(f"d={d} class {rep.class_index}: form ({fa},{fb},{fc}) has discriminant {got}, not {disc}")
-        if f.class_number == 3:
-            r2, r3 = reps[1], reps[2]
-            if r2.t != 1 or r3.t != 1:
-                violations.append(f"d={d}: class-3 representatives must have t=1")
-            if r2.s + r3.s != -1:
-                violations.append(f"d={d}: s2+s3 = {r2.s + r3.s}, expected -1")
-            if r2.k != r3.k:
-                violations.append(f"d={d}: paired classes have different k")
-            n = 2 * r2.s + 1
-            if n <= 0 or n % 2 == 0 or (n * n + d) % r2.k != 0:
-                violations.append(f"d={d}: n={n} is not an odd square root of -d mod {r2.k}")
-            else:
-                smaller = [m for m in range(1, n, 2) if (m * m + d) % r2.k == 0]
-                if smaller:
-                    violations.append(f"d={d}: n={n} not minimal, {smaller[0]} also works")
-    return violations
 
 
 def reps_as_rows() -> list[dict]:

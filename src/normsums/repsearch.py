@@ -57,10 +57,10 @@ the helper builds the counts up to r, keeping the marks past it, from
 the marks' bytes up to r: the class is not enumerated again.  Count 1
 holds exactly at the values, and a walk for one or two values reads only
 bytes equal to 1, so it picks the same values from the counts or the
-marks.  The helper keeps its last answer off the marks with the _TABLES
-entry it read, and serves the same query from it while that entry is
-still the key's, so min_terms and then find_certificate at one r walk
-once; the kept answer holds at most one superseded table alive.
+marks.  The helper keeps its last answer off the marks in the _TABLES
+entry it read, and serves the same query from it until that entry is
+replaced, so min_terms and then find_certificate at one r walk once,
+each class keeps its own answer, and no answer outlives its table.
 
 Certificates come from the bytes that gave the minimum: m below it (or
 any m, if r is unreachable) has no certificate, and m equal to it takes
@@ -113,10 +113,12 @@ from .quadfield import (
 _PASS_BOUND = 10
 _WORK_BUDGET = 10**10
 
-# (d, class_index) -> (exact, table): for r <= exact byte r is the least
-# number of form values summing to r, 0 when no number does; past exact it
-# is 1 when r is a form value, else 0.  Class 3 reads (d, 2)
-_TABLES: dict[tuple[int, int], tuple[int, bytes]] = {}
+# (d, class_index) -> (exact, table, last): for r <= exact byte r of table
+# is the least number of form values summing to r, 0 when no number does;
+# past exact it is 1 when r is a form value, else 0.  last is None or
+# (r, picks), the answer _point_table last read off this entry's marks.
+# Class 3 reads (d, 2)
+_TABLES: dict[tuple[int, int], tuple[int, bytes, tuple[int, list[int]] | None]] = {}
 
 # (a, r) -> (limit, mask): bit limit - n of mask is set for each number
 # n = a*i^2 + r*i <= limit over the integers i, r a residue of a row of a
@@ -125,11 +127,6 @@ _TABLES: dict[tuple[int, int], tuple[int, bytes]] = {}
 # limit never passes the widest width _value_mask admits for a form with
 # that a: at most 49 keys and 4303588 bytes over every supported field
 _RESIDUES: dict[tuple[int, int], tuple[int, int]] = {}
-
-# _point_table's last answer off the marks: ((key, r), the _TABLES entry
-# it read, picks); it answers the same query only while that entry is the
-# key's
-_LAST_POINT: tuple = (None, None, None)
 
 
 class _LatticeQueryFields(NamedTuple):
@@ -351,14 +348,14 @@ def reach_layers(first: int, width: int, cap: int | None = None) -> list[int]:
     than a full pass's n shifts.
     """
     window = (1 << (width + 1)) - 1
+    digits = format(first, "b")[::-1]
+    nvalues = first.bit_count() - 1
+    rev = _reversed(first, width)
     masks = [1]
     while cap is None or len(masks) <= cap:
         cur = masks[-1]
-        if len(masks) == 1:
+        if cur == 1:
             nxt = first
-            digits = format(first, "b")[::-1]
-            nvalues = first.bit_count() - 1
-            rev = _reversed(first, width)
         else:
             nxt = cur
             shifted = 0
@@ -419,12 +416,12 @@ def _count_table(f: FieldParams, class_index: int, r_max: int) -> bytes:
     require_int("r_max", r_max, least=1)
     rep_for(f, class_index)  # a class the field lacks raises before any cache read
     key = _table_key(f, class_index)
-    exact, table = _TABLES.get(key, (0, b""))
+    exact, table, _ = _TABLES.get(key, (0, b"", None))
     if exact < r_max:
         # a hit reads a prefix of a table whose build was already admitted
         first = _marked(table, 0, r_max) | 1 if len(table) > r_max else _value_mask(*_key_form(f, key), r_max)
         table = _decode(reach_layers(first, r_max), r_max) + table[r_max + 1 :]
-        _TABLES[key] = (r_max, table)
+        _TABLES[key] = (r_max, table, None)
     return table
 
 
@@ -450,22 +447,18 @@ def _point_table(q: LatticeQuery) -> tuple[int, bytes, list[int] | None]:
     This is the one place where a point query widens marks or builds
     counts.
 
-    The last answer off the marks is kept with the _TABLES entry it was
-    read from, and the same query is answered again from it while that
-    entry is still the key's, so min_terms and then find_certificate at
-    one r walk once.  A cleared, rebuilt or widened table is a new entry
-    and is read afresh; the kept entry holds at most one superseded table
-    alive.
+    The last answer off the marks is kept in the _TABLES entry it was read
+    from, as last = (r, picks), and the same query is answered again from
+    it until the entry is replaced, so min_terms and then find_certificate
+    at one r walk once.  A cleared, rebuilt or widened table is a new entry
+    with last = None and is read afresh.
     """
-    global _LAST_POINT
     key = _table_key(q.field, q.class_index)
-    entry = _TABLES.get(key)
-    last_query, last_entry, picks = _LAST_POINT
-    if last_query == (key, q.r) and last_entry is entry:
-        return len(picks), entry[1], picks
     # an empty cache reads as a table exact up to 0, the empty sum, so the
     # widening below copies byte 0 and never assigns b"" over it
-    exact, table = entry or (0, b"\0")
+    exact, table, last = _TABLES.get(key, (0, b"\0", None))
+    if last and last[0] == q.r:
+        return len(last[1]), table, last[1]
     if exact >= q.r:
         return table[q.r], table, None
     if len(table) <= q.r:
@@ -473,12 +466,12 @@ def _point_table(q: LatticeQuery) -> tuple[int, bytes, list[int] | None]:
         first = _value_mask(*_key_form(q.field, key), q.r)
         # the mask's digits past the old width, read backwards, are the new bytes
         table += format(first >> len(table), f"0{q.r + 1 - len(table)}b").encode()[::-1].translate(_DIGIT_BYTES)
-        _TABLES[key] = (exact, table)
+        _TABLES[key] = (exact, table, None)
     picks = [q.r] if table[q.r] else _walk(table, q.r, 2)
     if picks is None:
         table = _count_table(q.field, q.class_index, q.r)
         return table[q.r], table, None
-    _LAST_POINT = ((key, q.r), _TABLES[key], picks)
+    _TABLES[key] = (exact, table, (q.r, picks))
     return len(picks), table, picks
 
 

@@ -13,17 +13,18 @@ match/mismatch with named offending values, per class (the inverse pair
 of a class-number-3 field reads one table); verify_all sweeps a class
 number in n shares, one per usable CPU and at most one per field.  Share
 i holds the fields i, i + n, i + 2n, ...; this process verifies share 0
-itself and a pool of n - 1 workers the others, so one CPU, or a platform
-without os.fork, forks no worker.  The pool is forked by the first call
-that needs it and kept for the later calls of this process, so a session
-of verify_all calls forks its workers once.  Each call sends worker i its
-share down the worker's task pipe and reads back one list of reports, or
-the exception that stopped it, from its result pipe.  Only this process
-holds the write end of a task pipe, no worker does, so a worker exits
-when this process closes its pipe, at exit, or dies.  The module also
-hosts the independent certificate checker: it works on the JSON
-serialization of a certificate and reimplements norms and congruences
-from scratch so a bug in the search cannot vouch for itself.
+itself and the first n - 1 workers of a pool the others, so one CPU, or
+a platform without os.fork, forks no worker.  The pool only grows: a
+call forks the workers it lacks and keeps them for the later calls of
+this process, so a session of verify_all calls forks each worker once.
+Each call sends worker i its share down the worker's task pipe and reads
+back one list of reports, or the exception that stopped it, from its
+result pipe.  Only this process holds the write end of a task pipe, no
+worker does, so a worker exits when this process closes its pipe, at
+exit, or dies.  The module also hosts the independent certificate
+checker: it works on the JSON serialization of a certificate and
+reimplements norms and congruences from scratch so a bug in the search
+cannot vouch for itself.
 """
 
 import _thread
@@ -246,13 +247,11 @@ _POOL_LOCK = _thread.allocate_lock()  # _thread is always loaded, threading is n
 
 
 def _pool(workers: int) -> list[tuple[int, int, int]]:
-    """The pool of this many workers: the running one when it has that
-    size, else a new one, forked after the old one has stopped."""
-    if len(_POOL) != workers:
-        _shutdown_pool()
-        while len(_POOL) < workers:
-            _POOL.append(_fork_worker(_POOL))
-    return _POOL
+    """The pool's first workers, forking the ones it lacks: the pool only
+    grows, and a call that wants fewer workers leaves the rest idle."""
+    while len(_POOL) < workers:
+        _POOL.append(_fork_worker(_POOL))
+    return _POOL[:workers]
 
 
 def _fork_worker(siblings: list[tuple[int, int, int]]) -> tuple[int, int, int]:
@@ -302,10 +301,10 @@ def _serve(tasks: int, results: int) -> None:
 
 def _fan_out(fields: tuple[int, ...], r_max: int, n: int) -> list[FieldReport]:
     """The fields' reports in their order, in n shares: share i is
-    fields[i::n].  Shares 1 to n - 1 go to the workers of a pool of n - 1,
+    fields[i::n].  Shares 1 to n - 1 go to the pool's first n - 1 workers,
     share 0 is verified here while they run, and then their replies are
     read back in order.  pickle is loaded before any fork, so a new
-    worker has it already; at n = 1 the pool is empty, nothing forks and
+    worker has it already; at n = 1 no worker is used, nothing forks and
     pickle is not loaded.  This process's share runs with the module state
     of the moment, the workers' with the state they were forked with."""
     if n > 1:
@@ -351,19 +350,20 @@ def verify_all(class_number: int, r_max: int = 300) -> DiffReport:
     """verify_field over every field of the class number.
 
     The fields go in n shares, one per usable CPU and at most one per
-    field: share i is fields i, i + n, i + 2n, ...  This process verifies
-    share 0 itself and a pool of n - 1 workers the others, each worker
-    getting its share in one message and sending back its reports in one
-    message; results are put back in d order.  So one CPU, or a platform
-    without os.fork, forks no worker.  The work budget and every field's
-    window are checked before any worker is forked or used.
+    field: share i is fields i, i + n, i + 2n, ...  This process
+    verifies share 0 itself and the first n - 1 workers of the pool the
+    others, each worker getting its share in one message and sending
+    back its reports in one message; results are put back in d order.
+    So one CPU, or a platform without os.fork, forks no worker.  The
+    work budget and every field's window are checked before any worker
+    is forked or used.
 
-    The pool outlives the call: a later call that wants the same number
-    of workers reuses it, one that wants another number stops it and
-    forks its own.  So the workers are forked once, with the module state
-    of that moment, while this process's share reads the state of each
-    call; each worker keeps its own repsearch tables between calls (at
-    most 36973171 bytes per worker).  An exception in any share is raised
+    The pool outlives the call and only grows: a later call uses its
+    first workers, forking only those it lacks, and leaves the rest
+    idle.  So each worker is forked once, with the module state of that
+    moment, while this process's share reads the state of each call;
+    each worker keeps its own repsearch tables between calls (at most
+    36973171 bytes per worker).  An exception in any share is raised
     here with its type; a worker that dies fails the call with
     ChildProcessError.  A call that fails stops the pool, reaping every
     worker, before it raises, and the next call forks a fresh one.

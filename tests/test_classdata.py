@@ -19,7 +19,6 @@ from normsums.classdata import (
     congruence_for,
     rep_for,
     reps_as_rows,
-    validate_tables,
 )
 from normsums.quadfield import RingElement, make_field, norm
 
@@ -51,8 +50,18 @@ CLASS3_ROWS = {
 }
 
 
-def test_validate_tables_clean():
-    assert validate_tables() == []
+def test_class3_pairs_follow_the_least_odd_root_convention():
+    # the one convention of the data that class_form's guard does not
+    # check: s3 = -1 - s2 with s2 >= 0, and n = 2*s2 + 1 is the least
+    # positive odd n with k | n^2 + d
+    fields = class_number_fields(3)
+    for d in fields:
+        f = make_field(d)
+        _, r2, r3 = class_reps(f)
+        assert r3.s == -1 - r2.s and r2.s >= 0, d
+        n = odd_sqrt_of_minus_d(f)
+        assert [m for m in range(1, n + 1, 2) if (m * m + d) % r2.k == 0] == [n], d
+    assert len(fields) == 16
 
 
 def test_class_number_fields():
@@ -169,13 +178,13 @@ def test_mistyped_representative_is_caught(monkeypatch):
     monkeypatch.setitem(classdata._CLASS2_REPS, 35, (5, 1))
     try:
         f = make_field(35)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="d=35 class 2: k=5 does not divide"):
             class_form(f, rep_for(f, 2))
-        assert any(v.startswith("d=35 ") for v in validate_tables())
     finally:
         monkeypatch.undo()
         clear()
-    assert validate_tables() == []
+    f = make_field(35)
+    assert class_form(f, rep_for(f, 2)) == (5, -5, 3, 3)
 
 
 def test_condition_display_strings():

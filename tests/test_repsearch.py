@@ -80,9 +80,10 @@ def _query(d, class_index, r):
 
 @pytest.fixture(autouse=True)
 def _no_tables(monkeypatch):
-    # every query keeps its class's table, and every enumeration its
-    # residue masks, in module-global caches; each test starts with none,
-    # so no answer depends on the order tests run in
+    # every query keeps its class's table, last point answer included, in
+    # _TABLES, and every enumeration its residue masks in _RESIDUES: all
+    # the kernel keeps between calls.  Each test starts with neither, so
+    # no answer depends on the order tests run in
     monkeypatch.setattr(repsearch, "_TABLES", {})
     monkeypatch.setattr(repsearch, "_RESIDUES", {})
 
@@ -316,7 +317,7 @@ def test_table_grows_and_serves_smaller_windows():
     windows = (300, 50, 600)
     repsearch._TABLES.clear()
     warm = [(min_count_table(f, 2, n), exceptional_set(f, 2, n)) for n in windows]
-    exact, table = repsearch._TABLES[(907, 2)]
+    exact, table, _ = repsearch._TABLES[(907, 2)]
     assert exact == 600 and len(table) == 601
     for n, got in zip(windows, warm):
         repsearch._TABLES.clear()
@@ -464,7 +465,7 @@ def test_widened_marks_equal_one_cold_query():
                 if r == 5000 and between:
                     min_count_table(f, class_index, between)
                 min_terms(_query(d, class_index, r))
-            exact, table = repsearch._TABLES[key]
+            exact, table, _ = repsearch._TABLES[key]
             assert exact >= (between or 0), (d, class_index, between)
             assert table == counts[: exact + 1] + cold[exact + 1 :], (d, class_index, between)
 
@@ -511,7 +512,7 @@ def test_unreachable_remainder_with_more_than_255_summands_is_none():
 def _counts():
     """The min-counts cached per key: each table's bytes up to its exact
     bound, for the keys whose counts reach past 0."""
-    return {key: table[: exact + 1] for key, (exact, table) in repsearch._TABLES.items() if exact}
+    return {key: table[: exact + 1] for key, (exact, table, _) in repsearch._TABLES.items() if exact}
 
 
 def test_cold_certificate_builds_counts_only_past_two_values():
@@ -531,7 +532,7 @@ def test_cold_certificate_builds_counts_only_past_two_values():
         before = {k: counts for k, counts in _counts().items() if k != key}
         cert = find_certificate(_query(d, class_index, r), m)
         assert (cert is not None) == found, (d, class_index, r, m)
-        exact, table = repsearch._TABLES[key]
+        exact, table, _ = repsearch._TABLES[key]
         assert exact == (r if (d, class_index, r) in three_or_none else 0) and len(table) > r, (d, class_index, r, m)
         assert {k: counts for k, counts in _counts().items() if k != key} == before, (d, class_index)
 
@@ -599,7 +600,7 @@ def test_counts_one_and_two_build_no_layers(monkeypatch):
         assert len(cert.gammas) == least and recheck_certificate(cert.to_json_dict()) == []
         if least == 2:
             assert find_certificate(q, 1) is None
-        assert calls == ["_value_mask"] and [exact for exact, _ in repsearch._TABLES.values()] == [0], q
+        assert calls == ["_value_mask"] and [exact for exact, _, _ in repsearch._TABLES.values()] == [0], q
         calls.clear()
         repsearch._TABLES.clear()
     # above the minimum the values are read off the marks, not enumerated
@@ -616,7 +617,7 @@ def test_counts_one_and_two_build_no_layers(monkeypatch):
         assert min_terms(q).m == least
         assert (find_certificate(q, least or 1) is None) == (least is None)
         assert calls == ["_value_mask", "reach_layers", "_decode"]
-        exact, table = repsearch._TABLES[(d, class_index)]
+        exact, table, _ = repsearch._TABLES[(d, class_index)]
         assert exact == r and len(table) == r + 1
         calls.clear()
     # inside marks already wide enough, such an r reads its first layer off
@@ -661,6 +662,23 @@ def test_a_query_is_walked_once_until_its_table_changes(monkeypatch):
     with pytest.raises(Overflow):
         find_certificate(q, 2)
     assert repsearch._TABLES == {} and walks == [2, 2]
+
+
+def test_each_class_keeps_its_own_last_answer(monkeypatch):
+    # the last answer off the marks lives in its class's _TABLES entry, so
+    # queries on two classes in turn each walk once, and a count build
+    # writes its entry with no answer, leaving no old table held beside it
+    walks = []
+    walk = repsearch._walk
+    monkeypatch.setattr(repsearch, "_walk", lambda table, rem, count: walks.append(count) or walk(table, rem, count))
+    queries = [_query(907, 2, 3000), _query(5, 2, 6)]
+    assert [min_terms(q).m for q in queries] == [2, 2]
+    certs = [find_certificate(q, 2) for q in queries]
+    assert walks == [2, 2] and all(recheck_certificate(c.to_json_dict()) == [] for c in certs)
+    assert [repsearch._TABLES[key][2][0] for key in ((907, 2), (5, 2))] == [3000, 6]
+    min_count_table(make_field(907), 2, 1000)
+    exact, table, last = repsearch._TABLES[(907, 2)]
+    assert (exact, len(table), last) == (1000, 3001, None)
 
 
 def test_witnesses_match_the_oracle_at_every_value():
@@ -943,7 +961,7 @@ def _assert_layout(f, class_index):
     """The class's cached table holds its counts up to exact and marks the
     form values past it, byte for byte against the oracle's layers over
     the table's whole width."""
-    exact, table = repsearch._TABLES[repsearch._table_key(f, class_index)]
+    exact, table, _ = repsearch._TABLES[repsearch._table_key(f, class_index)]
     width = len(table) - 1
     values = _form_values(*class_form(f, rep_for(f, class_index))[:3], width)
     counts = repsearch._decode(oracle_layers(values, width), width)

@@ -26,10 +26,7 @@ BRANCH_READERS = {"cli.py:_omega_text", "verify.py:recheck_certificate"}
 CONGRUENCE_NAMES = {"congruence_for", "condition_display", "CongruenceCondition"}
 # public names that no caller in src/, cli, a demo or the bench reads, kept
 # on purpose
-UNREAD_PUBLIC_NAMES = {
-    "min_count_table",  # the README's library API; a bench/layertrace.py layer
-    "validate_tables",  # the representative tables' consistency sweep, kept by the ROADMAP
-}
+UNREAD_PUBLIC_NAMES = {"min_count_table"}  # the README's library API; a bench/layertrace.py layer
 
 
 def self_calls(tree: ast.AST, filename: str) -> list[str]:

@@ -207,36 +207,46 @@ def _no_fork():
 
 def test_verify_all_pool_clamped_to_field_count(monkeypatch):
     # a call has one share per usable CPU but never more shares than
-    # fields, and its pool one worker fewer, so one CPU forks no worker; a
-    # pool of another size stops the old one, whose workers are then reaped
-    sizes = []
+    # fields, and uses one worker fewer, so one CPU forks no worker.  The
+    # pool only grows: a call that wants fewer workers than it has forks
+    # none, runs on the first ones and leaves the rest idle, alive
+    forks = []
+    real_fork = verify_mod._fork_worker
+
+    def counting_fork(siblings):
+        forks.append(len(siblings))
+        return real_fork(siblings)
+
+    used = []
     real_pool = verify_mod._pool
 
     def recording_pool(workers):
-        sizes.append(workers)
-        return real_pool(workers)
+        pool = real_pool(workers)
+        used.append([pid for pid, _, _ in pool])
+        return pool
 
+    monkeypatch.setattr(verify_mod, "_fork_worker", counting_fork)
     monkeypatch.setattr(verify_mod, "_pool", recording_pool)
     monkeypatch.setattr(verify_mod, "_usable_cpus", lambda: 10_000)
     report = verify_all(3, r_max=300)
-    assert sizes == [15]
     assert report.matches == report.total == 16
     fifteen = _pool_pids()
-    assert len(set(fifteen)) == 15 and all(map(_is_live_child, fifteen))
+    assert forks == list(range(15)) and used == [fifteen] and len(set(fifteen)) == 15
     monkeypatch.setattr(verify_mod, "_usable_cpus", lambda: 3)
-    verify_all(2, r_max=300)
-    assert sizes == [15, 2] and len(_pool_pids()) == 2
-    assert not any(map(_is_live_child, fifteen))
-    two = verify_mod._POOL
+    report = verify_all(2, r_max=300)
+    assert report.matches == report.total == 18
+    assert len(forks) == 15 and used[1] == fifteen[:2] and _pool_pids() == fifteen
+    assert all(map(_is_live_child, fifteen))
+    pool = verify_mod._POOL
     verify_mod._shutdown_pool()
-    assert not any(map(_is_live_child, (pid for pid, _, _ in two)))
-    for fd in (fd for _, *ends in two for fd in ends):
+    assert verify_mod._POOL == [] and not any(map(_is_live_child, fifteen))
+    for fd in (fd for _, *ends in pool for fd in ends):
         with pytest.raises(OSError):
             os.fstat(fd)  # closed, not leaked
     monkeypatch.setattr(verify_mod, "_usable_cpus", lambda: 1)
     monkeypatch.setattr(verify_mod.os, "fork", _no_fork)
     report = verify_all(2, r_max=300)
-    assert sizes == [15, 2, 0] and verify_mod._POOL == []
+    assert len(forks) == 15 and used[2] == [] and verify_mod._POOL == []
     assert report.matches == report.total == 18
 
 

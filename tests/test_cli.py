@@ -308,3 +308,78 @@ def test_argparse_error_exit_code():
         text=True,
     )
     assert proc.returncode == 2
+
+
+# One process reuses one parser across main calls: every call below reads
+# its argv as a first call would.
+
+FIELD_INFO_35 = (
+    '{"d":35,"omega_branch":"HalfOnePlusSqrtMinusD","class_number":2,'
+    '"norm_form":"a^2+ab+9b^2","classes":['
+    '{"class_index":1,"k":1,"s":0,"t":0,"h_scale":"1","condition":"always"},'
+    '{"class_index":2,"k":5,"s":2,"t":1,"h_scale":"1/5","condition":"5|(a+3b)"}]}\n'
+)
+
+
+def test_a_default_comes_back_after_an_override(capsys):
+    code, out, _ = run_cli(capsys, "exceptional", "-d", "35", "--class", "2", "--r-max", "20")
+    assert code == 0 and '"r_max":20' in out
+    code, out, _ = run_cli(capsys, "exceptional", "-d", "35", "--class", "2")
+    assert code == 0 and '"r_max":300' in out
+    code, out, _ = run_cli(capsys, "field-info", "-d", "35", "--format", "table")
+    assert code == 0 and not out.startswith("{")
+    code, out, _ = run_cli(capsys, "field-info", "-d", "35")
+    assert code == 0 and out == FIELD_INFO_35
+
+
+def test_a_parse_error_leaves_the_next_call_clean(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["min-terms", "-d", "x"])
+    assert exc.value.code == 2
+    assert "invalid int value: 'x'" in capsys.readouterr().err
+    code, out, err = run_cli(capsys, "min-terms", "-d", "51", "--class", "2", "-r", "6")
+    assert code == 0 and err == ""
+    assert out == '{"outcome":"representable","m":2}\n'
+
+
+def test_a_library_error_leaves_the_next_call_clean(capsys):
+    code, out, err = run_cli(capsys, "min-terms", "-d", "4", "--class", "1", "-r", "1")
+    assert code == 2 and out == ""
+    assert "NotSquarefree" in err
+    code, out, err = run_cli(capsys, "min-terms", "-d", "51", "--class", "2", "-r", "6")
+    assert code == 0 and err == ""
+    assert out == '{"outcome":"representable","m":2}\n'
+
+
+def test_help_twice_prints_the_same_text(capsys):
+    texts = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--help"])
+        assert exc.value.code == 0
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1]
+    assert texts[0].startswith("usage: normsums")
+
+
+def test_main_builds_its_parser_once_per_process():
+    # a fresh process, so nothing built earlier in this one counts; one
+    # top-level parser and one per subcommand, whatever the number of calls
+    script = (
+        "import argparse, contextlib, io\n"
+        "built = 0\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting(self, *args, **kwargs):\n"
+        "    global built\n"
+        "    built += 1\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting\n"
+        "from normsums import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(['m-d', '-d', '19']), cli.main(['field-info', '-d', '35']),\n"
+        "             cli.main(['min-terms', '-d', '51', '--class', '2', '-r', '6'])]\n"
+        "print(codes, built)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[0, 0, 0] 9\n"

@@ -15,6 +15,13 @@ from normsums.quadfield import SUPPORTED_FIELDS
 
 GOLDENS = Path(__file__).resolve().parent / "goldens"
 
+FIELD_INFO_35 = (
+    '{"d":35,"omega_branch":"HalfOnePlusSqrtMinusD","class_number":2,'
+    '"norm_form":"a^2+ab+9b^2","classes":['
+    '{"class_index":1,"k":1,"s":0,"t":0,"h_scale":"1","condition":"always"},'
+    '{"class_index":2,"k":5,"s":2,"t":1,"h_scale":"1/5","condition":"5|(a+3b)"}]}\n'
+)
+
 
 def run_cli(capsys, *args):
     code = cli.main(list(args))
@@ -25,12 +32,7 @@ def run_cli(capsys, *args):
 def test_field_info_golden(capsys):
     code, out, _ = run_cli(capsys, "field-info", "-d", "35")
     assert code == 0
-    assert out.strip() == (
-        '{"d":35,"omega_branch":"HalfOnePlusSqrtMinusD","class_number":2,'
-        '"norm_form":"a^2+ab+9b^2","classes":['
-        '{"class_index":1,"k":1,"s":0,"t":0,"h_scale":"1","condition":"always"},'
-        '{"class_index":2,"k":5,"s":2,"t":1,"h_scale":"1/5","condition":"5|(a+3b)"}]}'
-    )
+    assert out == FIELD_INFO_35
 
 
 def test_field_info_table_format(capsys):
@@ -312,14 +314,6 @@ def test_argparse_error_exit_code():
 
 # One process reuses one parser across main calls: every call below reads
 # its argv as a first call would.
-
-FIELD_INFO_35 = (
-    '{"d":35,"omega_branch":"HalfOnePlusSqrtMinusD","class_number":2,'
-    '"norm_form":"a^2+ab+9b^2","classes":['
-    '{"class_index":1,"k":1,"s":0,"t":0,"h_scale":"1","condition":"always"},'
-    '{"class_index":2,"k":5,"s":2,"t":1,"h_scale":"1/5","condition":"5|(a+3b)"}]}\n'
-)
-
 
 def test_a_default_comes_back_after_an_override(capsys):
     code, out, _ = run_cli(capsys, "exceptional", "-d", "35", "--class", "2", "--r-max", "20")

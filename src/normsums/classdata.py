@@ -18,8 +18,8 @@ search runs on that form; the congruence is only needed at the edges
 (display, (a, b) coordinates of certificates, recheck).
 """
 
+from collections import namedtuple
 from functools import cache
-from typing import NamedTuple
 
 from .quadfield import (
     CLASS_NUMBER_2_FIELDS,
@@ -74,18 +74,14 @@ _CLASS3_REPS: dict[int, tuple[int, int, int]] = {
 }
 
 
-class IdealClassRep(NamedTuple):
-    class_index: int
-    k: int
-    s: int
-    t: int
+# the representative U = (k, s + t*omega) of class class_index
+IdealClassRep = namedtuple("IdealClassRep", "class_index k s t")
 
 
-class CongruenceCondition(NamedTuple):
+class CongruenceCondition(namedtuple("CongruenceCondition", "k beta")):
     """The constraint k | (a + beta*b), with 0 <= beta < k."""
 
-    k: int
-    beta: int
+    __slots__ = ()
 
 
 @cache

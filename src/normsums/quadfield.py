@@ -20,7 +20,7 @@ larger value raises Overflow instead of being returned.
 
 import enum
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
 INT64_MAX = 2**63 - 1
 
@@ -55,10 +55,10 @@ SUPPORTED_FIELDS = tuple(sorted(CLASS_NUMBER_1_FIELDS + CLASS_NUMBER_2_FIELDS + 
 MAX_CHECKED_D = 10**12
 
 
-class FieldParams(NamedTuple):
-    d: int
-    omega_branch: OmegaBranch
-    class_number: int
+class FieldParams(namedtuple("FieldParams", "d omega_branch class_number")):
+    """Q(sqrt(-d)): d, its OmegaBranch and its class number."""
+
+    __slots__ = ()
 
     @property
     def is_half_branch(self) -> bool:
@@ -73,9 +73,8 @@ class FieldParams(NamedTuple):
         return (1, 0, self.d)
 
 
-class RingElement(NamedTuple):
-    a: int
-    b: int
+# a + b*omega
+RingElement = namedtuple("RingElement", "a b")
 
 
 def _is_squarefree(n: int) -> bool:

@@ -89,8 +89,8 @@ before its first build.
 """
 
 import re
+from collections import namedtuple
 from math import isqrt
-from typing import NamedTuple
 
 from .classdata import class_form, class_reps, rep_for
 from .quadfield import (
@@ -129,13 +129,7 @@ _TABLES: dict[tuple[int, int], tuple[int, bytes, tuple[int, list[int]] | None]] 
 _RESIDUES: dict[tuple[int, int], tuple[int, int]] = {}
 
 
-class _LatticeQueryFields(NamedTuple):
-    field: FieldParams
-    class_index: int
-    r: int
-
-
-class LatticeQuery(_LatticeQueryFields):
+class LatticeQuery(namedtuple("LatticeQuery", "field class_index r")):
     """The lattice of class class_index scaled by r, checked on
     construction: a class the field lacks or an r that is not a positive
     int raises before the record exists."""
@@ -152,10 +146,10 @@ class LatticeQuery(_LatticeQueryFields):
         return rep_for(self.field, self.class_index).k
 
 
-class RepCertificate(NamedTuple):
-    query: LatticeQuery
-    m: int
-    gammas: tuple[RingElement, ...]
+class RepCertificate(namedtuple("RepCertificate", "query m gammas")):
+    """m RingElements, gammas, whose admissible norms sum to query.r*query.k."""
+
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         f = self.query.field
@@ -170,21 +164,15 @@ class RepCertificate(NamedTuple):
         }
 
 
-class MinTermsResult(NamedTuple):
-    outcome: str  # "representable" | "unrepresentable"
-    m: int | None = None
+class MinTermsResult(namedtuple("MinTermsResult", "outcome m", defaults=(None,))):
+    """outcome is "representable", with the least count m, or
+    "unrepresentable", with m None."""
+
+    __slots__ = ()
 
     @property
     def is_representable(self) -> bool:
         return self.outcome == "representable"
-
-    @staticmethod
-    def representable(m: int) -> "MinTermsResult":
-        return MinTermsResult("representable", m)
-
-    @staticmethod
-    def unrepresentable() -> "MinTermsResult":
-        return MinTermsResult("unrepresentable")
 
 
 # byte i with its bits in reverse order
@@ -481,8 +469,8 @@ def min_terms(q: LatticeQuery) -> MinTermsResult:
     it."""
     m = _point_table(q)[0]
     if not m:
-        return MinTermsResult.unrepresentable()
-    return MinTermsResult.representable(m)
+        return MinTermsResult("unrepresentable")
+    return MinTermsResult("representable", m)
 
 
 def _walk(table: bytes, rem: int, count: int) -> list[int] | None:
@@ -590,10 +578,8 @@ def exceptional_set(f: FieldParams, class_index: int, r_max: int) -> list[int]:
     return gaps
 
 
-class GInvariantResult(NamedTuple):
-    g: int
-    witness: LatticeQuery
-    stable: bool
+# g, the LatticeQuery first attaining it, and whether r <= r_max/2 attained it
+GInvariantResult = namedtuple("GInvariantResult", "g witness stable")
 
 
 def g_invariant(f: FieldParams, r_max: int) -> GInvariantResult:

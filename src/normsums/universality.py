@@ -20,10 +20,10 @@ depth-first searches that cross-check it live only in tests/_oracle.py.
 """
 
 import enum
+from collections import namedtuple
 from collections.abc import Iterator
 from itertools import accumulate, count, takewhile
 from math import isqrt
-from typing import NamedTuple
 
 from .quadfield import FieldParams, require_int
 from .repsearch import _check_budget, _value_mask, reach_layers
@@ -34,11 +34,7 @@ class TermKind(enum.Enum):
     TRIANGULAR = "Triangular"
 
 
-class _DiagonalFormFields(NamedTuple):
-    coefficients: tuple[int, ...]
-
-
-class DiagonalForm(_DiagonalFormFields):
+class DiagonalForm(namedtuple("DiagonalForm", "coefficients")):
     """Sum of c_i * x_i^2 over integer x_i, every c_i a positive int."""
 
     __slots__ = ()
@@ -51,11 +47,7 @@ class DiagonalForm(_DiagonalFormFields):
         return super().__new__(cls, coefficients)
 
 
-class _MixedSumFields(NamedTuple):
-    terms: tuple[tuple[TermKind, int], ...]
-
-
-class MixedSum(_MixedSumFields):
+class MixedSum(namedtuple("MixedSum", "terms")):
     """Sum of weighted squares and weighted triangular numbers T_x = x(x+1)/2,
     every weight a positive int."""
 

@@ -32,7 +32,7 @@ import atexit
 import functools
 import os
 import time
-from typing import NamedTuple
+from collections import namedtuple
 
 from .classdata import class_number_fields, class_reps, reps_as_rows
 from .quadfield import make_field
@@ -87,13 +87,11 @@ _EXPECTED_CLASS3: dict[int, tuple[int, int, tuple[int, ...], int]] = {
 }
 
 
-class ExpectedRow(NamedTuple):
-    d: int
-    class_number: int
-    k_per_class: tuple[int, ...]
-    threshold: int
-    beyond_threshold: tuple[int, ...]
-    expected_g: int
+class ExpectedRow(namedtuple("ExpectedRow", "d class_number k_per_class threshold beyond_threshold expected_g")):
+    """One field's transcribed row: k per non-principal class, the least
+    representable r, the exceptions past it and the uniform bound g."""
+
+    __slots__ = ()
 
     @property
     def expected_exceptions(self) -> tuple[int, ...]:
@@ -113,34 +111,18 @@ def expected_row(d: int) -> ExpectedRow:
     raise ValueError(f"no expected-results row for d={d} (need class number 2 or 3)")
 
 
-class ClassCheck(NamedTuple):
-    class_index: int
-    k: int
-    computed_exceptions: tuple[int, ...]
-    expected_exceptions: tuple[int, ...]
-    match: bool
+ClassCheck = namedtuple("ClassCheck", "class_index k computed_exceptions expected_exceptions match")
+
+# status is "match" or "mismatch"; classes holds one ClassCheck per
+# non-principal class
+FieldReport = namedtuple("FieldReport", "d class_number status details g_expected g_computed witness_class_index "
+                                        "witness_r stable exceptions_match runtime_seconds classes")
 
 
-class FieldReport(NamedTuple):
-    d: int
-    class_number: int
-    status: str  # "match" | "mismatch"
-    details: tuple[str, ...]
-    g_expected: int
-    g_computed: int
-    witness_class_index: int
-    witness_r: int
-    stable: bool
-    exceptions_match: bool
-    runtime_seconds: float
-    classes: tuple[ClassCheck, ...]
+class DiffReport(namedtuple("DiffReport", "class_number r_max fields runtime_seconds")):
+    """verify_all's result: one FieldReport per field, in d order."""
 
-
-class DiffReport(NamedTuple):
-    class_number: int
-    r_max: int
-    fields: tuple[FieldReport, ...]
-    runtime_seconds: float
+    __slots__ = ()
 
     @property
     def matches(self) -> int:

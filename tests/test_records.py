@@ -42,6 +42,7 @@ RECORDS = [
     (lambda: find_certificate(LatticeQuery(make_field(5), 2, 6), 2),
      f"RepCertificate(query={Q5}, m=2, gammas=(RingElement(a=1, b=1), RingElement(a=1, b=1)))", []),
     (lambda: min_terms(LatticeQuery(make_field(5), 2, 6)), "MinTermsResult(outcome='representable', m=2)", []),
+    (lambda: min_terms(LatticeQuery(make_field(91), 2, 16)), "MinTermsResult(outcome='unrepresentable', m=None)", []),
     (lambda: g_invariant(make_field(5), 300),
      f"GInvariantResult(g=3, witness=LatticeQuery(field={F5}, class_index=1, r=3), stable=True)", []),
     (lambda: DiagonalForm((1, 2)), "DiagonalForm(coefficients=(1, 2))", [
@@ -66,7 +67,10 @@ RECORDS = [
 ]
 
 
-@pytest.mark.parametrize("build, text, bad", RECORDS, ids=[text.split("(", 1)[0] for _, text, _ in RECORDS])
+# each id is the record's type name, plus "-default" for the one whose last
+# field was left at its default
+@pytest.mark.parametrize("build, text, bad", RECORDS,
+                         ids=[text.split("(", 1)[0] + "-default" * text.endswith("=None)") for _, text, _ in RECORDS])
 def test_record_semantics(build, text, bad):
     record = build()
     cls = type(record)

@@ -294,7 +294,7 @@ def test_min_terms_frozen_oracle_values():
 
 def test_min_terms_known_examples():
     assert min_terms(_query(35, 2, 3)).m == 1
-    assert min_terms(_query(35, 2, 4)) == MinTermsResult.unrepresentable()
+    assert min_terms(_query(35, 2, 4)) == MinTermsResult("unrepresentable")
     assert min_terms(_query(51, 2, 6)).m == 2
     assert min_terms(_query(907, 2, 81)).m == 5
     assert min_terms(_query(907, 3, 81)).m == 5
@@ -785,6 +785,31 @@ def test_padding_monotonicity(case):
     padded = min_terms(_query(d, class_index, r + k))
     assert padded.is_representable
     assert padded.m <= res.m + 1
+
+
+def test_norm_multiples_need_no_more_values():
+    # scaling law: if r*k = N(gamma_1) + ... + N(gamma_m) and n = N(pi) for pi
+    # in O, then n*r*k = N(pi*gamma_1) + ... + N(pi*gamma_m) with each
+    # pi*gamma_i in the class ideal, so 1 <= count(n*r) <= count(r); checked
+    # with the first 40 norms n >= 2 of each field, the principal class's
+    # count-1 entries, on the 77 tables (class 3 reads class 2's)
+    width = 3000
+    pairs = 0
+    for d, class_index in ALL_CLASSES:
+        if class_index == 3:
+            continue
+        f = make_field(d)
+        principal = repsearch._count_table(f, 1, width)
+        norms = [n for n in range(2, width + 1) if principal[n] == 1][:40]
+        table = repsearch._count_table(f, class_index, width)
+        for r in range(1, width + 1):
+            if table[r]:
+                for n in norms:
+                    if n * r > width:
+                        break
+                    assert 1 <= table[n * r] <= table[r], (d, class_index, n, r)
+                    pairs += 1
+    assert pairs == 219258
 
 
 def test_exceptional_set_examples():

@@ -3,8 +3,8 @@ exception class it never raises, decides the omega branch only in
 quadfield, keeps congruence conditions out of the search kernel, keeps no
 public name that only tests use, the test oracle stays independent of the
 code it checks, importing the CLI loads no process-pool module, no
-fractions and no dataclasses or inspect module, and verify's pool loads
-no process-pool module either."""
+fractions, no dataclasses or inspect module, no threading and no typing,
+and verify's pool loads no process-pool module either."""
 
 import ast
 import builtins
@@ -264,11 +264,12 @@ def test_oracle_imports_neither_kernel_module():
 
 def test_cli_import_loads_no_process_pool_fractions_dataclasses_inspect_or_threading():
     # the pool's modules load only when verify_all fans out, no exact
-    # rational arithmetic is needed anywhere, the records are named
-    # tuples, so nothing pulls in dataclasses or, through it, inspect, and
-    # the pool's lock comes from _thread.  -S keeps site's .pth files,
-    # which may import threading, out of the count
-    modules = ("multiprocessing", "concurrent.futures", "fractions", "dataclasses", "inspect", "threading")
+    # rational arithmetic is needed anywhere, the records are
+    # collections.namedtuples, so nothing pulls in dataclasses or, through
+    # it, inspect, nor typing, and the pool's lock comes from _thread.  -S
+    # keeps site's .pth files, which may import threading or typing, out
+    # of the count
+    modules = ("multiprocessing", "concurrent.futures", "fractions", "dataclasses", "inspect", "threading", "typing")
     code = f"import sys, normsums, normsums.cli; print(sorted(m for m in {modules!r} if m in sys.modules))"
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

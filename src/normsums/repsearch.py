@@ -34,45 +34,38 @@ Then the pass tests each r still unset alone, one AND against the
 reversed first layer, and ORs the hits in with one parse, so it never
 costs more than a full pass and the work bound below still holds.
 Each layer's new bits are decoded once into per-r min-counts, one byte
-per r.  One table is kept per (field, class), the inverse classes 2 and 3
-of a class-number-3 field sharing one: byte r is r's least count up to
-exact, and past exact it marks the form values, 1 for a value and 0
-otherwise.  The counts are rebuilt only when a larger r_max is asked
-for, keeping the marks past it; smaller windows read a prefix of them.
-A rebuild layers the marks' bytes up to r_max where the table is that
-wide already, and enumerates the class only where it is shorter.
-min_count_table, exceptional_set and g_invariant always read the counts;
-g_invariant finds the largest count by one bytes search per count
-(_max_count).
+per r.  One entry is kept per (field, class), the inverse classes 2 and
+3 of a class-number-3 field sharing one.  It holds two things, each with
+one meaning: counts, the min-count bytes from r = 0 up to where they were
+built, and values, the class's value mask up to its width, never
+narrower than the counts.  The counts are rebuilt only when a larger
+r_max is asked for; smaller windows read a prefix of them.  A rebuild
+layers the kept mask, cut to r_max, where it is that wide already, and
+enumerates the class only where it is narrower.  min_count_table,
+exceptional_set and g_invariant always read the counts; g_invariant
+finds the largest count by one bytes search per count (_max_count).
 
 A point query at r (min_terms, find_certificate) needs only r's count, and
 almost every r needs one or two values.  One helper, _point_table, gives
-that count exactly.  Unless the counts reach r, it reads the marks,
-widened to r with no layering when the table is shorter: the old bytes
-are copied as they are, and the class's value mask up to r gives the
-bytes past them, 1 for a value and 0 otherwise, with one format and one
-translate.  r needs one value when its byte is 1 and two when the walk
-below finds a pair.  Any other r needs three or more values or none, and
-the helper builds the counts up to r, keeping the marks past it, from
-the marks' bytes up to r: the class is not enumerated again.  Count 1
-holds exactly at the values, and a walk for one or two values reads only
-bytes equal to 1, so it picks the same values from the counts or the
-marks.  The helper keeps its last answer off the marks in the _TABLES
-entry it read, and serves the same query from it until that entry is
-replaced, so min_terms and then find_certificate at one r walk once,
-each class keeps its own answer, and no answer outlives its table.
+that count exactly.  Unless the counts reach r, it reads the value mask,
+enumerated afresh up to r when the kept one is narrower, with no
+layering.  The mask ANDed with itself read backwards from r, cut to
+[0, r // 2], has bit u set exactly when u and r - u are both values (0
+counting as one): bit 0 says r is a value, and otherwise the lowest bit
+gives the lexicographically least pair.  Any other r needs three or more
+values or none, and the helper builds the counts up to r from the mask:
+the class is not enumerated again.
 
-Certificates come from the bytes that gave the minimum: m below it (or
+Certificates come from the answer that gave the minimum: m below it (or
 any m, if r is unreachable) has no certificate, and m equal to it takes
-the values the walk on the marks found, or walks the counts, with no
-further enumeration or layer build.  Above the minimum, exactly m form
-values sum to r exactly when at most m of the shifted values v - vmin
-(v > vmin, vmin the least value) sum to r - m*vmin.  The shifted values
-are read off the table that gave the minimum, with no enumeration: its
-bytes from vmin up, a 1 marking a value and the one at vmin the empty
-sum, parsed as one mask; they are layered up to m - 1 times and decoded
-into a table that is not kept, and the certificate opens with m - c
-copies of vmin, c the least count of shifted values reaching the
+the values the AND found, or walks the counts, with no further
+enumeration or layer build.  Above the minimum, exactly m form values sum
+to r exactly when at most m of the shifted values v - vmin (v > vmin,
+vmin the least value) sum to r - m*vmin.  The shifted values are read
+off the class's value mask, with no enumeration: shifted down by vmin,
+its bit 0 is the empty sum; they are layered up to m - 1 times and
+decoded into a table that is not kept, and the certificate opens with
+m - c copies of vmin, c the least count of shifted values reaching the
 remainder.  The walk then takes the rest in order, each the least value
 in a window whose remainder needs exactly the slots left, found by one
 bytes search over the window.
@@ -113,12 +106,12 @@ from .quadfield import (
 _PASS_BOUND = 10
 _WORK_BUDGET = 10**10
 
-# (d, class_index) -> (exact, table, last): for r <= exact byte r of table
-# is the least number of form values summing to r, 0 when no number does;
-# past exact it is 1 when r is a form value, else 0.  last is None or
-# (r, picks), the answer _point_table last read off this entry's marks.
-# Class 3 reads (d, 2)
-_TABLES: dict[tuple[int, int], tuple[int, bytes, tuple[int, list[int]] | None]] = {}
+# (d, class_index) -> (counts, width, values): byte r of counts is the
+# least number of form values summing to r, 0 when no number does, for
+# every r it covers (b"" when no counts are built); values is the class's
+# _value_mask up to width, and width >= len(counts) - 1.  Class 3 reads
+# (d, 2)
+_TABLES: dict[tuple[int, int], tuple[bytes, int, int]] = {}
 
 # (a, r) -> (limit, mask): bit limit - n of mask is set for each number
 # n = a*i^2 + r*i <= limit over the integers i, r a residue of a row of a
@@ -177,9 +170,6 @@ class MinTermsResult(namedtuple("MinTermsResult", "outcome m", defaults=(None,))
 
 # byte i with its bits in reverse order
 _REVERSED_BITS = bytes(int(f"{i:08b}"[::-1], 2) for i in range(256))
-# byte 1 to the digit "1", every other byte to "0"
-_ONE_DIGIT = b"01" + b"0" * 254
-_DIGIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 
 def _reversed(mask: int, width: int) -> int:
@@ -234,12 +224,6 @@ def _value_mask(a: int, b: int, c: int, bound: int) -> int:
         mask, drop = residue_masks[r]
         acc |= mask >> (drop + (rho * rho + disc * y * y) // (4 * a))
     return _reversed(acc, bound)
-
-
-def _marked(table: bytes, lo: int, hi: int) -> int:
-    """Bit n set iff byte lo + n of table is 1, for n in [0, hi - lo]: one
-    translate to binary digits and one parse."""
-    return int(table[lo : hi + 1][::-1].translate(_ONE_DIGIT), 2)
 
 
 def _work_estimate(a: int, b: int, c: int, width: int) -> int:
@@ -393,74 +377,56 @@ def _table_key(f: FieldParams, class_index: int) -> tuple[int, int]:
 
 
 def _count_table(f: FieldParams, class_index: int, r_max: int) -> bytes:
-    """The class's table, its min-counts covering at least [0, r_max].
-    Class 3 of a class-number-3 field reads class 2's, kept under (d, 2).
-    A rebuild keeps the marks past r_max.  Its first layer, the class's
-    value mask up to r_max, is read off the table's bytes equal to 1 when
-    the table already covers r_max, else enumerated by _value_mask.
-    Reading needs no budget check of its own: marks of width W were
-    admitted by _value_mask at W, and the estimate grows with the width,
-    so a build up to r_max <= W is admitted too."""
+    """The class's min-counts, covering at least [0, r_max].  Class 3 of a
+    class-number-3 field reads class 2's, kept under (d, 2).  A rebuild
+    layers the class's value mask up to r_max: the kept mask cut to r_max
+    when its width reaches r_max, else a new one from _value_mask, kept in
+    place of the narrower one.  Cutting needs no budget check of its own: a
+    mask of width W was admitted by _value_mask at W, and the estimate
+    grows with the width, so a build up to r_max <= W is admitted too."""
     require_int("r_max", r_max, least=1)
-    rep_for(f, class_index)  # a class the field lacks raises before any cache read
+    rep = rep_for(f, class_index)  # a class the field lacks raises before any cache read
     key = _table_key(f, class_index)
-    exact, table, _ = _TABLES.get(key, (0, b"", None))
-    if exact < r_max:
-        # a hit reads a prefix of a table whose build was already admitted
-        first = _marked(table, 0, r_max) | 1 if len(table) > r_max else _value_mask(*_key_form(f, key), r_max)
-        table = _decode(reach_layers(first, r_max), r_max) + table[r_max + 1 :]
-        _TABLES[key] = (r_max, table, None)
-    return table
+    counts, width, values = _TABLES.get(key, (b"", -1, 0))
+    if len(counts) <= r_max:
+        if width < r_max:
+            width, values = r_max, _value_mask(*class_form(f, rep)[:3], r_max)
+        counts = _decode(reach_layers(values & ((2 << r_max) - 1), r_max), r_max)
+        _TABLES[key] = (counts, width, values)
+    return counts
 
 
-def _key_form(f: FieldParams, key: tuple[int, int]) -> tuple[int, int, int]:
-    """The class form (A, B, C) kept under a _TABLES key."""
-    return class_form(f, rep_for(f, key[1]))[:3]
-
-
-def _point_table(q: LatticeQuery) -> tuple[int, bytes, list[int] | None]:
+def _point_table(q: LatticeQuery) -> tuple[int, list[int] | None, bytes, int]:
     """The least number of form values summing to q.r, 0 when no number
-    does; a table of the class covering q.r; and, when the marks gave the
-    least number, the least that many values summing to q.r, else None
-    (_walk reads them off the counts).
+    does; when the value mask gave it, the least that many values summing
+    to q.r, else None (_walk reads them off the counts); and the class's
+    counts and value mask, the mask covering q.r and the counts too unless
+    the mask gave the answer.
 
-    The class's counts answer when they are exact up to r.  Otherwise the
-    marks do, widened to r if the table is shorter: the old bytes are
-    copied as they are, counts and marks alike, and the bits of the
-    class's _value_mask past them become bytes 1 and 0 by one format and
-    one translate.  r needs one value when its byte is 1, and two when
-    _walk finds a pair.  Any other r needs three or more values or none,
-    and _count_table builds the counts up to r from the marks' bytes up
-    to r, keeping the marks past it.
-    This is the one place where a point query widens marks or builds
-    counts.
-
-    The last answer off the marks is kept in the _TABLES entry it was read
-    from, as last = (r, picks), and the same query is answered again from
-    it until the entry is replaced, so min_terms and then find_certificate
-    at one r walk once.  A cleared, rebuilt or widened table is a new entry
-    with last = None and is read afresh.
+    The class's counts answer when they reach r.  Otherwise the mask does,
+    enumerated afresh up to r if the kept one is narrower: both, the mask
+    ANDed with itself read backwards from r and cut to [0, r // 2], has
+    bit u set exactly when u and r - u are values or 0.  r needs one value
+    when bit 0 is set, and otherwise two, u and r - u for the lowest set
+    bit u, when both is not 0.  Any other r needs three or more values or
+    none, and _count_table builds the counts up to r from the mask.
+    This is the one place where a point query enumerates or builds counts.
     """
     key = _table_key(q.field, q.class_index)
-    # an empty cache reads as a table exact up to 0, the empty sum, so the
-    # widening below copies byte 0 and never assigns b"" over it
-    exact, table, last = _TABLES.get(key, (0, b"\0", None))
-    if last and last[0] == q.r:
-        return len(last[1]), table, last[1]
-    if exact >= q.r:
-        return table[q.r], table, None
-    if len(table) <= q.r:
+    counts, width, values = _TABLES.get(key, (b"", -1, 0))
+    if len(counts) > q.r:
+        return counts[q.r], None, counts, values
+    if width < q.r:
         # enumerating first checks the budget before any allocation
-        first = _value_mask(*_key_form(q.field, key), q.r)
-        # the mask's digits past the old width, read backwards, are the new bytes
-        table += format(first >> len(table), f"0{q.r + 1 - len(table)}b").encode()[::-1].translate(_DIGIT_BYTES)
-        _TABLES[key] = (exact, table, None)
-    picks = [q.r] if table[q.r] else _walk(table, q.r, 2)
-    if picks is None:
-        table = _count_table(q.field, q.class_index, q.r)
-        return table[q.r], table, None
-    _TABLES[key] = (exact, table, (q.r, picks))
-    return len(picks), table, picks
+        values = _value_mask(*class_form(q.field, rep_for(q.field, q.class_index))[:3], q.r)
+        _TABLES[key] = (counts, q.r, values)
+    both = values & _reversed(values & ((2 << q.r) - 1), q.r) & ((2 << q.r // 2) - 1)
+    if both:
+        u = (both & -both).bit_length() - 1
+        picks = [u, q.r - u] if u else [q.r]
+        return len(picks), picks, counts, values
+    counts = _count_table(q.field, q.class_index, q.r)
+    return counts[q.r], None, counts, values
 
 
 def min_terms(q: LatticeQuery) -> MinTermsResult:
@@ -477,8 +443,7 @@ def _walk(table: bytes, rem: int, count: int) -> list[int] | None:
     """The least nondecreasing count values summing to rem, or None.  Byte
     n of table (n <= rem) is the least number of values summing to n, so
     byte 1 marks a value; rem needs no fewer than count values, and is a
-    value if count is 1.  For count 1 or 2 only bytes equal to 1 are read,
-    so the marks past a table's exact prefix serve as well.
+    value if count is 1.
 
     Each pick u is the least value in [previous pick, rem // (slots + 1)]
     whose remainder needs exactly the slots left after it: fewer would let
@@ -519,12 +484,12 @@ def find_certificate(q: LatticeQuery, m: int) -> RepCertificate | None:
 
     The minimum comes from _point_table, as for min_terms.  m below it
     (or any m, if r is unreachable) has no certificate, and m equal to it
-    takes the values the walk on the marks found, or walks the counts
-    that gave it.  A larger m takes the shifted path, exact for any m:
-    exactly m values sum to r exactly when at most m of the shifted values
-    v - vmin (v > vmin, vmin the least value) sum to rem = r - m*vmin.  The
-    values are read off the table that gave the minimum, which covers r
-    and holds 1 exactly at the form values; the shifted ones are layered
+    takes the values the value mask gave, or walks the counts that gave
+    it.  A larger m takes the shifted path, exact for any m: exactly m
+    values sum to r exactly when at most m of the shifted values v - vmin
+    (v > vmin, vmin the least value) sum to rem = r - m*vmin.  The shifted
+    values are read off the class's value mask, which covers r: shifted
+    down by vmin and cut to rem, its bit 0 the empty sum; they are layered
     up to m - 1 times and decoded into a table.  If c shifted values at
     the least reach rem (c = m when m - 1 layers do not), the least
     sequence is m - c copies of vmin and then the walk's c picks, each
@@ -533,22 +498,21 @@ def find_certificate(q: LatticeQuery, m: int) -> RepCertificate | None:
     solved once.
     """
     require_int("m", m, least=1)
-    least, table, picks = _point_table(q)
+    least, picks, counts, values = _point_table(q)
     if not least or m < least:
         return None
     f = q.field
     rep = rep_for(f, q.class_index)
     form = class_form(f, rep)
     if m == least:
-        seq = picks if picks is not None else _walk(table, q.r, m)
+        seq = picks if picks is not None else _walk(counts, q.r, m)
     else:
-        vmin = table.find(1, 1)
+        nonzero = values - 1  # the values without the empty sum
+        vmin = (nonzero & -nonzero).bit_length() - 1
         if m * vmin > q.r:
             return None
         rem = q.r - m * vmin
-        # byte vmin + n is 1 exactly when n is a shifted value, and byte vmin
-        # is the empty sum
-        masks = reach_layers(_marked(table, vmin, vmin + rem), rem, m - 1)
+        masks = reach_layers((values >> vmin) & ((2 << rem) - 1), rem, m - 1)
         table = _decode(masks, rem)
         if rem and not table[rem] and len(masks) < m:
             return None  # a fixpoint before m - 1 layers: no count reaches rem

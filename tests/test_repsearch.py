@@ -80,8 +80,8 @@ def _query(d, class_index, r):
 
 @pytest.fixture(autouse=True)
 def _no_tables(monkeypatch):
-    # every query keeps its class's table, last point answer included, in
-    # _TABLES, and every enumeration its residue masks in _RESIDUES: all
+    # every query keeps its class's counts and value mask in _TABLES, and
+    # every enumeration its residue masks in _RESIDUES: all
     # the kernel keeps between calls.  Each test starts with neither, so
     # no answer depends on the order tests run in
     monkeypatch.setattr(repsearch, "_TABLES", {})
@@ -91,7 +91,7 @@ def _no_tables(monkeypatch):
 def _single_norms(d, class_index, bound):
     """Each admissible norm n = r*k up to bound, ascending, mapped to the
     gamma of its one-summand certificate.  r runs down, so the first query
-    marks the values up to bound // k and the rest read those marks."""
+    enumerates the value mask up to bound // k and the rest read it."""
     f = make_field(d)
     k = rep_for(f, class_index).k
     certs = (find_certificate(LatticeQuery(f, class_index, r), 1) for r in range(bound // k, 0, -1))
@@ -317,8 +317,8 @@ def test_table_grows_and_serves_smaller_windows():
     windows = (300, 50, 600)
     repsearch._TABLES.clear()
     warm = [(min_count_table(f, 2, n), exceptional_set(f, 2, n)) for n in windows]
-    exact, table, _ = repsearch._TABLES[(907, 2)]
-    assert exact == 600 and len(table) == 601
+    counts, width, _ = repsearch._TABLES[(907, 2)]
+    assert len(counts) == 601 and width == 600
     for n, got in zip(windows, warm):
         repsearch._TABLES.clear()
         assert got == (min_count_table(f, 2, n), exceptional_set(f, 2, n)), n
@@ -431,9 +431,9 @@ def test_cached_table_answers_up_to_the_minimum_without_a_build(monkeypatch):
 
 
 def test_point_tables_hold_one_exactly_at_the_form_values():
-    # find_certificate above the minimum reads the values off the table
-    # _point_table returns, whether that table holds marks, counts or both
-    # at r: its bytes equal to 1 up to r are the form values
+    # find_certificate above the minimum reads the values off the mask
+    # _point_table returns, whether or not counts reach r: its bits up to r
+    # are 0 and the form values, and the counts hold 1 exactly there
     for d, class_index in ALL_CLASSES:
         f = make_field(d)
         repsearch._TABLES.clear()
@@ -441,16 +441,17 @@ def test_point_tables_hold_one_exactly_at_the_form_values():
             if r == 3000:
                 min_count_table(f, class_index, 2000)
             values = _form_values(*class_form(f, rep_for(f, class_index))[:3], r)
-            table = repsearch._point_table(_query(d, class_index, r))[1]
-            assert [v for v in range(1, r + 1) if table[v] == 1] == values, (d, class_index, r)
+            _, _, counts, mask = repsearch._point_table(_query(d, class_index, r))
+            assert mask & 1 and [v for v in range(1, r + 1) if mask >> v & 1] == values, (d, class_index, r)
+            top = min(r, len(counts) - 1)
+            assert [v for v in range(1, top + 1) if counts[v] == 1] == [v for v in values if v <= top], (d, class_index, r)
 
 
-def test_widened_marks_equal_one_cold_query():
-    # point queries at growing r mark only the bytes past the old width; the
-    # table they leave is byte for byte the one a cold query at the last r leaves, up
-    # to the counts that a query needing three or more values, or a count
-    # table run in between (to 500 inside the marks, or to 2000 past them),
-    # built and kept
+def test_widened_masks_equal_one_cold_query():
+    # point queries at growing r widen the value mask; the entry they leave
+    # holds the mask a cold query at the last r leaves, plus the counts that
+    # a query needing three or more values, or a count table run in between
+    # (to 500 inside the mask, or to 2000 past it), built and kept
     for d, class_index in ALL_CLASSES:
         f = make_field(d)
         key = repsearch._table_key(f, class_index)
@@ -458,16 +459,17 @@ def test_widened_marks_equal_one_cold_query():
         counts = repsearch._count_table(f, class_index, 5000)
         repsearch._TABLES.clear()
         min_terms(_query(d, class_index, 5000))
-        cold = repsearch._TABLES[key][1]
+        cold = repsearch._TABLES[key][1:]
+        assert cold == (5000, repsearch._value_mask(*class_form(f, rep_for(f, class_index))[:3], 5000))
         for between in (None, 500, 2000):
             repsearch._TABLES.clear()
             for r in (7, 88, 1201, 5000):
                 if r == 5000 and between:
                     min_count_table(f, class_index, between)
                 min_terms(_query(d, class_index, r))
-            exact, table, _ = repsearch._TABLES[key]
-            assert exact >= (between or 0), (d, class_index, between)
-            assert table == counts[: exact + 1] + cold[exact + 1 :], (d, class_index, between)
+            kept, width, mask = repsearch._TABLES[key]
+            assert len(kept) > (between or -1), (d, class_index, between)
+            assert kept == counts[: len(kept)] and (width, mask) == cold, (d, class_index, between)
 
 
 def test_widening_is_admitted_at_the_new_width(monkeypatch):
@@ -510,14 +512,13 @@ def test_unreachable_remainder_with_more_than_255_summands_is_none():
 
 
 def _counts():
-    """The min-counts cached per key: each table's bytes up to its exact
-    bound, for the keys whose counts reach past 0."""
-    return {key: table[: exact + 1] for key, (exact, table, _) in repsearch._TABLES.items() if exact}
+    """The min-counts cached per key, for the keys with counts built."""
+    return {key: counts for key, (counts, _, _) in repsearch._TABLES.items() if counts}
 
 
 def test_cold_certificate_builds_counts_only_past_two_values():
-    # a cold call reads the marks when r needs one or two values and leaves
-    # the exact bound at 0; for r that needs three or more values (115, 2,
+    # a cold call reads the value mask when r needs one or two values and
+    # builds no counts; for r that needs three or more values (115, 2,
     # 19 and 907, 2, 673901 need 3; 187, 2, 38 needs 4) or none (91, 2,
     # 16) it builds the queried class's counts up to r; every other key's
     # cached counts are left as they were
@@ -532,16 +533,16 @@ def test_cold_certificate_builds_counts_only_past_two_values():
         before = {k: counts for k, counts in _counts().items() if k != key}
         cert = find_certificate(_query(d, class_index, r), m)
         assert (cert is not None) == found, (d, class_index, r, m)
-        exact, table, _ = repsearch._TABLES[key]
-        assert exact == (r if (d, class_index, r) in three_or_none else 0) and len(table) > r, (d, class_index, r, m)
+        counts, width, _ = repsearch._TABLES[key]
+        assert len(counts) == (r + 1 if (d, class_index, r) in three_or_none else 0) and width >= r, (d, class_index, r, m)
         assert {k: counts for k, counts in _counts().items() if k != key} == before, (d, class_index)
 
 
 def test_point_queries_match_the_min_count_table():
     # every class from a cold cache: each r <= 200 on a cache emptied
-    # before it, so its marks end at byte r; then r = 1500 down to 1, each
-    # on the marks a cold certificate query left at 1500, so every r is
-    # read off those marks or off counts built at r itself
+    # before it, so its mask ends at bit r; then r = 1500 down to 1, each
+    # on the mask a cold certificate query left at 1500, so every r is
+    # read off that mask or off counts built at r itself
     for d, class_index in ALL_CLASSES:
         f = make_field(d)
         want = min_count_table(f, class_index, 1500)
@@ -551,17 +552,17 @@ def test_point_queries_match_the_min_count_table():
         repsearch._TABLES.clear()
         find_certificate(_query(d, class_index, 1500), 1)
         key = repsearch._table_key(f, class_index)
-        marks = repsearch._TABLES[key]
-        assert marks[0] == 0 and len(marks[1]) == 1501
+        entry = repsearch._TABLES[key]
+        assert entry[:2] == (b"", 1500)
         for r in range(1500, 0, -1):
-            repsearch._TABLES[key] = marks
+            repsearch._TABLES[key] = entry
             assert min_terms(_query(d, class_index, r)).m == want[r - 1], (d, class_index, r)
 
 
-def test_certificates_on_the_marks_equal_the_count_walk():
-    # at a minimum of 1 or 2 a cold call walks the marks; the walk reads
-    # only bytes equal to 1, which the marks share with the counts, so it
-    # gives the certificate the cached counts give
+def test_certificates_off_the_mask_equal_the_count_walk():
+    # at a minimum of 1 or 2 a cold call reads the values off the value
+    # mask and builds no counts; it gives the certificate that the walk on
+    # the cached counts gives
     checked = 0
     for d, class_index in ALL_CLASSES:
         f = make_field(d)
@@ -575,14 +576,14 @@ def test_certificates_on_the_marks_equal_the_count_walk():
             assert find_certificate(q, least) == cert, q
             if least == 2:
                 assert find_certificate(q, 1) is None, q
-            assert list(repsearch._TABLES) == [key] and repsearch._TABLES[key][0] == 0, q
+            assert list(repsearch._TABLES) == [key] and repsearch._TABLES[key][0] == b"", q
         checked += len(warm)
     assert checked == 8610
 
 
 def test_counts_one_and_two_build_no_layers(monkeypatch):
     # a query whose r needs one or two values enumerates once and reads the
-    # marks alone: no reach_layers, no _decode and no counts
+    # value mask alone: no reach_layers, no _decode and no counts
     calls = []
 
     def spy(stage):
@@ -600,85 +601,44 @@ def test_counts_one_and_two_build_no_layers(monkeypatch):
         assert len(cert.gammas) == least and recheck_certificate(cert.to_json_dict()) == []
         if least == 2:
             assert find_certificate(q, 1) is None
-        assert calls == ["_value_mask"] and [exact for exact, _, _ in repsearch._TABLES.values()] == [0], q
+        assert calls == ["_value_mask"] and [counts for counts, _, _ in repsearch._TABLES.values()] == [b""], q
         calls.clear()
         repsearch._TABLES.clear()
-    # above the minimum the values are read off the marks, not enumerated
+    # above the minimum the values are read off the mask, not enumerated
     # again, then shifted and layered, and no counts are kept
     assert len(find_certificate(_query(5, 2, 6), 3).gammas) == 3
     assert calls == ["_value_mask", "reach_layers", "_decode"]
-    assert repsearch._TABLES[(5, 2)][0] == 0
+    assert repsearch._TABLES[(5, 2)][0] == b""
     calls.clear()
-    # r that needs three or more values, or none, widens the marks and then
-    # builds the counts at r, once, from the mask the widening built; the
-    # certificate reads those counts
+    # r that needs three or more values, or none, enumerates the mask and
+    # then builds the counts at r, once, from that mask; the certificate
+    # reads those counts
     for d, class_index, r, least in ((115, 2, 19, 3), (187, 2, 38, 4), (91, 2, 16, None)):
         q = _query(d, class_index, r)
         assert min_terms(q).m == least
         assert (find_certificate(q, least or 1) is None) == (least is None)
         assert calls == ["_value_mask", "reach_layers", "_decode"]
-        exact, table, _ = repsearch._TABLES[(d, class_index)]
-        assert exact == r and len(table) == r + 1
+        counts, width, _ = repsearch._TABLES[(d, class_index)]
+        assert len(counts) == width + 1 == r + 1
         calls.clear()
-    # inside marks already wide enough, such an r reads its first layer off
-    # the marks' bytes and enumerates nothing
+    # inside a mask already wide enough, such an r layers the mask cut to r
+    # and enumerates nothing
     assert min_terms(_query(907, 2, 3000)).m == 2 and calls == ["_value_mask"]
     calls.clear()
     assert min_terms(_query(907, 3, 81)).m == 5 and calls == ["reach_layers", "_decode"]
-    assert repsearch._TABLES[(907, 2)][0] == 81 and len(repsearch._TABLES[(907, 2)][1]) == 3001
+    counts, width, _ = repsearch._TABLES[(907, 2)]
+    assert len(counts) == 82 and width == 3000
 
 
-def test_a_pair_found_on_the_marks_is_walked_once(monkeypatch):
-    # at a minimum of 2 the pair that set the minimum is the certificate;
-    # the walk that found it is not run again
-    walks = []
-    walk = repsearch._walk
-    monkeypatch.setattr(repsearch, "_walk", lambda table, rem, count: walks.append(count) or walk(table, rem, count))
-    for d, class_index, r in ((5, 2, 6), (907, 3, 26), (907, 2, 3000)):
-        repsearch._TABLES.clear()
-        cert = find_certificate(_query(d, class_index, r), 2)
-        assert recheck_certificate(cert.to_json_dict()) == [] and walks == [2], (d, class_index, r)
-        walks.clear()
-
-
-def test_a_query_is_walked_once_until_its_table_changes(monkeypatch):
-    # min_terms and then find_certificate at the minimum share one walk;
-    # a table that is cleared or rebuilt is read again, never the memo
-    walks = []
-    walk = repsearch._walk
-    monkeypatch.setattr(repsearch, "_walk", lambda table, rem, count: walks.append(count) or walk(table, rem, count))
-    f = make_field(907)
-    q = _query(907, 2, 3000)
-    assert min_terms(q).m == 2
-    cert = find_certificate(q, 2)
-    assert walks == [2] and recheck_certificate(cert.to_json_dict()) == []
-    min_count_table(f, 2, 1000)
-    assert find_certificate(q, 2) == cert and walks == [2, 2]
-    assert find_certificate(q, 2) == cert and walks == [2, 2]
-    repsearch._TABLES.clear()
-    monkeypatch.setattr(repsearch, "_WORK_BUDGET", 0)
-    with pytest.raises(Overflow):
-        min_terms(q)
-    with pytest.raises(Overflow):
-        find_certificate(q, 2)
-    assert repsearch._TABLES == {} and walks == [2, 2]
-
-
-def test_each_class_keeps_its_own_last_answer(monkeypatch):
-    # the last answer off the marks lives in its class's _TABLES entry, so
-    # queries on two classes in turn each walk once, and a count build
-    # writes its entry with no answer, leaving no old table held beside it
-    walks = []
-    walk = repsearch._walk
-    monkeypatch.setattr(repsearch, "_walk", lambda table, rem, count: walks.append(count) or walk(table, rem, count))
-    queries = [_query(907, 2, 3000), _query(5, 2, 6)]
-    assert [min_terms(q).m for q in queries] == [2, 2]
-    certs = [find_certificate(q, 2) for q in queries]
-    assert walks == [2, 2] and all(recheck_certificate(c.to_json_dict()) == [] for c in certs)
-    assert [repsearch._TABLES[key][2][0] for key in ((907, 2), (5, 2))] == [3000, 6]
-    min_count_table(make_field(907), 2, 1000)
-    exact, table, last = repsearch._TABLES[(907, 2)]
-    assert (exact, len(table), last) == (1000, 3001, None)
+def test_a_widest_point_query_keeps_no_byte_per_r():
+    # r = 779903 is the widest width admitted for d=907 class 2, and it
+    # needs two values: min_terms and certificates at m = 1, 2 and 3 keep
+    # the value mask alone, at most r + 1 bits, and no byte per r
+    q = _query(907, 2, 779903)
+    assert min_terms(q).m == 2 and find_certificate(q, 1) is None
+    assert [len(find_certificate(q, m).gammas) for m in (2, 3)] == [2, 3]
+    counts, width, values = repsearch._TABLES[(907, 2)]
+    assert counts == b"" and width == 779903 and values.bit_length() <= 779904
 
 
 def test_witnesses_match_the_oracle_at_every_value():
@@ -943,10 +903,11 @@ def _widest_admitted_widths():
 
 
 def test_table_cache_is_bounded_in_bytes():
-    # a table of width w takes w + 1 bytes, counts and marks together, and
-    # is widened only to a width _value_mask admits, so each key's widest
-    # admitted width bounds the cache in bytes with no eviction; a refused
-    # query or table keeps nothing
+    # a key's counts of width w take w + 1 bytes and its value mask of
+    # width w takes w // 8 + 1, and either is widened only to a width
+    # _value_mask admits, so each key's widest admitted width bounds the
+    # cache in bytes with no eviction; a refused query or table keeps
+    # nothing
     table_bytes = {}
     for f, class_index, key, width in _widest_admitted_widths():
         q = LatticeQuery(f, class_index, width + 1)
@@ -954,11 +915,11 @@ def test_table_cache_is_bounded_in_bytes():
                       lambda: find_certificate(q, 2)):
             with pytest.raises(Overflow):
                 build()
-        table_bytes[key] = width + 1
+        table_bytes[key] = (width + 1) + (width // 8 + 1)
     assert repsearch._TABLES == {}
     assert len(table_bytes) == 77
-    assert sum(table_bytes.values()) == 36973171
-    assert max(table_bytes.values()) == table_bytes[(907, 2)] == 779904
+    assert sum(table_bytes.values()) == 41594837
+    assert max(table_bytes.values()) == table_bytes[(907, 2)] == 779904 + 97488
 
 
 def test_residue_cache_is_bounded_in_bytes():
@@ -983,36 +944,36 @@ def test_residue_cache_is_bounded_in_bytes():
 
 
 def _assert_layout(f, class_index):
-    """The class's cached table holds its counts up to exact and marks the
-    form values past it, byte for byte against the oracle's layers over
-    the table's whole width."""
-    exact, table, _ = repsearch._TABLES[repsearch._table_key(f, class_index)]
-    width = len(table) - 1
-    values = _form_values(*class_form(f, rep_for(f, class_index))[:3], width)
-    counts = repsearch._decode(oracle_layers(values, width), width)
-    assert table[: exact + 1] == counts[: exact + 1]
-    assert table[exact + 1 :] == bytes(n == 1 for n in counts[exact + 1 :])
+    """The class's cached entry holds its value mask up to its width and,
+    up to where they reach, its counts, byte for byte against the oracle's
+    layers over that width."""
+    counts, width, values = repsearch._TABLES[repsearch._table_key(f, class_index)]
+    form = class_form(f, rep_for(f, class_index))[:3]
+    assert values == repsearch._value_mask(*form, width)
+    oracle = repsearch._decode(oracle_layers(_form_values(*form, width), width), width)
+    assert counts == oracle[: len(counts)]
 
 
-def test_one_table_holds_counts_then_marks():
-    # point queries at r needing one or two values widen the marks from an
-    # empty cache, byte 0 included; counts built at r keep the marks past
-    # r (r = 50 is reached by no number of values), marks widened past the
-    # counts keep them, and a wider count table replaces both
+def test_one_entry_holds_counts_and_a_mask():
+    # point queries at r needing one or two values enumerate the mask from
+    # an empty cache and build no counts; counts built at r keep the wider
+    # mask (r = 50 is reached by no number of values), a mask widened past
+    # the counts keeps them, and a wider count table replaces both
     f = make_field(907)
     steps = [
-        (lambda: min_terms(_query(907, 3, 13)), 0, 14),
-        (lambda: min_terms(_query(907, 3, 26)), 0, 27),
-        (lambda: min_terms(_query(907, 2, 3000)), 0, 3001),
-        (lambda: min_terms(_query(907, 3, 50)), 50, 3001),
-        (lambda: find_certificate(_query(907, 3, 5000), 2), 50, 5001),
-        (lambda: min_count_table(f, 2, 3000), 3000, 5001),
-        (lambda: exceptional_set(f, 3, 6000), 6000, 6001),
+        (lambda: min_terms(_query(907, 3, 13)), 0, 13),
+        (lambda: min_terms(_query(907, 3, 26)), 0, 26),
+        (lambda: min_terms(_query(907, 2, 3000)), 0, 3000),
+        (lambda: min_terms(_query(907, 3, 50)), 51, 3000),
+        (lambda: find_certificate(_query(907, 3, 5000), 2), 51, 5000),
+        (lambda: min_count_table(f, 2, 3000), 3001, 5000),
+        (lambda: exceptional_set(f, 3, 6000), 6001, 6000),
     ]
-    for step, exact, size in steps:
+    for step, size, width in steps:
         step()
         assert list(repsearch._TABLES) == [(907, 2)]
-        assert repsearch._TABLES[(907, 2)][0] == exact and len(repsearch._TABLES[(907, 2)][1]) == size
+        counts, got_width, _ = repsearch._TABLES[(907, 2)]
+        assert (len(counts), got_width) == (size, width)
         _assert_layout(f, 3)
 
 

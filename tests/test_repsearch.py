@@ -630,6 +630,46 @@ def test_counts_one_and_two_build_no_layers(monkeypatch):
     assert len(counts) == 82 and width == 3000
 
 
+def test_a_query_reads_the_mask_until_counts_reach_r(monkeypatch):
+    # min_terms and then find_certificate at the minimum read the same pair
+    # off the mask; counts built short of r leave that answer, counts built
+    # past r give it by the walk, and a refused query keeps nothing
+    f = make_field(907)
+    q = _query(907, 2, 3000)
+    assert min_terms(q).m == 2
+    cert = find_certificate(q, 2)
+    assert recheck_certificate(cert.to_json_dict()) == []
+    min_count_table(f, 2, 1000)
+    assert find_certificate(q, 2) == cert and repsearch._point_table(q)[1] is not None
+    min_count_table(f, 2, 4000)
+    assert find_certificate(q, 2) == cert and repsearch._point_table(q)[1] is None
+    repsearch._TABLES.clear()
+    monkeypatch.setattr(repsearch, "_WORK_BUDGET", 0)
+    with pytest.raises(Overflow):
+        min_terms(q)
+    with pytest.raises(Overflow):
+        find_certificate(q, 2)
+    assert repsearch._TABLES == {}
+
+
+def test_each_class_keeps_its_own_entry():
+    # queries on two classes in turn each keep their own mask, and a count
+    # build on one writes its counts beside its wider mask and leaves the
+    # other entry as it was
+    queries = [_query(907, 2, 3000), _query(5, 2, 6)]
+    assert [min_terms(q).m for q in queries] == [2, 2]
+    certs = [find_certificate(q, 2) for q in queries]
+    assert all(recheck_certificate(c.to_json_dict()) == [] for c in certs)
+    assert [repsearch._TABLES[key][:2] for key in ((907, 2), (5, 2))] == [(b"", 3000), (b"", 6)]
+    small = repsearch._TABLES[(5, 2)]
+    mask = repsearch._TABLES[(907, 2)][2]
+    min_count_table(make_field(907), 2, 1000)
+    counts, width, values = repsearch._TABLES[(907, 2)]
+    assert (len(counts), width, values) == (1001, 3000, mask)
+    assert repsearch._TABLES[(5, 2)] == small
+    assert [find_certificate(q, 2) for q in queries] == certs
+
+
 def test_a_widest_point_query_keeps_no_byte_per_r():
     # r = 779903 is the widest width admitted for d=907 class 2, and it
     # needs two values: min_terms and certificates at m = 1, 2 and 3 keep

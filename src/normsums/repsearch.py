@@ -110,7 +110,10 @@ _WORK_BUDGET = 10**10
 # least number of form values summing to r, 0 when no number does, for
 # every r it covers (b"" when no counts are built); values is the class's
 # _value_mask up to width, and width >= len(counts) - 1.  Class 3 reads
-# (d, 2)
+# (d, 2).  Neither is wider than _value_mask admits for the class, so the
+# 77 keys take at most 41594837 bytes, a mask of width w counted as
+# w // 8 + 1 bytes; CPython's 30-bit digits in 4 bytes make a mask about
+# 6.7% larger than that, 104012 bytes against 97488 for d=907 class 2
 _TABLES: dict[tuple[int, int], tuple[bytes, int, int]] = {}
 
 # (a, r) -> (limit, mask): bit limit - n of mask is set for each number
@@ -118,7 +121,9 @@ _TABLES: dict[tuple[int, int], tuple[bytes, int, int]] = {}
 # form with leading coefficient a (_value_mask), so every such form reads
 # it.  A key is only rebuilt, at the wider bound of an admitted call, so
 # limit never passes the widest width _value_mask admits for a form with
-# that a: at most 49 keys and 4303588 bytes over every supported field
+# that a: at most 49 keys and 4303588 bytes over every supported field,
+# a mask counted as w // 8 + 1 bytes as for _TABLES, so about 6.7% short
+# of what CPython's 30-bit digits take
 _RESIDUES: dict[tuple[int, int], tuple[int, int]] = {}
 
 

@@ -7,7 +7,8 @@ set of integers certifies universality of a quadratic form) are taken as
 given; this module only applies them.  m_d rests on the 290 theorem: it
 is the least layer of the norm form's reach_layers at width 290 that
 holds every TWO_NINETY number, with no cross-check at run time (the
-bounded coverage scans that confirm it live in the tests).  Every
+bounded coverage scans that confirm it live in the tests), and
+norm_sum_first_gap scans its full width, leaning on no theorem.  Every
 coverage check reads one bitmask, a Python big int holding every sum of
 one value per term.  A term's values are those of one or two quadratics
 in x >= 0 with q(0) = 0, each given by its first difference and the
@@ -15,8 +16,13 @@ constant step of its differences: a square of weight w is (w, 2w), a
 triangular number (w, w), and Sun's p*x^2 + x over all integers x is
 (p + 1, 2p) and (p - 1, 2p).  One enumerator draws them all, and the
 step alone bounds how many there are, so the cost is checked against
-the work budget of repsearch before any value is enumerated.  The
-depth-first searches that cross-check it live only in tests/_oracle.py.
+the work budget of repsearch before any value is enumerated.  The mask
+is built reversed, each value one right shift and one OR, with the
+widest term marked into it directly.  A scan to a limit past 290 looks
+for a gap in [1, 290] first, where by the 15 and 290 theorems a
+non-universal integral form already misses a number, and goes on to the
+limit only when that window is covered.  The depth-first searches that
+cross-check it live only in tests/_oracle.py.
 """
 
 import enum
@@ -26,7 +32,7 @@ from itertools import accumulate, count, takewhile
 from math import isqrt
 
 from .quadfield import FieldParams, require_int
-from .repsearch import _check_budget, _value_mask, reach_layers
+from .repsearch import _check_budget, _reversed, _value_mask, reach_layers
 
 
 class TermKind(enum.Enum):
@@ -80,32 +86,54 @@ def _progression_size(step: int, bound: int) -> int:
     return isqrt(2 * bound // step) + 2
 
 
+def _term_size(term: tuple[tuple[int, int], ...], bound: int) -> int:
+    return sum(_progression_size(step, bound) for _, step in term)
+
+
+def _check_coverage(terms: list[tuple[tuple[int, int], ...]], bound: int) -> None:
+    """Raise Overflow unless a coverage mask of the terms up to bound fits
+    the work budget: one shift of a mask of bound // 64 + 1 words for every
+    value of every term, each term's count bounded by _term_size."""
+    _check_budget(sum(_term_size(term, bound) for term in terms) * (bound // 64 + 1), f"bound {bound}")
+
+
 def _coverage_mask(terms: list[tuple[tuple[int, int], ...]], bound: int) -> int:
     """The bitmask of all sums v_0 + ... + v_{n-1} <= bound, v_j a value of
-    term j: of any of the term's progressions (first, step).
+    term j: of any of the term's progressions (first, step).  Checked
+    against the work budget (_check_coverage) before any value is drawn.
 
-    The cost, one shift of a mask of bound // 64 + 1 words per value, is
-    bounded by _progression_size and judged before any value is drawn:
-    over the work budget raises Overflow with the estimate.
+    The running mask is kept reversed, with bit bound - s for each sum s,
+    so adding a value v is one right shift and one OR, and the shift drops
+    every sum past bound by itself: no window AND.  The term with the most
+    values (by _term_size) starts the mask: its values are marked one by
+    one into a bytearray, with no shift.  One _reversed at the end gives
+    bit s for each sum s.  The estimate, unchanged, charges a shift for
+    every value, the marked term's too, so a scan stays short of it by
+    the shifts the marked term saves.  _coverage_gap spends them on the
+    window it scans first, which costs fewer once limit // 64 + 1 >=
+    5*(k - 1) for k terms.
     """
-    size = sum(_progression_size(step, bound) for term in terms for _, step in term)
-    _check_budget(size * (bound // 64 + 1), f"bound {bound}")
-    mask = 1
-    window = (1 << (bound + 1)) - 1
-    for term in terms:
+    _check_coverage(terms, bound)
+    widest, *rest = sorted(terms, key=lambda term: _term_size(term, bound), reverse=True)
+    marks = bytearray(bound // 8 + 1)
+    for first, step in widest:
+        for v in _progression(first, step, bound):
+            marks[(bound - v) >> 3] |= 1 << ((bound - v) & 7)
+    mask = int.from_bytes(marks, "little")
+    for term in rest:
         acc = 0
         for first, step in term:
             for v in _progression(first, step, bound):
-                acc |= mask << v
-        mask = acc & window
-    return mask
+                acc |= mask >> v
+        mask = acc
+    return _reversed(mask, bound)
 
 
-def _form_mask(form: DiagonalForm | MixedSum, bound: int) -> int:
+def _form_terms(form: DiagonalForm | MixedSum) -> list[tuple[tuple[int, int], ...]]:
     # w*x^2 steps by w, 3w, 5w, ... and w*x(x + 1)/2 by w, 2w, 3w, ...; x >= 0
     # is exhaustive because x^2 = (-x)^2 and x(x + 1) = (-x - 1)(-x)
     terms = form.terms if isinstance(form, MixedSum) else ((TermKind.SQUARE, c) for c in form.coefficients)
-    return _coverage_mask([((w, 2 * w if kind is TermKind.SQUARE else w),) for kind, w in terms], bound)
+    return [((w, 2 * w if kind is TermKind.SQUARE else w),) for kind, w in terms]
 
 
 def check_criterion(form: DiagonalForm | MixedSum, criterion: tuple[int, ...]) -> bool:
@@ -114,7 +142,7 @@ def check_criterion(form: DiagonalForm | MixedSum, criterion: tuple[int, ...]) -
     Eligibility of the form for the criterion (diagonal integral vs
     integer-valued) is the caller's responsibility.
     """
-    mask = _form_mask(form, max((0, *criterion)))
+    mask = _coverage_mask(_form_terms(form), max((0, *criterion)))
     return all(n >= 0 and mask >> n & 1 for n in criterion)
 
 
@@ -124,21 +152,54 @@ def _first_gap(mask: int, limit: int) -> int | None:
     return (missing & -missing).bit_length() - 1 if missing else None
 
 
+def _coverage_gap(terms: list[tuple[tuple[int, int], ...]], limit: int) -> int | None:
+    """Least n in [1, limit] that no sum of one value per term reaches,
+    else None.
+
+    The budget is checked at limit before any mask is built.  Then the
+    window [1, min(limit, 290)] is scanned first, and its first gap, if it
+    has one, is returned: sums up to b use only values up to b, so it is
+    exactly the gap a scan to limit would find.  By the 15 and 290
+    theorems a non-universal integral form misses a number up to 290, so
+    most non-covering forms stop there; the answer does not rest on it.
+    Only a window with no gap is followed by a scan to limit, and a limit
+    up to 290 is scanned once.
+
+    The estimate at limit still bounds the work.  Say the k terms have at
+    most S_b values up to b, W_b of them the widest term's.  The scan to
+    limit falls short of the estimate by at least the marked term's
+    W_limit shifts of limit // 64 + 1 words, and the window adds at most
+    S_290 - W_290 <= (k - 1)*W_limit shifts of 5 words.  So the two scans
+    stay within the estimate once limit // 64 + 1 >= 5*(k - 1), and within
+    twice it at any limit past 290, where the window's S_290*5 is at most
+    the estimate.
+    """
+    _check_coverage(terms, limit)
+    window = min(limit, TWO_NINETY[-1])
+    gap = _first_gap(_coverage_mask(terms, window), window)
+    if gap is None and limit > window:
+        gap = _first_gap(_coverage_mask(terms, limit), limit)
+    return gap
+
+
 def universal_up_to(form: DiagonalForm | MixedSum, limit: int) -> tuple[bool, int | None]:
-    """Whether the form represents every n in [1, limit]; first gap if not."""
+    """Whether the form represents every n in [1, limit]; first gap if not.
+    Over the work budget at limit raises Overflow before any mask is
+    built; a gap up to 290 is found without a scan to limit
+    (_coverage_gap)."""
     require_int("limit", limit, least=1)
-    gap = _first_gap(_form_mask(form, limit), limit)
+    gap = _coverage_gap(_form_terms(form), limit)
     return (gap is None, gap)
 
 
 def sun_polynomial_universal(limit: int) -> tuple[bool, int | None]:
     """Coverage of 2a^2+a + 3b^2+b + 3c^2+c over all integers a, b, c
-    (negatives included) on [1, limit]; first gap if any."""
+    (negatives included) on [1, limit]; first gap if any.  Scanned as
+    universal_up_to is, the window up to 290 first (_coverage_gap)."""
     require_int("limit", limit, least=1)
     # p*x^2 + x steps by p + 1, 3p + 1, ... from x = 0 up and by p - 1,
     # 3p - 1, ... from x = 0 down
-    mask = _coverage_mask([((p + 1, 2 * p), (p - 1, 2 * p)) for p in (2, 3, 3)], limit)
-    gap = _first_gap(mask, limit)
+    gap = _coverage_gap([((p + 1, 2 * p), (p - 1, 2 * p)) for p in (2, 3, 3)], limit)
     return (gap is None, gap)
 
 

@@ -960,6 +960,15 @@ def test_table_cache_is_bounded_in_bytes():
     assert len(table_bytes) == 77
     assert sum(table_bytes.values()) == 41594837
     assert max(table_bytes.values()) == table_bytes[(907, 2)] == 779904 + 97488
+    # the formula against what a built entry keeps: counts of w + 1 bytes
+    # and a mask of at most w + 1 bits, so at most w // 8 + 1 bytes
+    w = 3000
+    for d, class_index in ((907, 2), (907, 3), (5, 2), (23, 2), (403, 2)):
+        min_count_table(make_field(d), class_index, w)
+        counts, width, values = repsearch._TABLES[repsearch._table_key(make_field(d), class_index)]
+        assert (len(counts), width) == (w + 1, w), (d, class_index)
+        assert values & 1 and values.bit_length() <= w + 1, (d, class_index)
+    assert sorted(repsearch._TABLES) == [(5, 2), (23, 2), (403, 2), (907, 2)]
 
 
 def test_residue_cache_is_bounded_in_bytes():

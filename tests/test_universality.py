@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracle import oracle_layers, oracle_represents, oracle_values
+from normsums import universality
 from normsums.quadfield import SUPPORTED_FIELDS, Overflow, make_field
 from normsums.universality import (
     FIFTEEN,
@@ -17,6 +18,8 @@ from normsums.universality import (
     DiagonalForm,
     MixedSum,
     TermKind,
+    _check_coverage,
+    _form_terms,
     _progression,
     _progression_size,
     check_criterion,
@@ -97,11 +100,64 @@ def test_coverage_over_budget_raises_before_work():
         lambda: check_criterion(form, (10**12,)),
         lambda: universal_up_to(form, 10**12),
         lambda: sun_polynomial_universal(10**12),
+        # its first gap, 1, lies in [1, 290], yet the budget is judged at
+        # the limit before that window is scanned
+        lambda: universal_up_to(DiagonalForm((3, 4, 4, 5)), 10**12),
     ):
         t0 = time.perf_counter()
         with pytest.raises(Overflow, match="estimated"):
             check()
         assert time.perf_counter() - t0 < 1
+
+
+def test_coverage_admits_the_documented_limits():
+    # the README's widest admitted limits: four unit squares and Sun's
+    # polynomial fit the budget at them and are refused one past them
+    four_squares = DiagonalForm((1, 1, 1, 1))
+    sun = [((p + 1, 2 * p), (p - 1, 2 * p)) for p in (2, 3, 3)]
+    _check_coverage(_form_terms(four_squares), 29465919)
+    _check_coverage(sun, 30905521)
+    with pytest.raises(Overflow, match="bound 29465920"):
+        universal_up_to(four_squares, 29465920)
+    with pytest.raises(Overflow, match="bound 30905522"):
+        sun_polynomial_universal(30905522)
+
+
+@settings(max_examples=200)
+@given(_forms, st.integers(min_value=1, max_value=600))
+def test_universal_up_to_matches_oracle_first_gap(form, limit):
+    # limits on both sides of the [1, 290] window scanned first
+    terms = _oracle_terms(form)
+    gap = next((n for n in range(1, limit + 1) if not oracle_represents(terms, n)), None)
+    assert universal_up_to(form, limit) == (gap is None, gap)
+
+
+def test_a_gap_up_to_290_needs_no_scan_to_the_limit(monkeypatch):
+    # the bound of every _coverage_mask call, in order
+    bounds = []
+    build = universality._coverage_mask
+
+    def spy(terms, bound):
+        bounds.append(bound)
+        return build(terms, bound)
+
+    monkeypatch.setattr(universality, "_coverage_mask", spy)
+    # misses 1: the window answers alone
+    assert universal_up_to(DiagonalForm((3, 4, 4, 5)), 10**5) == (False, 1)
+    assert bounds == [290]
+    bounds.clear()
+    # covers [1, 10^5]: the window, then the full scan
+    assert universal_up_to(DiagonalForm((1, 1, 3, 4)), 10**5) == (True, None)
+    assert bounds == [290, 10**5]
+    bounds.clear()
+    # a limit inside the window is scanned once
+    assert universal_up_to(DiagonalForm((1, 1, 3, 4)), 200) == (True, None)
+    assert universal_up_to(DiagonalForm((3, 4, 4, 5)), 200) == (False, 1)
+    assert sun_polynomial_universal(200) == (True, None)
+    assert bounds == [200, 200, 200]
+    bounds.clear()
+    assert sun_polynomial_universal(10**4) == (True, None)
+    assert bounds == [290, 10**4]
 
 
 def test_check_criterion_diagonal_forms():

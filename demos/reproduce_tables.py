@@ -5,20 +5,15 @@ r <= 300: exceptional sets, minimum-count maxima, and stability of the
 maximum on the lower half window.  Exit status 0 means every row agreed.
 """
 
-import argparse
 import sys
 
 from normsums.verify import report_table, verify_all
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--r-max", type=int, default=300)
-    args = ap.parse_args()
-
     ok = True
     for class_number in (2, 3):
-        report = verify_all(class_number, r_max=args.r_max)
+        report = verify_all(class_number, r_max=300)
         print(f"== class number {class_number} ==")
         print(report_table(report))
         print(f"elapsed: {report.runtime_seconds:.2f}s")

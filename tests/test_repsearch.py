@@ -812,6 +812,41 @@ def test_norm_multiples_need_no_more_values():
     assert pairs == 219258
 
 
+def test_anisotropic_primes_descend():
+    # descent: let p be an odd prime, p = 3 (mod 4), with p || D = 4AC - B^2,
+    # and take an equivalent form with p not dividing A (same values).  Then
+    # 4A*Q(x, y) = X^2 + D*y^2 with X = 2A*x + B*y.  If Q(u) + Q(v) = 0
+    # (mod p^2), then X_u^2 + X_v^2 = 0 (mod p), and -1 is no square mod p,
+    # so p | X_u and p | X_v; then D*(y_u^2 + y_v^2) = 0 (mod p^2) with
+    # p || D gives p | y_u and p | y_v, and so p | x_u and p | x_v.  Hence
+    # p | u and p | v, Q(u) + Q(v) = p^2*(Q(u/p) + Q(v/p)), and p^2*r is a
+    # sum of at most two values exactly when r is (v = 0 covers one).  With
+    # the scaling law above (p^2 = N(p) is a norm): count(p^2*r) = count(r)
+    # when 1 <= count(r) <= 3, count(p^2*r) >= 3 when count(r) >= 3, and
+    # count(p^2*r) is 0 or at least 3 when r is unreachable; checked on the
+    # 77 tables (class 3 reads class 2's), p from 3 to 47 at this width
+    width = 3000
+    pairs = 0
+    for d, class_index in ALL_CLASSES:
+        if class_index == 3:
+            continue
+        f = make_field(d)
+        a, b, c, _ = class_form(f, rep_for(f, class_index))
+        disc = 4 * a * c - b * b
+        table = repsearch._count_table(f, class_index, width)
+        for p in range(3, math.isqrt(width) + 1, 4):
+            if disc % p or disc % (p * p) == 0 or any(p % q == 0 for q in range(3, math.isqrt(p) + 1, 2)):
+                continue
+            for r in range(1, width // (p * p) + 1):
+                count, scaled = table[r], table[p * p * r]
+                if 1 <= count <= 3:
+                    assert scaled == count, (d, class_index, p, r)
+                else:
+                    assert scaled >= 3 or (count == 0 and scaled == 0), (d, class_index, p, r)
+                pairs += 1
+    assert pairs == 4253
+
+
 def test_exceptional_set_examples():
     f35 = make_field(35)
     assert exceptional_set(f35, 2, 100) == [1, 2, 4]

@@ -4,13 +4,18 @@ quadfield, keeps congruence conditions out of the search kernel, keeps no
 public name that only tests use, the test oracle stays independent of the
 code it checks, importing the CLI loads no process-pool module, no
 fractions, no dataclasses or inspect module, no threading and no typing,
-and verify's pool loads no process-pool module either."""
+verify's pool loads no process-pool module either, and the package's
+derived namespace imports only the module a name needs, holds every public
+name the modules define and none that they only import."""
 
 import ast
 import builtins
+import importlib
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import normsums
 
@@ -230,8 +235,8 @@ def _parsed(paths) -> dict[str, ast.Module]:
 
 def test_every_public_name_has_a_caller_outside_the_tests():
     # a public name of a library module is read by another library module,
-    # by its own module, by the CLI, a demo or the bench; __init__ only
-    # re-exports, so it reads nothing
+    # by its own module, by the CLI, a demo or the bench; __init__ derives
+    # its names, so it reads none
     modules = _parsed(p for p in sorted(SRC.glob("*.py")) if p.name not in ("cli.py", "__init__.py"))
     readers = _parsed([SRC / "cli.py", *sorted((REPO / "demos").glob("*.py")), *sorted((REPO / "bench").glob("*.py"))])
     unread = [entry for entry in unread_public_names(modules, list(readers.values()))
@@ -290,3 +295,76 @@ def test_verify_pool_loads_no_multiprocessing_concurrent_futures_or_logging():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# the names the package listed by hand before its namespace was derived,
+# by home module; each must still be the home module's object
+LISTED_NAMES = {
+    "quadfield": ("CLASS_NUMBER_1_FIELDS", "CLASS_NUMBER_2_FIELDS", "CLASS_NUMBER_3_FIELDS", "SUPPORTED_FIELDS",
+                  "FieldParams", "NotSquarefree", "OmegaBranch", "Overflow", "RingElement", "UnsupportedField",
+                  "conjugate", "make_field", "norm"),
+    "classdata": ("CongruenceCondition", "IdealClassRep", "class_reps", "condition_display", "congruence_for",
+                  "rep_for"),
+    "repsearch": ("GInvariantResult", "LatticeQuery", "MinTermsResult", "RepCertificate", "exceptional_set",
+                  "find_certificate", "g_invariant", "min_count_table", "min_terms"),
+    "universality": ("FIFTEEN", "TWO_NINETY", "DiagonalForm", "MixedSum", "TermKind", "check_criterion", "m_d",
+                     "norm_sum_first_gap", "sun_polynomial_universal", "universal_up_to"),
+    "verify": ("DiffReport", "ExpectedRow", "FieldReport", "expected_row", "recheck_certificate", "report_table",
+               "report_to_json", "verify_all", "verify_field"),
+}
+
+
+def _loaded_after(code: str) -> list[str]:
+    """The normsums.* modules a fresh -S interpreter holds after the code."""
+    code += "\nimport sys; print(sorted(m for m in sys.modules if m.startswith('normsums.')))"
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return ast.literal_eval(proc.stdout)
+
+
+def test_importing_the_package_loads_no_module():
+    assert _loaded_after("import normsums") == []
+
+
+@pytest.mark.parametrize("name", ["make_field", "quadfield"])
+def test_a_quadfield_name_loads_quadfield_alone(name):
+    assert _loaded_after(f"from normsums import {name}") == ["normsums.quadfield"]
+
+
+def test_a_private_name_is_refused_without_an_import():
+    assert _loaded_after("import normsums\nassert not hasattr(normsums, '_TABLES')") == []
+
+
+def test_the_listed_names_are_their_modules_objects():
+    assert sum(map(len, LISTED_NAMES.values())) == 47
+    for module, names in LISTED_NAMES.items():
+        home = importlib.import_module(f"normsums.{module}")
+        for name in names:
+            assert getattr(normsums, name) is getattr(home, name), (module, name)
+
+
+def test_every_defined_public_name_resolves_to_one_object():
+    # a public name a module binds at top level, or an upper-case constant
+    # it holds (classdata re-imports quadfield's field tuples), is a package
+    # attribute, the same object wherever a module holds it
+    first: dict[str, object] = {}
+    for module in LISTED_NAMES:
+        home = importlib.import_module(f"normsums.{module}")
+        tree = ast.parse((SRC / f"{module}.py").read_text())
+        names = {name for top in tree.body for name in defined_names(top)}
+        names |= {name for name in vars(home) if name.isupper()}
+        for name in sorted(n for n in names if not n.startswith("_")):
+            value = getattr(home, name)
+            assert first.setdefault(name, value) is value, (module, name)
+            assert getattr(normsums, name) is value, (module, name)
+    assert len(first) == 57  # the 47 listed names and the 10 the list left out
+
+
+def test_a_star_import_binds_nothing_and_loads_no_module():
+    assert _loaded_after("from normsums import *\nassert [n for n in dir() if not n.startswith('_')] == []") == []
+
+
+@pytest.mark.parametrize("name", ["isqrt", "namedtuple", "os", "import_module"])
+def test_imported_names_are_not_exported(name):
+    with pytest.raises(AttributeError, match=f"has no attribute '{name}'"):
+        getattr(normsums, name)

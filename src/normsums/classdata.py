@@ -159,14 +159,9 @@ def condition_display(c: CongruenceCondition) -> str:
 
 
 def reps_as_rows() -> list[dict]:
-    """Every representative as a flat row dict (column order d, class_index,
-    k, s, t), for JSON and CSV export."""
-    rows = []
-    for d in SUPPORTED_FIELDS:
-        f = make_field(d)
-        for rep in class_reps(f):
-            rows.append({"d": d, "class_index": rep.class_index, "k": rep.k, "s": rep.s, "t": rep.t})
-    return rows
+    """Every representative as a flat row dict (column order d, then
+    IdealClassRep's fields class_index, k, s, t), for JSON and CSV export."""
+    return [{"d": d, **rep._asdict()} for d in SUPPORTED_FIELDS for rep in class_reps(make_field(d))]
 
 
 def class_number_fields(class_number: int) -> tuple[int, ...]:

@@ -9,6 +9,15 @@ table.  Exit codes are part of the contract so CI can gate on them:
     3   squarefree d outside the supported class-number-1/2/3 lists
     4   verify found at least one mismatch
 
+A library error prints one stderr line, `NotSquarefree: ...`,
+`UnsupportedField: ...` or `Overflow: ...` after its class, and
+`error: ...` for any other ValueError.  Each flag's argparse spec is
+declared once, in `_FLAGS`, and each subcommand once, in `build_parser`,
+as its name, `cmd_*` function, help text and the flags it takes.  The
+csv and table views follow the records' field order: a csv header is
+the first row's keys, and representative rows are `IdealClassRep`'s
+fields.
+
 `main` may be called many times in one process (a Python session, a
 demo, a benchmark round).  It builds its argparse parser on its first
 call and reuses it for every later one: a build makes nine parsers and
@@ -40,25 +49,27 @@ from .repsearch import (
     min_terms,
 )
 from .universality import m_d
-from .verify import report_table, report_to_json, verify_all
+from .verify import report_rows, report_table, report_to_json, verify_all
 
 
 def _emit(fmt: str, doc: dict, rows: list[dict] | None = None, columns: list[str] | None = None,
           table: list[tuple[str, object]] | str | None = None) -> None:
     """Print one result in the format asked for.
 
-    json prints doc compactly.  csv prints rows under a header of columns,
-    by default doc as the one row under doc's keys.  table prints (key,
+    json prints doc compactly.  csv prints rows, by default doc as the one
+    row, under a header of the first row's keys; columns names the header
+    where a row may lack a key or there may be no row.  table prints (key,
     value) pairs with the keys padded to one width, by default doc's
     items; a str table is the finished text of a hand-laid table.
     """
     if fmt == "json":
         print(json.dumps(doc, separators=(",", ":")))
     elif fmt == "csv":
+        rows = [doc] if rows is None else rows
         out = io.StringIO()
-        writer = csv.DictWriter(out, fieldnames=columns or list(doc), lineterminator="\n")
+        writer = csv.DictWriter(out, fieldnames=columns or list(rows[0]), lineterminator="\n")
         writer.writeheader()
-        writer.writerows([doc] if rows is None else rows)
+        writer.writerows(rows)
         sys.stdout.write(out.getvalue())
     elif isinstance(table, str):
         print(table)
@@ -84,16 +95,14 @@ def _omega_text(f) -> str:
 
 def cmd_field_info(args) -> int:
     f = make_field(args.d)
+    reps = class_reps(f)
     classes = [
         {
-            "class_index": rep.class_index,
-            "k": rep.k,
-            "s": rep.s,
-            "t": rep.t,
+            **rep._asdict(),
             "h_scale": "1" if rep.k == 1 else f"1/{rep.k}",
             "condition": condition_display(congruence_for(f, rep)),
         }
-        for rep in class_reps(f)
+        for rep in reps
     ]
     doc = {
         "d": f.d,
@@ -107,18 +116,13 @@ def cmd_field_info(args) -> int:
         (f"class {c['class_index']}", f"k={c['k']} s={c['s']} t={c['t']} h={c['h_scale']} condition: {c['condition']}")
         for c in classes
     ]
-    columns = ["d", "class_index", "k", "s", "t"]
-    rows = [{"d": f.d, **{key: c[key] for key in columns[1:]}} for c in classes]
-    _emit(args.format, doc, rows, columns, table)
+    _emit(args.format, doc, [{"d": f.d, **rep._asdict()} for rep in reps], table=table)
     return 0
 
 
 def cmd_min_terms(args) -> int:
     q = LatticeQuery(field=make_field(args.d), class_index=args.class_index, r=args.r)
-    result = min_terms(q)
-    doc: dict = {"outcome": result.outcome}
-    if result.m is not None:
-        doc["m"] = result.m
+    doc = {key: value for key, value in min_terms(q)._asdict().items() if value is not None}
     _emit(args.format, doc, columns=["outcome", "m"])
     return 0
 
@@ -137,7 +141,7 @@ def cmd_certificate(args) -> int:
     doc = cert.to_json_dict()
     table = [(key, doc[key]) for key in ("d", "class_index", "k", "r", "m", "check")]
     table.append(("gammas", " ".join(f"({a},{b})" for a, b in doc["gammas"])))
-    _emit(args.format, doc, [{"a": a, "b": b} for a, b in doc["gammas"]], ["a", "b"], table)
+    _emit(args.format, doc, [{"a": a, "b": b} for a, b in doc["gammas"]], table=table)
     return 0
 
 
@@ -157,7 +161,7 @@ def cmd_g(args) -> int:
     row = {"d": args.d, "r_max": args.r_max, "g": result.g, "witness_class_index": ci, "witness_r": r,
            "stable": result.stable}
     table = list({**doc, "witness": f"class {ci}, r={r}"}.items())
-    _emit(args.format, doc, [row], list(row), table)
+    _emit(args.format, doc, [row], table=table)
     return 0
 
 
@@ -168,18 +172,7 @@ def cmd_m_d(args) -> int:
 
 def cmd_verify(args) -> int:
     report = verify_all(args.class_number, r_max=args.r_max)
-    rows = [
-        {
-            "d": fr.d,
-            "class": fr.class_number,
-            "g_expected": fr.g_expected,
-            "g_computed": fr.g_computed,
-            "exceptions_match": fr.exceptions_match,
-            "stable": fr.stable,
-        }
-        for fr in report.fields
-    ]
-    _emit(args.format, report_to_json(report), rows, list(rows[0]), report_table(report))
+    _emit(args.format, report_to_json(report), report_rows(report), table=report_table(report))
     return 0 if report.all_match else 4
 
 
@@ -187,8 +180,20 @@ def cmd_class_table(args) -> int:
     rows = reps_as_rows()
     lines = [f"{'d':>5} {'class_index':>11} {'k':>3} {'s':>4} {'t':>2}"]
     lines += [f"{row['d']:>5} {row['class_index']:>11} {row['k']:>3} {row['s']:>4} {row['t']:>2}" for row in rows]
-    _emit(args.format, {"rows": rows}, rows, list(rows[0]), "\n".join(lines))
+    _emit(args.format, {"rows": rows}, rows, table="\n".join(lines))
     return 0
+
+
+# each flag's argparse spec; a subcommand names the flags it takes
+_FLAGS = {
+    "--format": {"choices": ["json", "csv", "table"], "default": "json"},
+    "-d": {"type": int, "required": True},
+    "--class": {"dest": "class_index", "type": int, "required": True},
+    "-r": {"type": int, "required": True},
+    "-m": {"type": int, "required": True},
+    "--r-max": {"type": int, "default": 300},
+    "--class-number": {"type": int, "choices": [2, 3], "required": True},
+}
 
 
 @functools.cache
@@ -206,45 +211,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="Sums of norms in imaginary quadratic fields: minimum counts, exceptional sets, uniform bounds.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, **help_kw):
-        p = sub.add_parser(name, **help_kw)
+    for name, func, text, flags in (
+        ("field-info", cmd_field_info, "field parameters, class representatives, congruence conditions", ["-d"]),
+        ("min-terms", cmd_min_terms, "minimum number of norms for one lattice", ["-d", "--class", "-r"]),
+        ("certificate", cmd_certificate, "explicit summand list with exactly m summands",
+         ["-d", "--class", "-r", "-m"]),
+        ("exceptional", cmd_exceptional, "all unrepresentable r up to a bound", ["-d", "--class", "--r-max"]),
+        ("g", cmd_g, "uniform bound g over all classes up to r-max", ["-d", "--r-max"]),
+        ("m-d", cmd_m_d, "minimum unconstrained-norm count m_d", ["-d"]),
+        ("verify", cmd_verify, "recompute and diff the expected tables", ["--class-number", "--r-max"]),
+        ("class-table", cmd_class_table, "export every ideal class representative row", []),
+    ):
+        p = sub.add_parser(name, help=text)
         p.set_defaults(func=func)
-        p.add_argument("--format", choices=["json", "csv", "table"], default="json")
-        return p
-
-    p = add("field-info", cmd_field_info, help="field parameters, class representatives, congruence conditions")
-    p.add_argument("-d", type=int, required=True)
-
-    p = add("min-terms", cmd_min_terms, help="minimum number of norms for one lattice")
-    p.add_argument("-d", type=int, required=True)
-    p.add_argument("--class", dest="class_index", type=int, required=True)
-    p.add_argument("-r", type=int, required=True)
-
-    p = add("certificate", cmd_certificate, help="explicit summand list with exactly m summands")
-    p.add_argument("-d", type=int, required=True)
-    p.add_argument("--class", dest="class_index", type=int, required=True)
-    p.add_argument("-r", type=int, required=True)
-    p.add_argument("-m", type=int, required=True)
-
-    p = add("exceptional", cmd_exceptional, help="all unrepresentable r up to a bound")
-    p.add_argument("-d", type=int, required=True)
-    p.add_argument("--class", dest="class_index", type=int, required=True)
-    p.add_argument("--r-max", dest="r_max", type=int, default=300)
-
-    p = add("g", cmd_g, help="uniform bound g over all classes up to r-max")
-    p.add_argument("-d", type=int, required=True)
-    p.add_argument("--r-max", dest="r_max", type=int, default=300)
-
-    p = add("m-d", cmd_m_d, help="minimum unconstrained-norm count m_d")
-    p.add_argument("-d", type=int, required=True)
-
-    p = add("verify", cmd_verify, help="recompute and diff the expected tables")
-    p.add_argument("--class-number", dest="class_number", type=int, choices=[2, 3], required=True)
-    p.add_argument("--r-max", dest="r_max", type=int, default=300)
-
-    add("class-table", cmd_class_table, help="export every ideal class representative row")
-
+        for flag in ("--format", *flags):
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
@@ -253,18 +234,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except NotSquarefree as exc:
-        print(f"NotSquarefree: {exc}", file=sys.stderr)
-        return 2
-    except UnsupportedField as exc:
-        print(f"UnsupportedField: {exc}", file=sys.stderr)
-        return 3
-    except Overflow as exc:
-        print(f"Overflow: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except (ValueError, Overflow) as exc:
+        named = isinstance(exc, (NotSquarefree, UnsupportedField, Overflow))
+        print(f"{type(exc).__name__ if named else 'error'}: {exc}", file=sys.stderr)
+        return 3 if isinstance(exc, UnsupportedField) else 2
 
 
 if __name__ == "__main__":

@@ -383,19 +383,23 @@ def report_to_json(report: DiffReport) -> dict:
     return doc
 
 
+def report_rows(report: DiffReport) -> list[dict]:
+    """One flat row per field (columns d, class, g_expected, g_computed,
+    exceptions_match, stable), for CSV export and report_table."""
+    return [{"d": fr.d, "class": fr.class_number, "g_expected": fr.g_expected, "g_computed": fr.g_computed,
+             "exceptions_match": fr.exceptions_match, "stable": fr.stable} for fr in report.fields]
+
+
 def report_table(report: DiffReport) -> str:
-    """Human-readable summary, one row per field."""
-    header = f"{'d':>5}  {'class':>5}  {'g_expected':>10}  {'g_computed':>10}  {'exceptions_match':>16}  {'stable':>6}"
-    lines = [header, "-" * len(header)]
-    for fr in report.fields:
-        lines.append(
-            f"{fr.d:>5}  {fr.class_number:>5}  {fr.g_expected:>10}  {fr.g_computed:>10}  "
-            f"{str(fr.exceptions_match).lower():>16}  {str(fr.stable).lower():>6}"
-        )
+    """Human-readable summary: report_rows under their header, each column
+    right-aligned to its header's width (at least 5) and lower-cased, then
+    the match count and every mismatch detail."""
+    rows = report_rows(report)
+    header = {key: key for key in rows[0]}
+    lines = ["  ".join(f"{str(row[key]).lower():>{max(len(key), 5)}}" for key in header) for row in (header, *rows)]
+    lines.insert(1, "-" * len(lines[0]))
     lines.append(f"{report.matches}/{report.total} match, all_stable={str(report.all_stable).lower()}")
-    for fr in report.fields:
-        for detail in fr.details:
-            lines.append(f"  ! {detail}")
+    lines += [f"  ! {detail}" for fr in report.fields for detail in fr.details]
     return "\n".join(lines)
 
 

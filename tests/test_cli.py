@@ -1,5 +1,6 @@
-"""Command-line interface: golden outputs, formats, exit codes."""
+"""Command-line interface: golden outputs, formats, exit codes, parser structure."""
 
+import argparse
 import json
 import re
 import subprocess
@@ -217,10 +218,14 @@ def test_field_info_and_class_table_goldens(capsys, fmt):
     assert out == (GOLDENS / f"class-table.{fmt}").read_text()
 
 
-def test_verify_exit_code_on_mismatch(capsys, monkeypatch):
+def plant_mismatch(monkeypatch):
     # one CPU keeps verify in this process, where the planted row is seen
     monkeypatch.setattr(verify_mod, "_usable_cpus", lambda: 1)
     monkeypatch.setitem(verify_mod._EXPECTED_CLASS2, 10, (2, 2, (3, 7), 4))
+
+
+def test_verify_exit_code_on_mismatch(capsys, monkeypatch):
+    plant_mismatch(monkeypatch)
     code, out, _ = run_cli(capsys, "verify", "--class-number", "2", "--r-max", "300")
     assert code == 4
     doc = json.loads(out)
@@ -228,22 +233,38 @@ def test_verify_exit_code_on_mismatch(capsys, monkeypatch):
     assert doc["matches"] == 17
 
 
+def test_verify_mismatch_table_and_csv(capsys, monkeypatch):
+    # the golden but for d=10's row, the count line and one detail line
+    plant_mismatch(monkeypatch)
+    code, out, _ = run_cli(capsys, "verify", "--class-number", "2", "--format", "table")
+    assert code == 4
+    golden = (GOLDENS / "verify-2-300.table").read_text().splitlines()
+    lines = out.splitlines()
+    assert lines[4] == "   10      2           4           4             false    true"
+    assert lines[:4] + lines[5:-2] == golden[:4] + golden[5:-1]
+    assert lines[-2:] == ["17/18 match, all_stable=true", "  ! d=10 class 2: expected exceptional r [7] not computed"]
+    code, out, _ = run_cli(capsys, "verify", "--class-number", "2", "--format", "csv")
+    assert code == 4
+    golden = (GOLDENS / "verify-2-300.csv").read_text()
+    assert out.splitlines()[3] == "10,2,4,4,False,True"
+    assert out == golden.replace("\n10,2,4,4,True,True\n", "\n10,2,4,4,False,True\n")
+
+
+# a library error of each kind: its exit code and the start of its one stderr line
+ERRORS = [
+    (("field-info", "-d", "4"), 2, "NotSquarefree: d=4 is divisible by a square > 1\n"),
+    (("field-info", "-d", "21"), 3, "UnsupportedField: Q(sqrt(-21)) has class number outside {1, 2, 3}\n"),
+    (("min-terms", "-d", "5", "--class", "2", "-r", "10000000"), 2, "Overflow: width 10000000 would take an estimated "),
+    (("min-terms", "-d", "5", "--class", "2", "-r", "0"), 2, "error: r must be positive, got 0\n"),
+    (("verify", "--class-number", "3", "--r-max", "0"), 2, "error: r_max=0 too small: exception 1 > 0\n"),
+]
+
+
 def test_error_exit_codes(capsys):
-    code, _, err = run_cli(capsys, "field-info", "-d", "4")
-    assert code == 2
-    assert "NotSquarefree" in err
-    code, _, err = run_cli(capsys, "field-info", "-d", "21")
-    assert code == 3
-    assert "UnsupportedField" in err
-    code, _, err = run_cli(capsys, "min-terms", "-d", "5", "--class", "2", "-r", "0")
-    assert code == 2
-    assert "positive" in err
-    code, _, err = run_cli(capsys, "min-terms", "-d", "5", "--class", "2", "-r", "10000000")
-    assert code == 2
-    assert "Overflow" in err
-    code, out, err = run_cli(capsys, "verify", "--class-number", "3", "--r-max", "0")
-    assert code == 2 and out == ""
-    assert "r_max=0 too small: exception 1 > 0" in err
+    for args, expected_code, prefix in ERRORS:
+        code, out, err = run_cli(capsys, *args)
+        assert (code, out) == (expected_code, ""), args
+        assert err.startswith(prefix) and err.count("\n") == 1, err
 
 
 def test_huge_d_rejected_without_trial_division(capsys):
@@ -282,9 +303,9 @@ def test_certificate_with_thousands_of_summands(capsys):
 
 
 def test_bad_class_index(capsys):
-    code, _, err = run_cli(capsys, "min-terms", "-d", "5", "--class", "3", "-r", "2")
-    assert code == 2
-    assert err != ""
+    # a plain ValueError from the library
+    assert run_cli(capsys, "min-terms", "-d", "5", "--class", "3", "-r", "2") == (
+        2, "", "error: class_index 3 out of range for d=5 (class number 2)\n")
 
 
 def test_subprocess_entry_point():
@@ -354,6 +375,43 @@ def test_help_twice_prints_the_same_text(capsys):
         texts.append(capsys.readouterr().out)
     assert texts[0] == texts[1]
     assert texts[0].startswith("usage: normsums")
+
+
+HELP = (("-h", "--help"), "help", None, argparse.SUPPRESS, False, None)
+FORMAT = (("--format",), "format", None, "json", False, ["json", "csv", "table"])
+D = (("-d",), "d", "int", None, True, None)
+CLASS = (("--class",), "class_index", "int", None, True, None)
+R = (("-r",), "r", "int", None, True, None)
+R_MAX = (("--r-max",), "r_max", "int", 300, False, None)
+
+# each subcommand in order: its help, then each action's option strings,
+# dest, type, default, required and choices
+PARSER_STRUCTURE = [
+    ("field-info", "field parameters, class representatives, congruence conditions", [HELP, FORMAT, D]),
+    ("min-terms", "minimum number of norms for one lattice", [HELP, FORMAT, D, CLASS, R]),
+    ("certificate", "explicit summand list with exactly m summands",
+     [HELP, FORMAT, D, CLASS, R, (("-m",), "m", "int", None, True, None)]),
+    ("exceptional", "all unrepresentable r up to a bound", [HELP, FORMAT, D, CLASS, R_MAX]),
+    ("g", "uniform bound g over all classes up to r-max", [HELP, FORMAT, D, R_MAX]),
+    ("m-d", "minimum unconstrained-norm count m_d", [HELP, FORMAT, D]),
+    ("verify", "recompute and diff the expected tables",
+     [HELP, FORMAT, (("--class-number",), "class_number", "int", None, True, [2, 3]), R_MAX]),
+    ("class-table", "export every ideal class representative row", [HELP, FORMAT]),
+]
+
+
+def test_parser_structure_is_the_recorded_one():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    helps = {a.dest: a.help for a in sub._choices_actions}
+    structure = [
+        (name, helps[name], [
+            (tuple(a.option_strings), a.dest, getattr(a.type, "__name__", a.type), a.default, a.required, a.choices)
+            for a in p._actions
+        ])
+        for name, p in sub.choices.items()
+    ]
+    assert structure == PARSER_STRUCTURE
 
 
 def test_main_builds_its_parser_once_per_process():

@@ -52,32 +52,40 @@ from .universality import m_d
 from .verify import report_rows, report_table, report_to_json, verify_all
 
 
-def _emit(fmt: str, doc: dict, rows: list[dict] | None = None, columns: list[str] | None = None,
-          table: list[tuple[str, object]] | str | None = None) -> None:
+def _emit(fmt: str, doc, rows=None, columns: list[str] | None = None, table=None) -> None:
     """Print one result in the format asked for.
 
     json prints doc compactly.  csv prints rows, by default doc as the one
     row, under a header of the first row's keys; columns names the header
     where a row may lack a key or there may be no row.  table prints (key,
     value) pairs with the keys padded to one width, by default doc's
-    items; a str table is the finished text of a hand-laid table.
+    items; a str table is the finished text of a hand-laid table.  doc
+    (a dict), rows (a list of dicts) and table (a list of pairs or a str)
+    may each be given as a callable that makes it, called only when the
+    format asked for reads it.
     """
+    def made(view):
+        return view() if callable(view) else view
+
     if fmt == "json":
-        print(json.dumps(doc, separators=(",", ":")))
-    elif fmt == "csv":
-        rows = [doc] if rows is None else rows
+        print(json.dumps(made(doc), separators=(",", ":")))
+        return
+    if fmt == "csv":
+        rows = [made(doc)] if rows is None else made(rows)
         out = io.StringIO()
         writer = csv.DictWriter(out, fieldnames=columns or list(rows[0]), lineterminator="\n")
         writer.writeheader()
         writer.writerows(rows)
         sys.stdout.write(out.getvalue())
-    elif isinstance(table, str):
+        return
+    table = made(table)
+    if isinstance(table, str):
         print(table)
-    else:
-        pairs = table or list(doc.items())
-        width = max(len(key) for key, _ in pairs)
-        for key, value in pairs:
-            print(f"{key:<{width}}  {value}")
+        return
+    pairs = table or list(made(doc).items())
+    width = max(len(key) for key, _ in pairs)
+    for key, value in pairs:
+        print(f"{key:<{width}}  {value}")
 
 
 def _norm_form_text(f) -> str:
@@ -172,7 +180,8 @@ def cmd_m_d(args) -> int:
 
 def cmd_verify(args) -> int:
     report = verify_all(args.class_number, r_max=args.r_max)
-    _emit(args.format, report_to_json(report), report_rows(report), table=report_table(report))
+    _emit(args.format, lambda: report_to_json(report), lambda: report_rows(report),
+          table=lambda: report_table(report))
     return 0 if report.all_match else 4
 
 

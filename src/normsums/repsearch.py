@@ -25,11 +25,11 @@ which point every bit still unset is unreachable by any number of
 summands; that makes Unrepresentable an exact verdict, not a timeout.
 Layer 1 is the value mask itself.  Each later pass, from a sparse layer
 as from a dense one, shifts the layer by the values in order, counting
-the unset bits after 1, 2, 4, ... shifts, until at a count fewer bits
-are unset than values are left and the shifts since the last count
-cleared fewer bits than there were shifts; for a class form's values at
-width 30000 that takes 64 to 512 shifts out of thousands from layer 1,
-and a few from a nearly full layer.
+the unset bits after shift 1, 2, 4, 8, 16 and then every 16 shifts,
+until at a count fewer bits are unset than values are left and the
+shifts since the last count cleared fewer bits than there were shifts;
+for a class form's values at width 30000 that takes 48 to 288 shifts out
+of thousands from layer 1, and a few from a nearly full layer.
 Then the pass tests each r still unset alone, one AND against the
 reversed first layer, and ORs the hits in with one parse, so it never
 costs more than a full pass and the work bound below still holds.
@@ -105,6 +105,15 @@ from .quadfield import (
 # than the full passes the estimate charges.
 _PASS_BOUND = 10
 _WORK_BUDGET = 10**10
+
+# The most shifts a pass of reach_layers makes between two recounts of
+# its unset bits: it recounts after shift 1, 2, 4, 8, 16 and then every 16
+# shifts.  On a 2-vCPU Intel Xeon VM (best of 15 in one process) the 43
+# norm forms' layerings at width 30000, capped at m_d, took 23.0-24.7 ms
+# with 16, against 29.0-30.5 ms recounting at every power of two.  Against
+# 16, stride 8 and 64 were slower on those, and 32 was no faster on them
+# and slower on the class forms' tables at 1500 to 6000.
+_RECOUNT_STRIDE = 16
 
 # (d, class_index) -> (counts, width, values): byte r of counts is the
 # least number of form values summing to r, 0 when no number does, for
@@ -248,9 +257,14 @@ def _work_estimate(a: int, b: int, c: int, width: int) -> int:
     when fewer bits are unset than values are left, so for n values it
     does i shifts and then fewer than n - i ANDs, each on at most
     width + 1 bits, so no more operations than a full pass, plus O(width)
-    string work and about log2(n) popcounts.  The enumeration itself is
-    one shift and one OR per row plus, for each residue mask not already
-    in _RESIDUES at least as wide, about 2*sqrt(width/a) Python steps.
+    string work and at most i // 16 + 5 popcounts, one before the shifts
+    and one at each recount (every _RECOUNT_STRIDE shifts past shift 16).
+    The points measured cover n + n // 16 + 5 for every class form at
+    widths 10 to 30000, the least ratio 1.07 (d=883 class 2 at 3000), so
+    the charge covers the popcounts too, by measurement, not proof.  The
+    enumeration itself is one shift and one OR per row plus, for each
+    residue mask not already in _RESIDUES at least as wide, about
+    2*sqrt(width/a) Python steps.
     """
     disc = 4 * a * c - b * b
     area = 355 * (isqrt_floor(width * width // disc) + 1) // 113 + 1
@@ -312,13 +326,16 @@ def reach_layers(first: int, width: int, cap: int | None = None) -> list[int]:
     as a pass needs them, and _reversed gives rev, which holds bit width - v
     for every value v and for 0.  Every later pass shifts the layer by the
     values in order, recounting the unset bits of [0, width] in the growing
-    layer after shift 1, 2, 4, 8 and so on, and stops shifting at the first
-    recount where fewer are unset than values are left and the batch of
-    shifts since the previous recount cleared fewer bits than it had
-    shifts.  A pass from a nearly full layer starts so too: its first few
-    batches clear most of the bits still unset (the d=403 norm form at
-    width 30000 goes to layer 3 by 8 shifts and 15 tests, not 354 tests).
-    Then it tests each r still unset alone: r joins the layer exactly
+    layer after shift 1, 2, 4, 8, 16 and then every _RECOUNT_STRIDE
+    shifts, and stops shifting at the first recount where fewer are unset
+    than values are left and the batch of shifts since the previous
+    recount cleared fewer bits than it had shifts, so it learns that its
+    shifts have stopped paying at most 16 shifts late (the d=403 norm
+    form's pass to layer 2 at width 30000 switches after 160 shifts of
+    its 2090 values).  A pass from a nearly full layer starts so too: its
+    first few batches clear most of the bits still unset (the same form
+    goes to layer 3 by 8 shifts and 15 tests, not 354 tests).  Then it
+    tests each r still unset alone: r joins the layer exactly
     when the old layer meets rev >> (width - r).  The hits are collected
     in one string and ORed in with one parse, so a pass does i shifts and
     fewer than n - i tests of width + 1 bits for n values, never more
@@ -338,14 +355,18 @@ def reach_layers(first: int, width: int, cap: int | None = None) -> list[int]:
             shifted = 0
             left = width + 1 - cur.bit_count()
             if left:
+                due = batch = 1
                 for shifted, value in enumerate(re.compile("1").finditer(digits, 1), 1):
                     nxt |= (cur << value.start()) & window
-                    if not shifted & (shifted - 1):
-                        # the last batch, the shifted - shifted // 2 shifts
-                        # since the previous recount, cleared before - left
+                    if shifted == due:
+                        # the last batch, the batch shifts since the
+                        # previous recount, cleared before - left; batches
+                        # double up to _RECOUNT_STRIDE shifts
                         before, left = left, width + 1 - nxt.bit_count()
-                        if left < nvalues - shifted and before - left < shifted - shifted // 2:
+                        if left < nvalues - shifted and before - left < batch:
                             break
+                        batch = shifted if shifted < _RECOUNT_STRIDE else _RECOUNT_STRIDE
+                        due += batch
             if shifted < nvalues:
                 # character c of unset is bit len(unset) - 1 - c
                 unset = format(~nxt & window, "b")

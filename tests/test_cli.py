@@ -207,6 +207,19 @@ def test_verify_output_golden(capsys, class_number, fmt):
     assert re.sub(r'"runtime_seconds":[-+.e0-9]+,', "", out) == golden.read_text()
 
 
+@pytest.mark.parametrize("fmt, view", [("json", "report_to_json"), ("csv", "report_rows"),
+                                       ("table", "report_table")])
+def test_verify_builds_only_the_view_asked_for(capsys, monkeypatch, fmt, view):
+    # the other two views are never built, and the asked-for one prints its golden
+    views = ("report_to_json", "report_rows", "report_table")
+    for name in views:
+        if name != view:
+            monkeypatch.setattr(cli, name, lambda report, name=name: pytest.fail(f"{fmt} built {name}"))
+    code, out, _ = run_cli(capsys, "verify", "--class-number", "2", "--r-max", "300", "--format", fmt)
+    assert code == 0
+    assert re.sub(r'"runtime_seconds":[-+.e0-9]+,', "", out) == (GOLDENS / f"verify-2-300.{fmt}").read_text()
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
 def test_field_info_and_class_table_goldens(capsys, fmt):
     # every field's conditions, norm form and representative rows, byte for byte

@@ -1124,6 +1124,23 @@ def _half_plane_points(a, b, c, width):
     return points
 
 
+@pytest.mark.parametrize("width", [10, 100, 300, 3000, 30000])
+def test_work_bound_charges_each_pass_its_recounts(width):
+    # the estimate charges a pass one word-shift of the mask per point of
+    # the half plane; a pass over n values does at most n shifts and
+    # tests and at most n // 16 + 5 popcounts, one before the pass and one
+    # per recount, each over as many words, so the points must cover
+    # n + n // 16 + 5.  The least ratio measured is 1.07, d=883 class 2 at
+    # width 3000: measured slack, not a proof
+    charge = (width // 64 + 1) * repsearch._PASS_BOUND
+    for d, class_index in ALL_CLASSES:
+        f = make_field(d)
+        form = class_form(f, rep_for(f, class_index))[:3]
+        points, rest = divmod(repsearch._work_estimate(*form, width), charge)
+        n = repsearch._value_mask(*form, width).bit_count() - 1
+        assert rest == 0 and points >= n + n // 16 + 5, (d, class_index)
+
+
 def test_admitted_widths_are_pinned():
     # the estimate bounds the dense passes, so a cheaper loop leaves every
     # admitted width where it was
@@ -1178,21 +1195,23 @@ def _shifts_before_tests(cur, values, width, batch_rule=True):
     bits still unset, values distinct, ascending and in [1, width] as
     reach_layers reads them off its first layer, by its rule: none when
     cur is full; otherwise recount the unset bits of [0, width] after
-    shift 1, 2, 4, ..., and switch at a recount once fewer are unset than
-    values are left and the last batch of shifts, those since the previous
-    recount, cleared fewer bits than it had shifts.  With batch_rule false
-    the model drops the batch test and switches at the first recount with
-    fewer unset than values left."""
+    shift 1, 2, 4, 8 and then every 16th shift, and switch at a recount
+    once fewer are unset than values are left and the last batch of
+    shifts, those since the previous recount, cleared fewer bits than it
+    had shifts.  With batch_rule false the model drops the batch test and
+    switches at the first recount with fewer unset than values left."""
     window = (1 << (width + 1)) - 1
     grown, unset = cur, width + 1 - cur.bit_count()
     if not unset:
         return 0
+    last = 0
     for i, v in enumerate(values, 1):
         grown |= (cur << v) & window
-        if not i & (i - 1):
+        if i in (1, 2, 4, 8) or i % 16 == 0:
             before, unset = unset, width + 1 - grown.bit_count()
-            if unset < len(values) - i and (not batch_rule or before - unset < i - i // 2):
+            if unset < len(values) - i and (not batch_rule or before - unset < i - last):
                 return i
+            last = i
     return len(values)
 
 
@@ -1213,7 +1232,7 @@ def mid_pass_lists(draw):
     with a few tail values dropped and a few values in [0, width + 40]
     added, in ascending order; width >= 160*s keeps the tail above 140
     values.  Layer 1 leaves more bits unset than there are values, and the
-    run fills the tail's gaps within 15 shifts, so by shift 64 a batch of
+    run fills the tail's gaps within 15 shifts, so by shift 48 a batch of
     shifts clears fewer bits than it has shifts, and more values are left
     than bits unset: the pass to layer 2 switches to testing unset bits
     part of the way through its values.  At 80*s a short tail could run
@@ -1240,20 +1259,20 @@ def test_layers_race_oracle_when_the_switch_lands_mid_pass(case, cap):
 def test_mid_pass_switch_costs_a_fraction_of_a_full_pass():
     # layer 1 leaves 96% of [0, width] unset, more bits than the 4029
     # values, and shifting by 1..24 fills the tail's gaps: shifts 17-32
-    # still clear thousands of bits, shifts 33-64 fewer bits than 32, so
-    # the pass to layer 2 shifts by 64 values and tests the few bits left,
-    # where a full pass shifts by all of them and testing every bit unset
-    # in layer 1 costs more still
+    # still clear thousands of bits, shifts 33-48 none, so the pass to
+    # layer 2 shifts by 48 values and has no bit left to test, where a
+    # full pass shifts by all of them and testing every bit unset in
+    # layer 1 costs more still
     width = 100000
     values = [*range(1, 31), *range(50, width + 1, 25)]
     masks = oracle_layers(values, width, 2)
-    assert _shifts_before_tests(masks[1], values, width) == 64
+    assert _shifts_before_tests(masks[1], values, width) == 48
     fast = _best_of_three(reach_layers, masks, _mask(values, width), width, 2)
     assert 5 * fast < _best_of_three(oracle_layers, masks, values, width, 2)
 
 
 @pytest.mark.parametrize("values, width, old, new", [
-    ([*range(1, 31), *range(50, 100001, 25)], 100000, 32, 64),
+    ([*range(1, 31), *range(50, 100001, 25)], 100000, 32, 48),
     ([*range(1, 13), *range(20, 20001, 10)], 20000, 8, 32),
     ([*range(1, 17), *range(20, 5001, 16)], 5000, 16, 32),
     ([*range(1, 8), *range(10, 3001, 7)], 3000, 8, 16),
@@ -1273,13 +1292,13 @@ def test_class_form_layers_cost_a_small_fraction_of_full_passes():
     # the pass to layer 2 over the 7785 values of d=23 class 2 has fewer
     # bits unset than values left after 4 shifts, but still 5732, each
     # test an AND over up to width + 1 bits; the batches keep clearing
-    # more bits than they have shifts until shift 256, which leaves 33
+    # more bits than they have shifts until shift 96, which leaves 68
     width = 30000
     f = make_field(23)
     values = _form_values(*class_form(f, rep_for(f, 2))[:3], width)
     masks = oracle_layers(values, width)
     assert _shifts_before_tests(masks[1], values, width, batch_rule=False) == 4
-    assert _shifts_before_tests(masks[1], values, width) == 256
+    assert _shifts_before_tests(masks[1], values, width) == 96
     fast = _best_of_three(reach_layers, masks, masks[1], width)
     assert 15 * fast < _best_of_three(oracle_layers, masks, values, width)
 
@@ -1289,10 +1308,12 @@ def test_a_pass_from_a_dense_layer_shifts_before_it_tests(monkeypatch):
     # 354 bits unset, fewer than the values; the pass to layer 3 shifts by
     # 1, 2, 4 and 8 values, each batch but the last clearing more bits than
     # it had shifts, and tests the 15 bits still unset, none of them in
-    # layer 3, where testing at once would test all 354.  The kernel's
-    # shifts are counted as the values it reads off its first layer, one
-    # pass per finditer, and match the model's; the pass from the full
-    # layer 4 reads none
+    # layer 3, where testing at once would test all 354.  The pass to
+    # layer 2 recounts every 16 shifts after shift 16, and shifts 145-160
+    # clear one bit, so it tests the 675 bits left after 160 shifts.  The
+    # kernel's shifts are counted as the values it reads off its first
+    # layer, one pass per finditer, and match the model's; the pass from
+    # the full layer 4 reads none
     width = 30000
     window = (1 << (width + 1)) - 1
     values = _form_values(*make_field(403).form_coefficients(), width)
@@ -1314,7 +1335,7 @@ def test_a_pass_from_a_dense_layer_shifts_before_it_tests(monkeypatch):
     assert reach_layers(masks[1], width) == masks
     assert len(masks) == 5 and masks[4] == window
     assert shifts == [_shifts_before_tests(masks[j], values, width) for j in (1, 2, 3)]
-    assert shifts[1] == 8
+    assert shifts == [160, 8, 2]
 
 
 @given(

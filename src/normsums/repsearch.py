@@ -33,42 +33,43 @@ of thousands from layer 1, and a few from a nearly full layer.
 Then the pass tests each r still unset alone, one AND against the
 reversed first layer, and ORs the hits in with one parse, so it never
 costs more than a full pass and the work bound below still holds.
-Each layer's new bits are decoded once into per-r min-counts, one byte
-per r.  One entry is kept per (field, class), the inverse classes 2 and
-3 of a class-number-3 field sharing one.  It holds two things, each with
-one meaning: counts, the min-count bytes from r = 0 up to where they were
-built, and values, the class's value mask up to its width, never
-narrower than the counts.  The counts are rebuilt only when a larger
-r_max is asked for; smaller windows read a prefix of them.  A rebuild
-layers the kept mask, cut to r_max, where it is that wide already, and
-enumerates the class only where it is narrower.  min_count_table,
-exceptional_set and g_invariant always read the counts; g_invariant
-finds the largest count by one bytes search per count (_max_count).
+The layers themselves are the table: r needs exactly j values when bit
+r is set in layer j and not in layer j - 1.  One entry is kept per
+(field, class), the inverse classes 2 and 3 of a class-number-3 field
+sharing one.  It holds the layers, the width they cover, and the
+class's value mask up to its own width, never narrower than the layers.
+The layers are rebuilt only when a larger r_max is asked for; smaller
+windows cut them to r_max.  A rebuild layers the kept mask, cut to
+r_max, where it is that wide already, and enumerates the class only
+where it is narrower.  exceptional_set reads the unset bits of the last
+layer, and g_invariant, per class, the least layer that the window
+shows equal to the last; only min_count_table decodes the layers into
+one count per r (_decode).
 
 A point query at r (min_terms, find_certificate) needs only r's count, and
 almost every r needs one or two values.  One helper, _point_table, gives
-that count exactly.  Unless the counts reach r, it reads the value mask,
+that count exactly.  Unless the layers reach r, it reads the value mask,
 enumerated afresh up to r when the kept one is narrower, with no
 layering.  The mask ANDed with itself read backwards from r, cut to
 [0, r // 2], has bit u set exactly when u and r - u are both values (0
 counting as one): bit 0 says r is a value, and otherwise the lowest bit
 gives the lexicographically least pair.  Any other r needs three or more
-values or none, and the helper builds the counts up to r from the mask:
+values or none, and the helper builds the layers up to r from the mask:
 the class is not enumerated again.
 
 Certificates come from the answer that gave the minimum: m below it (or
 any m, if r is unreachable) has no certificate, and m equal to it takes
-the values the AND found, or walks the counts, with no further
+the values the AND found, or walks the layers, with no further
 enumeration or layer build.  Above the minimum, exactly m form values sum
 to r exactly when at most m of the shifted values v - vmin (v > vmin,
 vmin the least value) sum to r - m*vmin.  The shifted values are read
 off the class's value mask, with no enumeration: shifted down by vmin,
-its bit 0 is the empty sum; they are layered up to m - 1 times and
-decoded into a table that is not kept, and the certificate opens with
-m - c copies of vmin, c the least count of shifted values reaching the
-remainder.  The walk then takes the rest in order, each the least value
-in a window whose remainder needs exactly the slots left, found by one
-bytes search over the window.
+its bit 0 is the empty sum; they are layered up to m - 1 times, not
+kept, and the certificate opens with m - c copies of vmin, c the least
+layer of shifted values reaching the remainder.  The walk then takes
+the rest in order, each the least value in a window whose remainder
+needs exactly the slots left, found by one AND of layer 1 with one layer
+read backwards.
 Congruences stay at the edges: only the distinct values a certificate
 picks get (a, b) coordinates, solved once each from the form's (x, y) by
 a = k*x - beta*y, b = y; each row costs one isqrt, a test that it holds
@@ -115,15 +116,19 @@ _WORK_BUDGET = 10**10
 # and slower on the class forms' tables at 1500 to 6000.
 _RECOUNT_STRIDE = 16
 
-# (d, class_index) -> (counts, width, values): byte r of counts is the
-# least number of form values summing to r, 0 when no number does, for
-# every r it covers (b"" when no counts are built); values is the class's
-# _value_mask up to width, and width >= len(counts) - 1.  Class 3 reads
-# (d, 2).  Neither is wider than _value_mask admits for the class, so the
-# 77 keys take at most 41594837 bytes, a mask of width w counted as
-# w // 8 + 1 bytes; CPython's 30-bit digits in 4 bytes make a mask about
-# 6.7% larger than that, 104012 bytes against 97488 for d=907 class 2
-_TABLES: dict[tuple[int, int], tuple[bytes, int, int]] = {}
+# (d, class_index) -> (layers, reach, width, values): layers is
+# reach_layers over [0, reach] of the class's form values ([] and -1 when
+# none are built); values is the class's _value_mask up to width, and
+# width >= reach.  Class 3 reads (d, 2).  Neither is wider than
+# _value_mask admits for the class.  The layers of width w are one mask
+# per count up to the largest count in [0, w], plus layer 0, and that
+# largest count only grows with w, so the build at a key's widest
+# admitted width W bounds each of its builds: the 77 keys take at most
+# 26724603 bytes, their layers at W (3 to 6 masks each) and one value mask
+# of width W each, a mask of width w counted as w // 8 + 1 bytes; CPython's
+# 30-bit digits in 4 bytes make a mask about 6.7% larger than that, 104012
+# bytes against 97488 for d=907 class 2
+_TABLES: dict[tuple[int, int], tuple[list[int], int, int, int]] = {}
 
 # (a, r) -> (limit, mask): bit limit - n of mask is set for each number
 # n = a*i^2 + r*i <= limit over the integers i, r a residue of a row of a
@@ -386,13 +391,20 @@ def reach_layers(first: int, width: int, cap: int | None = None) -> list[int]:
 
 def _decode(masks: list[int], width: int) -> bytes:
     """Byte n is the least j with bit n set in masks[j], 0 if there is
-    none (and for n = 0).  Layer j's new bits become bytes of value j in one
-    pass over a binary string."""
+    none (and for n = 0), for n up to width, the masks no wider.  Layer
+    j's new bits become bytes of value j in one pass over a binary
+    string."""
     acc = 0
     for j in range(1, len(masks)):
         bits = format(masks[j] ^ masks[j - 1], "b").encode()
         acc |= int.from_bytes(bits.translate(bytes.maketrans(b"01", bytes((0, j)))), "big")
     return acc.to_bytes(width + 1, "little")
+
+
+def _count(layers: list[int], r: int) -> int:
+    """r's least count: the least j with bit r set in layers[j], 0 when
+    there is none (and for r = 0, set in layer 0 alone)."""
+    return next((j for j, layer in enumerate(layers) if layer >> r & 1), 0)
 
 
 def _table_key(f: FieldParams, class_index: int) -> tuple[int, int]:
@@ -402,57 +414,60 @@ def _table_key(f: FieldParams, class_index: int) -> tuple[int, int]:
     return (f.d, 2 if class_index == 3 else class_index)
 
 
-def _count_table(f: FieldParams, class_index: int, r_max: int) -> bytes:
-    """The class's min-counts, covering at least [0, r_max].  Class 3 of a
-    class-number-3 field reads class 2's, kept under (d, 2).  A rebuild
-    layers the class's value mask up to r_max: the kept mask cut to r_max
-    when its width reaches r_max, else a new one from _value_mask, kept in
-    place of the narrower one.  Cutting needs no budget check of its own: a
-    mask of width W was admitted by _value_mask at W, and the estimate
-    grows with the width, so a build up to r_max <= W is admitted too."""
+def _layer_table(f: FieldParams, class_index: int, r_max: int) -> list[int]:
+    """The class's reachability layers, covering at least [0, r_max]:
+    layer j has bit r set iff r is a sum of at most j form values, and the
+    last layer is the fixpoint.  Class 3 of a class-number-3 field reads
+    class 2's, kept under (d, 2).  A rebuild layers the class's value mask
+    up to r_max: the kept mask cut to r_max when its width reaches r_max,
+    else a new one from _value_mask, kept in place of the narrower one.
+    Cutting needs no budget check of its own: a mask of width W was
+    admitted by _value_mask at W, and the estimate grows with the width,
+    so a build up to r_max <= W is admitted too."""
     require_int("r_max", r_max, least=1)
     rep = rep_for(f, class_index)  # a class the field lacks raises before any cache read
     key = _table_key(f, class_index)
-    counts, width, values = _TABLES.get(key, (b"", -1, 0))
-    if len(counts) <= r_max:
+    layers, reach, width, values = _TABLES.get(key, ([], -1, -1, 0))
+    if reach < r_max:
         if width < r_max:
             width, values = r_max, _value_mask(*class_form(f, rep)[:3], r_max)
-        counts = _decode(reach_layers(values & ((2 << r_max) - 1), r_max), r_max)
-        _TABLES[key] = (counts, width, values)
-    return counts
+        layers = reach_layers(values & ((2 << r_max) - 1), r_max)
+        _TABLES[key] = (layers, r_max, width, values)
+    return layers
 
 
-def _point_table(q: LatticeQuery) -> tuple[int, list[int] | None, bytes, int]:
+def _point_table(q: LatticeQuery) -> tuple[int, list[int] | None, list[int], int]:
     """The least number of form values summing to q.r, 0 when no number
     does; when the value mask gave it, the least that many values summing
-    to q.r, else None (_walk reads them off the counts); and the class's
-    counts and value mask, the mask covering q.r and the counts too unless
+    to q.r, else None (_walk reads them off the layers); and the class's
+    layers and value mask, the mask covering q.r and the layers too unless
     the mask gave the answer.
 
-    The class's counts answer when they reach r.  Otherwise the mask does,
-    enumerated afresh up to r if the kept one is narrower: both, the mask
-    ANDed with itself read backwards from r and cut to [0, r // 2], has
-    bit u set exactly when u and r - u are values or 0.  r needs one value
-    when bit 0 is set, and otherwise two, u and r - u for the lowest set
-    bit u, when both is not 0.  Any other r needs three or more values or
-    none, and _count_table builds the counts up to r from the mask.
-    This is the one place where a point query enumerates or builds counts.
+    The class's layers answer when they reach r: r's count is the least j
+    with bit r set in layer j.  Otherwise the mask does, enumerated afresh
+    up to r if the kept one is narrower: both, the mask ANDed with itself
+    read backwards from r and cut to [0, r // 2], has bit u set exactly
+    when u and r - u are values or 0.  r needs one value when bit 0 is
+    set, and otherwise two, u and r - u for the lowest set bit u, when
+    both is not 0.  Any other r needs three or more values or none, and
+    _layer_table builds the layers up to r from the mask.  This is the
+    one place where a point query enumerates or builds layers.
     """
     key = _table_key(q.field, q.class_index)
-    counts, width, values = _TABLES.get(key, (b"", -1, 0))
-    if len(counts) > q.r:
-        return counts[q.r], None, counts, values
+    layers, reach, width, values = _TABLES.get(key, ([], -1, -1, 0))
+    if reach >= q.r:
+        return _count(layers, q.r), None, layers, values
     if width < q.r:
         # enumerating first checks the budget before any allocation
         values = _value_mask(*class_form(q.field, rep_for(q.field, q.class_index))[:3], q.r)
-        _TABLES[key] = (counts, q.r, values)
+        _TABLES[key] = (layers, reach, q.r, values)
     both = values & _reversed(values & ((2 << q.r) - 1), q.r) & ((2 << q.r // 2) - 1)
     if both:
         u = (both & -both).bit_length() - 1
         picks = [u, q.r - u] if u else [q.r]
-        return len(picks), picks, counts, values
-    counts = _count_table(q.field, q.class_index, q.r)
-    return counts[q.r], None, counts, values
+        return len(picks), picks, layers, values
+    layers = _layer_table(q.field, q.class_index, q.r)
+    return _count(layers, q.r), None, layers, values
 
 
 def min_terms(q: LatticeQuery) -> MinTermsResult:
@@ -465,31 +480,29 @@ def min_terms(q: LatticeQuery) -> MinTermsResult:
     return MinTermsResult("representable", m)
 
 
-def _walk(table: bytes, rem: int, count: int) -> list[int] | None:
-    """The least nondecreasing count values summing to rem, or None.  Byte
-    n of table (n <= rem) is the least number of values summing to n, so
-    byte 1 marks a value; rem needs no fewer than count values, and is a
-    value if count is 1.
+def _walk(layers: list[int], rem: int, count: int) -> list[int] | None:
+    """The least nondecreasing count values summing to rem, or None.
+    layers covers [0, rem], layer j holding the sums of at most j values,
+    so layer 1 marks the values; rem needs no fewer than count values, is
+    a value if count is 1, and count < len(layers).
 
     Each pick u is the least value in [previous pick, rem // (slots + 1)]
-    whose remainder needs exactly the slots left after it: fewer would let
-    rem take fewer than count, and none of the later picks, each at least
-    u, is smaller.  One bytes search finds it: the window translated to
-    "is a value" and the mirrored window to "needs exactly slots", ANDed
-    as ints; the lowest set byte is the pick.  The last pick is what
-    remains, a value because the pick before it left one.
+    whose remainder is a sum of at most the slots left after it, and so
+    needs exactly that many: fewer would let rem take fewer than count,
+    and none of the later picks, each at least u, is smaller.  One AND finds
+    it: layer 1 against layer slots read backwards from rem (_reversed),
+    so that rem - n lands at n, cut to the window; the lowest set bit is
+    the pick.  The last pick is what remains, a value because the pick
+    before it left one.
     """
     picks: list[int] = []
     u = 1
     for slots in range(count - 1, 0, -1):
         hi = rem // (slots + 1)
-        is_value = table[u : hi + 1].translate(bytes(1) + b"\1" + bytes(254))
-        # read big-endian, byte rem - u of the mirrored window lands at u's place
-        needs = table[rem - hi : rem - u + 1].translate(bytes(slots) + b"\1" + bytes(255 - slots))
-        both = int.from_bytes(is_value, "little") & int.from_bytes(needs, "big")
+        both = (layers[1] & _reversed(layers[slots] & ((2 << rem) - 1), rem) & ((2 << hi) - 1)) >> u
         if not both:
             return None
-        u += ((both & -both).bit_length() - 1) // 8
+        u += (both & -both).bit_length() - 1
         picks.append(u)
         rem -= u
     return picks + [rem] if count else picks
@@ -510,28 +523,27 @@ def find_certificate(q: LatticeQuery, m: int) -> RepCertificate | None:
 
     The minimum comes from _point_table, as for min_terms.  m below it
     (or any m, if r is unreachable) has no certificate, and m equal to it
-    takes the values the value mask gave, or walks the counts that gave
+    takes the values the value mask gave, or walks the layers that gave
     it.  A larger m takes the shifted path, exact for any m: exactly m
     values sum to r exactly when at most m of the shifted values v - vmin
     (v > vmin, vmin the least value) sum to rem = r - m*vmin.  The shifted
     values are read off the class's value mask, which covers r: shifted
     down by vmin and cut to rem, its bit 0 the empty sum; they are layered
-    up to m - 1 times and decoded into a table.  If c shifted values at
-    the least reach rem (c = m when m - 1 layers do not), the least
-    sequence is m - c copies of vmin and then the walk's c picks, each
-    plus vmin.  Layers that reach a fixpoint before m - 1 without reaching
-    rem leave no certificate at all.  Each distinct value's witness is
-    solved once.
+    up to m - 1 times.  If c shifted values at the least reach rem (c = m
+    when m - 1 layers do not), the least sequence is m - c copies of vmin
+    and then the walk's c picks, each plus vmin.  Layers that reach a
+    fixpoint before m - 1 without reaching rem leave no certificate at
+    all.  Each distinct value's witness is solved once.
     """
     require_int("m", m, least=1)
-    least, picks, counts, values = _point_table(q)
+    least, picks, layers, values = _point_table(q)
     if not least or m < least:
         return None
     f = q.field
     rep = rep_for(f, q.class_index)
     form = class_form(f, rep)
     if m == least:
-        seq = picks if picks is not None else _walk(counts, q.r, m)
+        seq = picks if picks is not None else _walk(layers, q.r, m)
     else:
         nonzero = values - 1  # the values without the empty sum
         vmin = (nonzero & -nonzero).bit_length() - 1
@@ -539,11 +551,12 @@ def find_certificate(q: LatticeQuery, m: int) -> RepCertificate | None:
             return None
         rem = q.r - m * vmin
         masks = reach_layers((values >> vmin) & ((2 << rem) - 1), rem, m - 1)
-        table = _decode(masks, rem)
-        if rem and not table[rem] and len(masks) < m:
-            return None  # a fixpoint before m - 1 layers: no count reaches rem
-        c = table[rem] or (m if rem else 0)
-        picks = _walk(table, rem, c)
+        c = _count(masks, rem)
+        if rem and not c:
+            if len(masks) < m:
+                return None  # a fixpoint before m - 1 layers: no count reaches rem
+            c = m
+        picks = _walk(masks, rem, c)
         if picks is None:
             return None
         seq = [vmin] * (m - c) + [vmin + u for u in picks]
@@ -553,19 +566,24 @@ def find_certificate(q: LatticeQuery, m: int) -> RepCertificate | None:
 
 def min_count_table(f: FieldParams, class_index: int, r_max: int) -> tuple[int | None, ...]:
     """min_terms for every r in [1, r_max] from one shared layer table;
-    entry r-1 is the minimum count or None for unrepresentable."""
-    return tuple(m or None for m in _count_table(f, class_index, r_max)[1 : r_max + 1])
+    entry r-1 is the minimum count or None for unrepresentable.  The one
+    reader that decodes the layers into a count per r."""
+    layers = _layer_table(f, class_index, r_max)
+    cut = (2 << r_max) - 1
+    return tuple(m or None for m in _decode([layer & cut for layer in layers], r_max)[1:])
 
 
 def exceptional_set(f: FieldParams, class_index: int, r_max: int) -> list[int]:
-    """All r in [1, r_max] whose lattice is a sum of norms for no m at all."""
-    table = _count_table(f, class_index, r_max)
-    gaps = []
-    r = table.find(0, 1, r_max + 1)
-    while r >= 0:
-        gaps.append(r)
-        r = table.find(0, r + 1, r_max + 1)
-    return gaps
+    """All r in [1, r_max] whose lattice is a sum of norms for no m at all:
+    the unset bits of the fixpoint layer in that window."""
+    fixpoint = _layer_table(f, class_index, r_max)[-1]
+    gaps = ~fixpoint & ((2 << r_max) - 2)
+    exceptions = []
+    while gaps:
+        low = gaps & -gaps
+        exceptions.append(low.bit_length() - 1)
+        gaps ^= low
+    return exceptions
 
 
 # g, the LatticeQuery first attaining it, and whether r <= r_max/2 attained it
@@ -576,6 +594,11 @@ def g_invariant(f: FieldParams, r_max: int) -> GInvariantResult:
     """Largest minimum summand count over every class and every representable
     r <= r_max; witness is the first (class, r) attaining it.  g >= 1: the
     principal class represents r = 1 by N(1) = 1.
+
+    Per class, the largest count in [1, r_max] is the least j whose layer,
+    cut to that window, equals the last layer cut the same way; the r
+    needing exactly that many are the bits it adds to the layer before.
+    The witness is the lowest of them in the first class attaining g.
 
     stable reports whether the running maximum was already attained on
     r <= r_max/2, i.e. the upper half changed nothing.  That is a
@@ -589,28 +612,14 @@ def g_invariant(f: FieldParams, r_max: int) -> GInvariantResult:
     kmax = max(rep.k for rep in reps)
     if r_max < 2 * kmax + 1:
         raise ValueError(f"r_max={r_max} too small: need at least 2*k+1 = {2 * kmax + 1} for k={kmax}")
-    windows = [(rep.class_index, _count_table(f, rep.class_index, r_max)[1 : r_max + 1])
-               for rep in reps]
-    g = _max_count([window for _, window in windows])
-    class_index, window = next((ci, window) for ci, window in windows if g in window)
-    half_max = _max_count([window[: r_max // 2] for _, window in windows])
-    witness = LatticeQuery(field=f, class_index=class_index, r=window.index(g) + 1)
-    return GInvariantResult(g=g, witness=witness, stable=half_max == g)
-
-
-def _max_count(windows: list[bytes]) -> int:
-    """The largest byte of the windows, each a min-count table's bytes
-    from r = 1 up, found by one C-level search per count instead of a
-    Python loop over every byte.
-
-    The counts in such a window run 1, 2, ..., its largest with no gap:
-    if r needs exactly j + 1 >= 2 values, dropping one of them leaves
-    r' < r, in the window, a sum of j values that needs exactly j (fewer
-    would let r take fewer than j + 1).  So the counts present over all
-    the windows run without a gap too, and the first count absent from
-    every window is one past the largest.
-    """
-    g = 0
-    while any(g + 1 in window for window in windows):
-        g += 1
-    return g
+    window = (2 << r_max) - 2
+    tops = []  # (largest count, class_index, the r needing exactly that many)
+    for rep in reps:
+        layers = [layer & window for layer in _layer_table(f, rep.class_index, r_max)]
+        top = layers.index(layers[-1])
+        tops.append((top, rep.class_index, layers[top] ^ layers[top - 1]))
+    g = max(top for top, _, _ in tops)
+    class_index, new = next((ci, new) for top, ci, new in tops if top == g)
+    half = (2 << r_max // 2) - 1
+    witness = LatticeQuery(field=f, class_index=class_index, r=(new & -new).bit_length() - 1)
+    return GInvariantResult(g=g, witness=witness, stable=any(new & half for top, _, new in tops if top == g))

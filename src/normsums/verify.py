@@ -345,7 +345,7 @@ def verify_all(class_number: int, r_max: int = 300) -> DiffReport:
     idle.  So each worker is forked once, with the module state of that
     moment, while this process's share reads the state of each call;
     each worker keeps its own repsearch tables between calls (at most
-    41594837 bytes per worker, counting a bit mask at 8 bits a byte;
+    26724603 bytes per worker, counting a bit mask at 8 bits a byte;
     CPython's 30-bit digits make the masks about 6.7% larger).  An
     exception in any share is raised here with its type; a worker that
     dies fails the call with ChildProcessError.  A call that fails stops the pool, reaping every

@@ -4,6 +4,8 @@ FROZEN_MIN_TERMS was produced by tests/_oracle.py (depth-first search with
 its own value enumeration) and is pinned here; min_terms must agree.
 """
 
+import collections
+import json
 import math
 import random
 import re
@@ -23,7 +25,8 @@ from _oracle import (
     oracle_witness,
     oracle_witnesses,
 )
-from normsums import repsearch
+from normsums import cli, repsearch
+from normsums import verify as verify_mod
 from normsums.classdata import class_form, class_number_fields, class_reps, rep_for
 from normsums.quadfield import SUPPORTED_FIELDS, Overflow, RingElement, conjugate, make_field, norm
 from normsums.repsearch import (
@@ -80,7 +83,7 @@ def _query(d, class_index, r):
 
 @pytest.fixture(autouse=True)
 def _no_tables(monkeypatch):
-    # every query keeps its class's counts and value mask in _TABLES, and
+    # every query keeps its class's layers and value mask in _TABLES, and
     # every enumeration its residue masks in _RESIDUES: all
     # the kernel keeps between calls.  Each test starts with neither, so
     # no answer depends on the order tests run in
@@ -182,8 +185,33 @@ def _mask(values, width):
 
 def _form_values(a, b, c, bound):
     """The form's values in [1, bound], ascending, read off _value_mask."""
-    digits = format(repsearch._value_mask(a, b, c, bound), "b")[::-1]
+    return _bits(repsearch._value_mask(a, b, c, bound), bound)
+
+
+def _bits(mask, top):
+    """The set bits of mask in [1, top], ascending."""
+    digits = format(mask & ((2 << top) - 1), "b")[::-1]
     return [v for v in range(1, len(digits)) if digits[v] == "1"]
+
+
+def _cut(layers, width):
+    """The layers that a build at width gives, read off wider ones: each
+    cut to [0, width], and the repeats past the first fixpoint dropped (a
+    layer that the window shows equal to the one before adds nothing to
+    the window later either, as every part of a sum is at most the sum);
+    none below width 0."""
+    if width < 0:
+        return []
+    cut = [layer & ((2 << width) - 1) for layer in layers]
+    while len(cut) > 1 and cut[-1] == cut[-2]:
+        cut.pop()
+    return cut
+
+
+def _count_bytes(f, class_index, width):
+    """Byte r is r's least count, 0 when no count reaches it, for r in
+    [0, width], as min_count_table reads the class's layers."""
+    return bytes(1) + bytes(m or 0 for m in min_count_table(f, class_index, width))
 
 
 def test_value_mask_matches_a_box_scan_at_every_width():
@@ -311,14 +339,14 @@ def test_min_count_table_matches_min_terms():
 
 
 def test_table_grows_and_serves_smaller_windows():
-    # one table per (d, class): a smaller window after a larger one reads a
-    # prefix of it, a larger one rebuilds it; each answer must equal a cold build
+    # one table per (d, class): a smaller window after a larger one cuts
+    # its layers, a larger one rebuilds them; each answer must equal a cold build
     f = make_field(907)
     windows = (300, 50, 600)
     repsearch._TABLES.clear()
     warm = [(min_count_table(f, 2, n), exceptional_set(f, 2, n)) for n in windows]
-    counts, width, _ = repsearch._TABLES[(907, 2)]
-    assert len(counts) == 601 and width == 600
+    layers, reach, width, values = repsearch._TABLES[(907, 2)]
+    assert reach == width == 600 and layers == reach_layers(values, 600)
     for n, got in zip(windows, warm):
         repsearch._TABLES.clear()
         assert got == (min_count_table(f, 2, n), exceptional_set(f, 2, n)), n
@@ -432,34 +460,37 @@ def test_cached_table_answers_up_to_the_minimum_without_a_build(monkeypatch):
 
 def test_point_tables_hold_one_exactly_at_the_form_values():
     # find_certificate above the minimum reads the values off the mask
-    # _point_table returns, whether or not counts reach r: its bits up to r
-    # are 0 and the form values, and the counts hold 1 exactly there
+    # _point_table returns, whether or not the layers reach r: its bits up
+    # to r are 0 and the form values, and layer 1 adds exactly those to
+    # layer 0
     for d, class_index in ALL_CLASSES:
         f = make_field(d)
+        key = repsearch._table_key(f, class_index)
         repsearch._TABLES.clear()
         for r in (7, 1201, 88, 3000, 5000):
             if r == 3000:
                 min_count_table(f, class_index, 2000)
             values = _form_values(*class_form(f, rep_for(f, class_index))[:3], r)
-            _, _, counts, mask = repsearch._point_table(_query(d, class_index, r))
-            assert mask & 1 and [v for v in range(1, r + 1) if mask >> v & 1] == values, (d, class_index, r)
-            top = min(r, len(counts) - 1)
-            assert [v for v in range(1, top + 1) if counts[v] == 1] == [v for v in values if v <= top], (d, class_index, r)
+            _, _, layers, mask = repsearch._point_table(_query(d, class_index, r))
+            assert mask & 1 and _bits(mask, r) == values, (d, class_index, r)
+            top = min(r, repsearch._TABLES[key][1])
+            ones = _bits(layers[1] ^ layers[0], top) if len(layers) > 1 else []
+            assert ones == [v for v in values if v <= top], (d, class_index, r)
 
 
 def test_widened_masks_equal_one_cold_query():
     # point queries at growing r widen the value mask; the entry they leave
-    # holds the mask a cold query at the last r leaves, plus the counts that
-    # a query needing three or more values, or a count table run in between
-    # (to 500 inside the mask, or to 2000 past it), built and kept
+    # holds the mask a cold query at the last r leaves, plus the layers
+    # that a query needing three or more values, or a count table run in
+    # between (to 500 inside the mask, or to 2000 past it), built and kept
     for d, class_index in ALL_CLASSES:
         f = make_field(d)
         key = repsearch._table_key(f, class_index)
         repsearch._TABLES.clear()
-        counts = repsearch._count_table(f, class_index, 5000)
+        layers = repsearch._layer_table(f, class_index, 5000)
         repsearch._TABLES.clear()
         min_terms(_query(d, class_index, 5000))
-        cold = repsearch._TABLES[key][1:]
+        cold = repsearch._TABLES[key][2:]
         assert cold == (5000, repsearch._value_mask(*class_form(f, rep_for(f, class_index))[:3], 5000))
         for between in (None, 500, 2000):
             repsearch._TABLES.clear()
@@ -467,9 +498,9 @@ def test_widened_masks_equal_one_cold_query():
                 if r == 5000 and between:
                     min_count_table(f, class_index, between)
                 min_terms(_query(d, class_index, r))
-            kept, width, mask = repsearch._TABLES[key]
-            assert len(kept) > (between or -1), (d, class_index, between)
-            assert kept == counts[: len(kept)] and (width, mask) == cold, (d, class_index, between)
+            kept, reach, width, mask = repsearch._TABLES[key]
+            assert reach >= (between or -1), (d, class_index, between)
+            assert kept == _cut(layers, reach) and (width, mask) == cold, (d, class_index, between)
 
 
 def test_widening_is_admitted_at_the_new_width(monkeypatch):
@@ -511,17 +542,18 @@ def test_unreachable_remainder_with_more_than_255_summands_is_none():
     assert checked > 80
 
 
-def _counts():
-    """The min-counts cached per key, for the keys with counts built."""
-    return {key: counts for key, (counts, _, _) in repsearch._TABLES.items() if counts}
+def _layers():
+    """The layers cached per key with their reach, for the keys with
+    layers built."""
+    return {key: (layers, reach) for key, (layers, reach, _, _) in repsearch._TABLES.items() if layers}
 
 
 def test_cold_certificate_builds_counts_only_past_two_values():
     # a cold call reads the value mask when r needs one or two values and
-    # builds no counts; for r that needs three or more values (115, 2,
+    # builds no layers; for r that needs three or more values (115, 2,
     # 19 and 907, 2, 673901 need 3; 187, 2, 38 needs 4) or none (91, 2,
-    # 16) it builds the queried class's counts up to r; every other key's
-    # cached counts are left as they were
+    # 16) it builds the queried class's layers up to r; every other key's
+    # cached layers are left as they were
     three_or_none = {(115, 2, 19), (907, 2, 673901), (187, 2, 38), (91, 2, 16)}
     min_count_table(make_field(5), 2, 100)
     for d, class_index, r, m, found in (
@@ -530,19 +562,19 @@ def test_cold_certificate_builds_counts_only_past_two_values():
         (187, 2, 38, 3, False), (187, 2, 38, 4, True), (91, 2, 16, 1, False), (91, 2, 16, 3, False),
     ):
         key = repsearch._table_key(make_field(d), class_index)
-        before = {k: counts for k, counts in _counts().items() if k != key}
+        before = {k: kept for k, kept in _layers().items() if k != key}
         cert = find_certificate(_query(d, class_index, r), m)
         assert (cert is not None) == found, (d, class_index, r, m)
-        counts, width, _ = repsearch._TABLES[key]
-        assert len(counts) == (r + 1 if (d, class_index, r) in three_or_none else 0) and width >= r, (d, class_index, r, m)
-        assert {k: counts for k, counts in _counts().items() if k != key} == before, (d, class_index)
+        _, reach, width, _ = repsearch._TABLES[key]
+        assert reach == (r if (d, class_index, r) in three_or_none else -1) and width >= r, (d, class_index, r, m)
+        assert {k: kept for k, kept in _layers().items() if k != key} == before, (d, class_index)
 
 
 def test_point_queries_match_the_min_count_table():
     # every class from a cold cache: each r <= 200 on a cache emptied
     # before it, so its mask ends at bit r; then r = 1500 down to 1, each
     # on the mask a cold certificate query left at 1500, so every r is
-    # read off that mask or off counts built at r itself
+    # read off that mask or off layers built at r itself
     for d, class_index in ALL_CLASSES:
         f = make_field(d)
         want = min_count_table(f, class_index, 1500)
@@ -553,7 +585,7 @@ def test_point_queries_match_the_min_count_table():
         find_certificate(_query(d, class_index, 1500), 1)
         key = repsearch._table_key(f, class_index)
         entry = repsearch._TABLES[key]
-        assert entry[:2] == (b"", 1500)
+        assert entry[:3] == ([], -1, 1500)
         for r in range(1500, 0, -1):
             repsearch._TABLES[key] = entry
             assert min_terms(_query(d, class_index, r)).m == want[r - 1], (d, class_index, r)
@@ -561,8 +593,8 @@ def test_point_queries_match_the_min_count_table():
 
 def test_certificates_off_the_mask_equal_the_count_walk():
     # at a minimum of 1 or 2 a cold call reads the values off the value
-    # mask and builds no counts; it gives the certificate that the walk on
-    # the cached counts gives
+    # mask and builds no layers; it gives the certificate that the walk on
+    # the cached layers gives
     checked = 0
     for d, class_index in ALL_CLASSES:
         f = make_field(d)
@@ -576,14 +608,15 @@ def test_certificates_off_the_mask_equal_the_count_walk():
             assert find_certificate(q, least) == cert, q
             if least == 2:
                 assert find_certificate(q, 1) is None, q
-            assert list(repsearch._TABLES) == [key] and repsearch._TABLES[key][0] == b"", q
+            assert list(repsearch._TABLES) == [key] and repsearch._TABLES[key][0] == [], q
         checked += len(warm)
     assert checked == 8610
 
 
 def test_counts_one_and_two_build_no_layers(monkeypatch):
     # a query whose r needs one or two values enumerates once and reads the
-    # value mask alone: no reach_layers, no _decode and no counts
+    # value mask alone: no reach_layers and no layers kept; no query calls
+    # _decode, which only min_count_table runs
     calls = []
 
     def spy(stage):
@@ -601,33 +634,62 @@ def test_counts_one_and_two_build_no_layers(monkeypatch):
         assert len(cert.gammas) == least and recheck_certificate(cert.to_json_dict()) == []
         if least == 2:
             assert find_certificate(q, 1) is None
-        assert calls == ["_value_mask"] and [counts for counts, _, _ in repsearch._TABLES.values()] == [b""], q
+        assert calls == ["_value_mask"] and [layers for layers, *_ in repsearch._TABLES.values()] == [[]], q
         calls.clear()
         repsearch._TABLES.clear()
     # above the minimum the values are read off the mask, not enumerated
-    # again, then shifted and layered, and no counts are kept
+    # again, then shifted and layered, and no layers are kept
     assert len(find_certificate(_query(5, 2, 6), 3).gammas) == 3
-    assert calls == ["_value_mask", "reach_layers", "_decode"]
-    assert repsearch._TABLES[(5, 2)][0] == b""
+    assert calls == ["_value_mask", "reach_layers"]
+    assert repsearch._TABLES[(5, 2)][0] == []
     calls.clear()
     # r that needs three or more values, or none, enumerates the mask and
-    # then builds the counts at r, once, from that mask; the certificate
-    # reads those counts
+    # then builds the layers at r, once, from that mask; the certificate
+    # reads those layers
     for d, class_index, r, least in ((115, 2, 19, 3), (187, 2, 38, 4), (91, 2, 16, None)):
         q = _query(d, class_index, r)
         assert min_terms(q).m == least
         assert (find_certificate(q, least or 1) is None) == (least is None)
-        assert calls == ["_value_mask", "reach_layers", "_decode"]
-        counts, width, _ = repsearch._TABLES[(d, class_index)]
-        assert len(counts) == width + 1 == r + 1
+        assert calls == ["_value_mask", "reach_layers"]
+        _, reach, width, _ = repsearch._TABLES[(d, class_index)]
+        assert reach == width == r
         calls.clear()
     # inside a mask already wide enough, such an r layers the mask cut to r
     # and enumerates nothing
     assert min_terms(_query(907, 2, 3000)).m == 2 and calls == ["_value_mask"]
     calls.clear()
-    assert min_terms(_query(907, 3, 81)).m == 5 and calls == ["reach_layers", "_decode"]
-    counts, width, _ = repsearch._TABLES[(907, 2)]
-    assert len(counts) == 82 and width == 3000
+    assert min_terms(_query(907, 3, 81)).m == 5 and calls == ["reach_layers"]
+    _, reach, width, _ = repsearch._TABLES[(907, 2)]
+    assert reach == 81 and width == 3000
+
+
+def test_no_reader_but_min_count_table_decodes(monkeypatch, capsys):
+    # verify, the g and exceptional commands, point queries that walk the
+    # layers (d=907 class 2 needs 3 values at r = 2721) and a certificate
+    # on the shifted path read the layers as masks: with _decode raising,
+    # each still answers, and min_count_table, its one caller, still works
+    # once it is restored
+    def no_decode(*args):
+        raise AssertionError("a reader decoded the layers")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(repsearch, "_decode", no_decode)
+        patch.setattr(verify_mod, "_usable_cpus", lambda: 1)
+        assert verify_all(2, 300).all_match and verify_all(3, 300).all_match
+        assert cli.main(["g", "-d", "907", "--r-max", "300"]) == 0
+        assert cli.main(["exceptional", "-d", "403", "--class", "2", "--r-max", "150"]) == 0
+        q = _query(907, 2, 2721)
+        assert min_terms(q).m == 3
+        cert = find_certificate(q, 3)
+        assert recheck_certificate(cert.to_json_dict()) == []
+        shifted = find_certificate(q, 4)
+        assert len(shifted.gammas) == 4 and recheck_certificate(shifted.to_json_dict()) == []
+        with pytest.raises(AssertionError, match="decoded the layers"):
+            min_count_table(q.field, 2, 100)
+    lines = capsys.readouterr().out.splitlines()
+    assert [json.loads(line)["g"] for line in lines[:1]] == [5]
+    assert json.loads(lines[1])["exceptional"] == exceptional_set(make_field(403), 2, 150)
+    assert min_count_table(q.field, 2, 2721)[2720] == 3
 
 
 def test_a_query_reads_the_mask_until_counts_reach_r(monkeypatch):
@@ -653,19 +715,19 @@ def test_a_query_reads_the_mask_until_counts_reach_r(monkeypatch):
 
 
 def test_each_class_keeps_its_own_entry():
-    # queries on two classes in turn each keep their own mask, and a count
-    # build on one writes its counts beside its wider mask and leaves the
+    # queries on two classes in turn each keep their own mask, and a layer
+    # build on one writes its layers beside its wider mask and leaves the
     # other entry as it was
     queries = [_query(907, 2, 3000), _query(5, 2, 6)]
     assert [min_terms(q).m for q in queries] == [2, 2]
     certs = [find_certificate(q, 2) for q in queries]
     assert all(recheck_certificate(c.to_json_dict()) == [] for c in certs)
-    assert [repsearch._TABLES[key][:2] for key in ((907, 2), (5, 2))] == [(b"", 3000), (b"", 6)]
+    assert [repsearch._TABLES[key][:3] for key in ((907, 2), (5, 2))] == [([], -1, 3000), ([], -1, 6)]
     small = repsearch._TABLES[(5, 2)]
-    mask = repsearch._TABLES[(907, 2)][2]
+    mask = repsearch._TABLES[(907, 2)][3]
     min_count_table(make_field(907), 2, 1000)
-    counts, width, values = repsearch._TABLES[(907, 2)]
-    assert (len(counts), width, values) == (1001, 3000, mask)
+    layers, reach, width, values = repsearch._TABLES[(907, 2)]
+    assert (reach, width, values) == (1000, 3000, mask) and layers == reach_layers(mask & ((2 << 1000) - 1), 1000)
     assert repsearch._TABLES[(5, 2)] == small
     assert [find_certificate(q, 2) for q in queries] == certs
 
@@ -673,12 +735,12 @@ def test_each_class_keeps_its_own_entry():
 def test_a_widest_point_query_keeps_no_byte_per_r():
     # r = 779903 is the widest width admitted for d=907 class 2, and it
     # needs two values: min_terms and certificates at m = 1, 2 and 3 keep
-    # the value mask alone, at most r + 1 bits, and no byte per r
+    # the value mask alone, at most r + 1 bits, and no layers
     q = _query(907, 2, 779903)
     assert min_terms(q).m == 2 and find_certificate(q, 1) is None
     assert [len(find_certificate(q, m).gammas) for m in (2, 3)] == [2, 3]
-    counts, width, values = repsearch._TABLES[(907, 2)]
-    assert counts == b"" and width == 779903 and values.bit_length() <= 779904
+    layers, reach, width, values = repsearch._TABLES[(907, 2)]
+    assert (layers, reach) == ([], -1) and width == 779903 and values.bit_length() <= 779904
 
 
 def test_witnesses_match_the_oracle_at_every_value():
@@ -799,9 +861,9 @@ def test_norm_multiples_need_no_more_values():
         if class_index == 3:
             continue
         f = make_field(d)
-        principal = repsearch._count_table(f, 1, width)
+        principal = _count_bytes(f, 1, width)
         norms = [n for n in range(2, width + 1) if principal[n] == 1][:40]
-        table = repsearch._count_table(f, class_index, width)
+        table = _count_bytes(f, class_index, width)
         for r in range(1, width + 1):
             if table[r]:
                 for n in norms:
@@ -833,7 +895,7 @@ def test_anisotropic_primes_descend():
         f = make_field(d)
         a, b, c, _ = class_form(f, rep_for(f, class_index))
         disc = 4 * a * c - b * b
-        table = repsearch._count_table(f, class_index, width)
+        table = _count_bytes(f, class_index, width)
         for p in range(3, math.isqrt(width) + 1, 4):
             if disc % p or disc % (p * p) == 0 or any(p % q == 0 for q in range(3, math.isqrt(p) + 1, 2)):
                 continue
@@ -873,16 +935,17 @@ def test_exceptional_set_reads_only_its_window():
 def test_width_300_proves_every_exceptional_set():
     # with vmin the least form value, if every r in [R, R + vmin) is a sum
     # of values then so is every r >= R (add vmin), so a table whose
-    # counts cover that window decides the exceptional set for all r; R is
+    # layers cover that window decides the exceptional set for all r; R is
     # one past the last exception, and 1 when there is none, so the empty
-    # sum at byte 0 stays out of the window
+    # sum at bit 0 stays out of the window
     windows = {}
     for d, class_index in ALL_CLASSES:
-        t = repsearch._count_table(make_field(d), class_index, 300)
-        vmin = t.find(1, 1)
-        R = max(1, t.rfind(0, 1, 301) + 1)
+        layers = repsearch._layer_table(make_field(d), class_index, 300)
+        values = layers[1] - 1
+        vmin = (values & -values).bit_length() - 1
+        R = max(1, (~layers[-1] & ((2 << 300) - 2)).bit_length())
         assert 0 < vmin and R + vmin <= 301, (d, class_index)
-        assert t.find(0, R, R + vmin) == -1, (d, class_index)
+        assert layers[-1] >> R & ((1 << vmin) - 1) == (1 << vmin) - 1, (d, class_index)
         windows[d, class_index] = (R + vmin - 1, R, vmin)
     assert len(windows) == 93
     assert max(windows.values()) == windows[427, 2] == (95, 89, 7)
@@ -903,18 +966,33 @@ def test_g_invariant_examples():
     assert (g1.witness.class_index, g1.witness.r) == (1, 3)
 
 
-def test_max_count_scan_equals_max():
-    # g_invariant's ascending scan relies on a window's counts running
-    # 1..max with no gap; checked on every class's windows, alone and with
-    # their field's other classes
-    for d in SUPPORTED_FIELDS:
+def test_g_and_exceptions_equal_the_count_windows():
+    # g_invariant and exceptional_set read the layers; each must give what
+    # the decoded count windows give by the definitions: g the largest
+    # count over the classes, the witness the first class holding it at
+    # its least r, stable when some class holds it at r <= r_max // 2, and
+    # the exceptions the r with no count; every class-number-2 and -3
+    # field, at windows around d=907's g = 5 first shown at r = 81 and
+    # past it, read off layers built at r_max and off layers built at 1500
+    fields = [*class_number_fields(2), *class_number_fields(3)]
+    assert len(fields) == 34
+    for d in fields:
         f = make_field(d)
-        for r_max in (7, 30, 300, 3000):
-            windows = [repsearch._count_table(f, rep.class_index, r_max)[1 : r_max + 1] for rep in class_reps(f)]
-            for window in windows:
-                assert repsearch._max_count([window]) == max(window), (d, r_max)
-                assert repsearch._max_count([window[: r_max // 2]]) == max(window[: r_max // 2]), (d, r_max)
-            assert repsearch._max_count(windows) == max(map(max, windows)), (d, r_max)
+        reps = class_reps(f)
+        for r_max in (27, 80, 100, 161, 162, 300, 1500):
+            repsearch._TABLES.clear()
+            windows = [[m or 0 for m in min_count_table(f, rep.class_index, r_max)] for rep in reps]
+            g = max(map(max, windows))
+            witness = next(_query(d, rep.class_index, window.index(g) + 1)
+                           for rep, window in zip(reps, windows) if g in window)
+            stable = any(g in window[: r_max // 2] for window in windows)
+            exceptions = [[r for r, m in enumerate(window, 1) if not m] for window in windows]
+            for wider in (False, True):
+                if wider:
+                    g_invariant(f, 1500)
+                got = g_invariant(f, r_max)
+                assert (got.g, got.witness, got.stable) == (g, witness, stable), (d, r_max, wider)
+                assert [exceptional_set(f, rep.class_index, r_max) for rep in reps] == exceptions, (d, r_max, wider)
 
 
 def test_g_invariant_window_guard():
@@ -978,32 +1056,41 @@ def _widest_admitted_widths():
 
 
 def test_table_cache_is_bounded_in_bytes():
-    # a key's counts of width w take w + 1 bytes and its value mask of
-    # width w takes w // 8 + 1, and either is widened only to a width
-    # _value_mask admits, so each key's widest admitted width bounds the
-    # cache in bytes with no eviction; a refused query or table keeps
-    # nothing
+    # a key's layers of width w are one mask per count up to its largest
+    # count in [0, w], plus layer 0, each of w // 8 + 1 bytes, beside a
+    # value mask of width w; the largest count only grows with w, and
+    # either is widened only to a width _value_mask admits, so the build at
+    # each key's widest admitted width bounds the cache in bytes with no
+    # eviction; a refused query or table keeps nothing
     table_bytes = {}
+    masks = {}
     for f, class_index, key, width in _widest_admitted_widths():
         q = LatticeQuery(f, class_index, width + 1)
         for build in (lambda: min_count_table(f, class_index, width + 1), lambda: min_terms(q),
                       lambda: find_certificate(q, 2)):
             with pytest.raises(Overflow):
                 build()
-        table_bytes[key] = (width + 1) + (width // 8 + 1)
-    assert repsearch._TABLES == {}
+        assert repsearch._TABLES == {}
+        masks[key] = len(repsearch._layer_table(f, class_index, width))
+        repsearch._TABLES.clear()
+        table_bytes[key] = (masks[key] + 1) * (width // 8 + 1)
     assert len(table_bytes) == 77
-    assert sum(table_bytes.values()) == 41594837
-    assert max(table_bytes.values()) == table_bytes[(907, 2)] == 779904 + 97488
-    # the formula against what a built entry keeps: counts of w + 1 bytes
-    # and a mask of at most w + 1 bits, so at most w // 8 + 1 bytes
-    w = 3000
-    for d, class_index in ((907, 2), (907, 3), (5, 2), (23, 2), (403, 2)):
-        min_count_table(make_field(d), class_index, w)
-        counts, width, values = repsearch._TABLES[repsearch._table_key(make_field(d), class_index)]
-        assert (len(counts), width) == (w + 1, w), (d, class_index)
-        assert values & 1 and values.bit_length() <= w + 1, (d, class_index)
-    assert sorted(repsearch._TABLES) == [(5, 2), (23, 2), (403, 2), (907, 2)]
+    assert sorted(collections.Counter(masks.values()).items()) == [(3, 6), (4, 17), (5, 53), (6, 1)]
+    assert sum(table_bytes.values()) == 26724603
+    assert max(table_bytes.values()) == table_bytes[(907, 2)] == 7 * 97488
+    # the formula against what a built entry keeps: no more layers than at
+    # the widest width, each of at most w + 1 bits, and a mask of at most
+    # w + 1 bits, so each at most w // 8 + 1 bytes
+    for w in (300, 3000):
+        for d, class_index in ((907, 2), (907, 3), (5, 2), (23, 2), (403, 2)):
+            f = make_field(d)
+            key = repsearch._table_key(f, class_index)
+            min_count_table(f, class_index, w)
+            layers, reach, width, values = repsearch._TABLES[key]
+            assert (reach, width) == (w, w) and len(layers) <= masks[key], (d, class_index)
+            assert all(layer.bit_length() <= w + 1 for layer in layers), (d, class_index)
+            assert values & 1 and values.bit_length() <= w + 1, (d, class_index)
+        assert sorted(repsearch._TABLES) == [(5, 2), (23, 2), (403, 2), (907, 2)]
 
 
 def test_residue_cache_is_bounded_in_bytes():
@@ -1029,35 +1116,33 @@ def test_residue_cache_is_bounded_in_bytes():
 
 def _assert_layout(f, class_index):
     """The class's cached entry holds its value mask up to its width and,
-    up to where they reach, its counts, byte for byte against the oracle's
-    layers over that width."""
-    counts, width, values = repsearch._TABLES[repsearch._table_key(f, class_index)]
+    up to where they reach, its layers, mask for mask against the
+    oracle's layers over that width."""
+    layers, reach, width, values = repsearch._TABLES[repsearch._table_key(f, class_index)]
     form = class_form(f, rep_for(f, class_index))[:3]
     assert values == repsearch._value_mask(*form, width)
-    oracle = repsearch._decode(oracle_layers(_form_values(*form, width), width), width)
-    assert counts == oracle[: len(counts)]
+    assert layers == _cut(oracle_layers(_form_values(*form, width), width), reach)
 
 
-def test_one_entry_holds_counts_and_a_mask():
+def test_one_entry_holds_layers_and_a_mask():
     # point queries at r needing one or two values enumerate the mask from
-    # an empty cache and build no counts; counts built at r keep the wider
+    # an empty cache and build no layers; layers built at r keep the wider
     # mask (r = 50 is reached by no number of values), a mask widened past
-    # the counts keeps them, and a wider count table replaces both
+    # the layers keeps them, and a wider count table replaces both
     f = make_field(907)
     steps = [
-        (lambda: min_terms(_query(907, 3, 13)), 0, 13),
-        (lambda: min_terms(_query(907, 3, 26)), 0, 26),
-        (lambda: min_terms(_query(907, 2, 3000)), 0, 3000),
-        (lambda: min_terms(_query(907, 3, 50)), 51, 3000),
-        (lambda: find_certificate(_query(907, 3, 5000), 2), 51, 5000),
-        (lambda: min_count_table(f, 2, 3000), 3001, 5000),
-        (lambda: exceptional_set(f, 3, 6000), 6001, 6000),
+        (lambda: min_terms(_query(907, 3, 13)), -1, 13),
+        (lambda: min_terms(_query(907, 3, 26)), -1, 26),
+        (lambda: min_terms(_query(907, 2, 3000)), -1, 3000),
+        (lambda: min_terms(_query(907, 3, 50)), 50, 3000),
+        (lambda: find_certificate(_query(907, 3, 5000), 2), 50, 5000),
+        (lambda: min_count_table(f, 2, 3000), 3000, 5000),
+        (lambda: exceptional_set(f, 3, 6000), 6000, 6000),
     ]
-    for step, size, width in steps:
+    for step, reach, width in steps:
         step()
         assert list(repsearch._TABLES) == [(907, 2)]
-        counts, got_width, _ = repsearch._TABLES[(907, 2)]
-        assert (len(counts), got_width) == (size, width)
+        assert repsearch._TABLES[(907, 2)][1:3] == (reach, width)
         _assert_layout(f, 3)
 
 

@@ -507,15 +507,15 @@ def test_verify_all_class3_builds_no_class3_table(monkeypatch):
     # the inverse classes share the (d, 2) table: 16 fields build a
     # principal and a class 2 table each, and both classes are still reported
     builds = []
-    real = repsearch._decode
+    real = repsearch.reach_layers
 
-    def counting(masks, width):
+    def counting(first, width, cap=None):
         builds.append(width)
-        return real(masks, width)
+        return real(first, width, cap)
 
     monkeypatch.setattr(verify_mod, "_usable_cpus", lambda: 1)
     monkeypatch.setattr(repsearch, "_TABLES", {})
-    monkeypatch.setattr(repsearch, "_decode", counting)
+    monkeypatch.setattr(repsearch, "reach_layers", counting)
     report = verify_all(3, r_max=300)
     assert report.all_match
     assert len(builds) == 32
